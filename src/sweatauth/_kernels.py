@@ -1,12 +1,12 @@
 """RK4 integration kernels for enzymatic cascade dynamics.
 
-Every kernel exists twice: a numba ``@njit`` loop-nest version (the default)
-and a vectorized pure-numpy version. The numpy path is selected automatically
-when numba is not importable, or explicitly by setting the environment
-variable ``SWEATAUTH_NO_NUMBA=1`` before import. ``BACKEND`` reports which
-path is active; ``benchmarks/bench_kernels.py`` times both.
+One numpy implementation with two entry points: ``rk4_trace`` records
+every grid point of a single simulation, and ``rk4_batch`` advances many
+simulations at once in vectorized steps, keeping only running feature
+sums. A batch row whose step needs halving is redone with the guarded
+scalar advance that ``rk4_trace`` uses, so the two agree exactly.
 
-State advance semantics (identical on both paths):
+State advance semantics:
 
 * classical fixed-step RK4 over the macro grid ``t_k = k*dt``;
 * if a step would push any concentration below ``-NEG_TOL`` (absolute, in
@@ -15,14 +15,13 @@ State advance semantics (identical on both paths):
 * a non-finite state aborts with a status flag so callers can raise.
 
 Networks are passed as flat arrays (see ``kinetics.CascadeNetwork.compiled``):
-sparse stoichiometry per reaction plus per-reaction vmax and substrate
-Michaelis constants. Multi-substrate saturation factors multiply.
+dense stoichiometry plus per-reaction vmax and substrate Michaelis
+constants. Multi-substrate saturation factors multiply.
 """
 
-import math
-import os
-
 import numpy as np
+
+BACKEND = "numpy"       # reported as provenance; the only integration path
 
 NEG_TOL = 1e-9          # µM; reject threshold for negative overshoot
 MAX_HALVINGS = 20       # smallest substep is dt * 2**-20
@@ -31,24 +30,8 @@ STATUS_OK = 0
 STATUS_NONFINITE = 1
 STATUS_UNDERFLOW = 2
 
-_env = os.environ.get("SWEATAUTH_NO_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _env in {"1", "true", "yes", "on"}
 
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled via SWEATAUTH_NO_NUMBA")
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-
-# ----------------------------------------------------------------------
-# pure-numpy path
-# ----------------------------------------------------------------------
-
-def _deriv_np(c, st_dense, vmax, sub_idx, sub_km, sub_off):
+def _deriv(c, st_dense, vmax, sub_idx, sub_km, sub_off):
     """Derivative for a single state vector ``c`` of shape [n_species]."""
     n_rxn = vmax.shape[0]
     v = vmax.copy()
@@ -61,7 +44,7 @@ def _deriv_np(c, st_dense, vmax, sub_idx, sub_km, sub_off):
     return st_dense.T @ v
 
 
-def _deriv_batch_np(C, st_dense, vmax, sub_idx, sub_km, sub_off):
+def _deriv_batch(C, st_dense, vmax, sub_idx, sub_km, sub_off):
     """Derivative for a batch of states ``C`` of shape [B, n_species]."""
     n_rxn = vmax.shape[0]
     V = np.broadcast_to(vmax, (C.shape[0], n_rxn)).copy()
@@ -72,15 +55,22 @@ def _deriv_batch_np(C, st_dense, vmax, sub_idx, sub_km, sub_off):
     return V @ st_dense
 
 
-def _rk4_np(c, h, st_dense, vmax, sub_idx, sub_km, sub_off):
-    k1 = _deriv_np(c, st_dense, vmax, sub_idx, sub_km, sub_off)
-    k2 = _deriv_np(c + (0.5 * h) * k1, st_dense, vmax, sub_idx, sub_km, sub_off)
-    k3 = _deriv_np(c + (0.5 * h) * k2, st_dense, vmax, sub_idx, sub_km, sub_off)
-    k4 = _deriv_np(c + h * k3, st_dense, vmax, sub_idx, sub_km, sub_off)
+def _rk4_step(c, h, st_dense, vmax, sub_idx, sub_km, sub_off):
+    k1 = _deriv(c, st_dense, vmax, sub_idx, sub_km, sub_off)
+    k2 = _deriv(c + (0.5 * h) * k1, st_dense, vmax, sub_idx, sub_km, sub_off)
+    k3 = _deriv(c + (0.5 * h) * k2, st_dense, vmax, sub_idx, sub_km, sub_off)
+    k4 = _deriv(c + h * k3, st_dense, vmax, sub_idx, sub_km, sub_off)
     return c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _advance_np(c, dt, st_dense, vmax, sub_idx, sub_km, sub_off):
+def _rk4_step_batch(C, h, st_dense, vmax, sub_idx, sub_km, sub_off):
+    k1 = _deriv_batch(C, st_dense, vmax, sub_idx, sub_km, sub_off)
+    k2 = _deriv_batch(C + (0.5 * h) * k1, st_dense, vmax, sub_idx, sub_km, sub_off)
+    k3 = _deriv_batch(C + (0.5 * h) * k2, st_dense, vmax, sub_idx, sub_km, sub_off)
+    k4 = _deriv_batch(C + h * k3, st_dense, vmax, sub_idx, sub_km, sub_off)
+    return C + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+def _advance(c, dt, st_dense, vmax, sub_idx, sub_km, sub_off):
     """Advance one macro step of size dt with halving guard. Returns status."""
     t_left = dt
     h = dt
@@ -90,7 +80,7 @@ def _advance_np(c, dt, st_dense, vmax, sub_idx, sub_km, sub_off):
             h = t_left
         # non-finite intermediates are legal here; they surface as a status
         with np.errstate(invalid="ignore", over="ignore"):
-            c_new = _rk4_np(c, h, st_dense, vmax, sub_idx, sub_km, sub_off)
+            c_new = _rk4_step(c, h, st_dense, vmax, sub_idx, sub_km, sub_off)
         if not np.all(np.isfinite(c_new)):
             return STATUS_NONFINITE
         if np.any(c_new < -NEG_TOL):
@@ -106,7 +96,7 @@ def _advance_np(c, dt, st_dense, vmax, sub_idx, sub_km, sub_off):
     return STATUS_OK
 
 
-def rk4_trace_numpy(c0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt):
+def rk4_trace(c0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt):
     """Integrate a single initial state, recording every grid point.
 
     Returns (trace[n_steps+1, n_species], status, bad_step).
@@ -116,14 +106,14 @@ def rk4_trace_numpy(c0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt):
     out[0] = c0
     c = c0.astype(np.float64).copy()
     for k in range(n_steps):
-        status = _advance_np(c, dt, st_dense, vmax, sub_idx, sub_km, sub_off)
+        status = _advance(c, dt, st_dense, vmax, sub_idx, sub_km, sub_off)
         if status != STATUS_OK:
             return out[: k + 1], status, k
         out[k + 1] = c
     return out, STATUS_OK, -1
 
 
-def rk4_batch_numpy(C0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt):
+def rk4_batch(C0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt):
     """Integrate a batch of initial states, keeping running feature sums.
 
     Returns (C_final, sum_c, sum_tc, status[B], bad_step[B]) where the sums
@@ -139,14 +129,14 @@ def rk4_batch_numpy(C0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt):
     for k in range(n_steps):
         C_new = C.copy()
         with np.errstate(invalid="ignore", over="ignore"):
-            C_new[live] = _rk4_batch_np(C[live], dt, st_dense, vmax, sub_idx, sub_km, sub_off)
+            C_new[live] = _rk4_step_batch(C[live], dt, st_dense, vmax, sub_idx, sub_km, sub_off)
         finite = np.all(np.isfinite(C_new), axis=1)
         neg = np.any(C_new < -NEG_TOL, axis=1)
         trouble = live & (~finite | neg)
         for i in np.nonzero(trouble)[0]:
             # rare path: redo this macro step with the guarded scalar advance
             c_i = C[i].copy()
-            st = _advance_np(c_i, dt, st_dense, vmax, sub_idx, sub_km, sub_off)
+            st = _advance(c_i, dt, st_dense, vmax, sub_idx, sub_km, sub_off)
             if st != STATUS_OK:
                 status[i] = st
                 bad_step[i] = k
@@ -160,169 +150,3 @@ def rk4_batch_numpy(C0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt):
         sum_tc[live] += t_next * C[live]
     return C, sum_c, sum_tc, status, bad_step
 
-
-def _rk4_batch_np(C, h, st_dense, vmax, sub_idx, sub_km, sub_off):
-    k1 = _deriv_batch_np(C, st_dense, vmax, sub_idx, sub_km, sub_off)
-    k2 = _deriv_batch_np(C + (0.5 * h) * k1, st_dense, vmax, sub_idx, sub_km, sub_off)
-    k3 = _deriv_batch_np(C + (0.5 * h) * k2, st_dense, vmax, sub_idx, sub_km, sub_off)
-    k4 = _deriv_batch_np(C + h * k3, st_dense, vmax, sub_idx, sub_km, sub_off)
-    return C + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-# ----------------------------------------------------------------------
-# numba path
-# ----------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _deriv_nb(c, st_idx, st_coef, st_off, vmax, sub_idx, sub_km, sub_off, out):
-        out[:] = 0.0
-        for j in range(vmax.shape[0]):
-            v = vmax[j]
-            for p in range(sub_off[j], sub_off[j + 1]):
-                s = c[sub_idx[p]]
-                if s < 0.0:
-                    s = 0.0
-                v *= s / (sub_km[p] + s)
-            for p in range(st_off[j], st_off[j + 1]):
-                out[st_idx[p]] += st_coef[p] * v
-
-    @njit(cache=True)
-    def _advance_nb(c, dt, st_idx, st_coef, st_off, vmax, sub_idx, sub_km, sub_off,
-                    k1, k2, k3, k4, ctmp, cnew):
-        t_left = dt
-        h = dt
-        min_h = dt * 2.0 ** -MAX_HALVINGS
-        n_sp = c.shape[0]
-        while t_left > 0.0:
-            if h > t_left:
-                h = t_left
-            _deriv_nb(c, st_idx, st_coef, st_off, vmax, sub_idx, sub_km, sub_off, k1)
-            for i in range(n_sp):
-                ctmp[i] = c[i] + 0.5 * h * k1[i]
-            _deriv_nb(ctmp, st_idx, st_coef, st_off, vmax, sub_idx, sub_km, sub_off, k2)
-            for i in range(n_sp):
-                ctmp[i] = c[i] + 0.5 * h * k2[i]
-            _deriv_nb(ctmp, st_idx, st_coef, st_off, vmax, sub_idx, sub_km, sub_off, k3)
-            for i in range(n_sp):
-                ctmp[i] = c[i] + h * k3[i]
-            _deriv_nb(ctmp, st_idx, st_coef, st_off, vmax, sub_idx, sub_km, sub_off, k4)
-            ok = True
-            for i in range(n_sp):
-                x = c[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-                if not math.isfinite(x):
-                    return STATUS_NONFINITE
-                cnew[i] = x
-                if x < -NEG_TOL:
-                    ok = False
-            if not ok:
-                h *= 0.5
-                if h < min_h:
-                    return STATUS_UNDERFLOW
-                continue
-            for i in range(n_sp):
-                c[i] = cnew[i] if cnew[i] > 0.0 else 0.0
-            t_left -= h
-            if h < dt:
-                h *= 2.0
-        return STATUS_OK
-
-    @njit(cache=True)
-    def _rk4_trace_nb(c0, st_idx, st_coef, st_off, vmax, sub_idx, sub_km, sub_off,
-                      n_steps, dt):
-        n_sp = c0.shape[0]
-        out = np.empty((n_steps + 1, n_sp))
-        out[0] = c0
-        c = c0.copy()
-        k1 = np.empty(n_sp)
-        k2 = np.empty(n_sp)
-        k3 = np.empty(n_sp)
-        k4 = np.empty(n_sp)
-        ctmp = np.empty(n_sp)
-        cnew = np.empty(n_sp)
-        for k in range(n_steps):
-            status = _advance_nb(c, dt, st_idx, st_coef, st_off, vmax, sub_idx,
-                                 sub_km, sub_off, k1, k2, k3, k4, ctmp, cnew)
-            if status != STATUS_OK:
-                return out[: k + 1], status, k
-            out[k + 1] = c
-        return out, STATUS_OK, -1
-
-    @njit(cache=True, parallel=True)
-    def _rk4_batch_nb(C0, st_idx, st_coef, st_off, vmax, sub_idx, sub_km, sub_off,
-                      n_steps, dt):
-        B, n_sp = C0.shape
-        C = C0.copy()
-        sum_c = C0.copy()
-        sum_tc = np.zeros((B, n_sp))
-        status = np.zeros(B, dtype=np.int64)
-        bad_step = np.full(B, -1, dtype=np.int64)
-        for b in prange(B):
-            # per-iteration work buffers keep the parallel sims independent
-            k1 = np.empty(n_sp)
-            k2 = np.empty(n_sp)
-            k3 = np.empty(n_sp)
-            k4 = np.empty(n_sp)
-            ctmp = np.empty(n_sp)
-            cnew = np.empty(n_sp)
-            c = C0[b].copy()
-            for k in range(n_steps):
-                st = _advance_nb(c, dt, st_idx, st_coef, st_off, vmax, sub_idx,
-                                 sub_km, sub_off, k1, k2, k3, k4, ctmp, cnew)
-                if st != STATUS_OK:
-                    status[b] = st
-                    bad_step[b] = k
-                    break
-                t_next = (k + 1) * dt
-                for i in range(n_sp):
-                    sum_c[b, i] += c[i]
-                    sum_tc[b, i] += t_next * c[i]
-            C[b] = c
-        return C, sum_c, sum_tc, status, bad_step
-
-    def rk4_trace_numba(c0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt,
-                        _sparse=None):
-        st_idx, st_coef, st_off = _sparse
-        return _rk4_trace_nb(c0, st_idx, st_coef, st_off, vmax, sub_idx, sub_km,
-                             sub_off, n_steps, dt)
-
-    def rk4_batch_numba(C0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt,
-                        _sparse=None):
-        st_idx, st_coef, st_off = _sparse
-        return _rk4_batch_nb(C0, st_idx, st_coef, st_off, vmax, sub_idx, sub_km,
-                             sub_off, n_steps, dt)
-
-    BACKEND = "numba"
-else:
-    rk4_trace_numba = None
-    rk4_batch_numba = None
-    BACKEND = "numpy"
-
-
-def sparse_stoich(st_dense):
-    """Column-sparse encoding of a dense [n_rxn, n_species] stoichiometry."""
-    n_rxn = st_dense.shape[0]
-    idx, coef, off = [], [], [0]
-    for j in range(n_rxn):
-        nz = np.nonzero(st_dense[j])[0]
-        idx.extend(nz.tolist())
-        coef.extend(st_dense[j, nz].tolist())
-        off.append(len(idx))
-    return (np.asarray(idx, dtype=np.int64),
-            np.asarray(coef, dtype=np.float64),
-            np.asarray(off, dtype=np.int64))
-
-
-def rk4_trace(c0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt, sparse=None):
-    if BACKEND == "numba":
-        return rk4_trace_numba(c0, st_dense, vmax, sub_idx, sub_km, sub_off,
-                               n_steps, dt, _sparse=sparse)
-    return rk4_trace_numpy(c0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt)
-
-
-def rk4_batch(C0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt, sparse=None):
-    if BACKEND == "numba":
-        return rk4_batch_numba(C0, st_dense, vmax, sub_idx, sub_km, sub_off,
-                               n_steps, dt, _sparse=sparse)
-    return rk4_batch_numpy(C0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digitize import OutputVector
-from .errors import InsufficientDataError
+from .errors import ConfigurationError, InsufficientDataError
 
 
 @dataclass
@@ -56,7 +56,7 @@ class VerifyPolicy:
 
     def __post_init__(self):
         if not self.accept_thr > self.reject_thr:
-            raise ValueError("accept_thr must be > reject_thr")
+            raise ConfigurationError("accept_thr must be > reject_thr")
 
 
 @dataclass

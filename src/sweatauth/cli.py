@@ -43,7 +43,7 @@ def cmd_cohort(args) -> int:
 
 def cmd_pipeline(args) -> int:
     cfg = _load(args)
-    result = pipeline.run_pipeline(cfg, jobs=args.jobs)
+    result = pipeline.run_pipeline(cfg)
     out_csv = os.path.join(args.out, "outputs.csv")
     feat_csv = os.path.join(args.out, "features.csv")
     pipeline.write_outputs_csv(out_csv, result)
@@ -67,7 +67,7 @@ def cmd_pipeline(args) -> int:
 
 def cmd_enroll(args) -> int:
     cfg = _load(args)
-    result = pipeline.run_pipeline(cfg, jobs=args.jobs)
+    result = pipeline.run_pipeline(cfg)
     auth_cfg = cfg.section("auth")
     k_reg = int(auth_cfg["k_reg"])
     lam = float(auth_cfg.get("lambda", 1e-3))
@@ -86,7 +86,7 @@ def cmd_enroll(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load(args)
-    result = pipeline.run_pipeline(cfg, jobs=args.jobs)
+    result = pipeline.run_pipeline(cfg)
     auth_cfg = cfg.section("auth")
     k_reg = int(auth_cfg["k_reg"])
     lam = float(auth_cfg.get("lambda", 1e-3))
@@ -124,7 +124,7 @@ def cmd_verify(args) -> int:
 
 def cmd_roc(args) -> int:
     cfg = _load(args)
-    summary, curves, _ = pipeline.run_auth_eval(cfg, jobs=args.jobs)
+    summary, curves, _ = pipeline.run_auth_eval(cfg)
     for label, curve in curves.items():
         path = os.path.join(args.out, f"roc_{label}.csv")
         metrics.write_roc_csv(path, curve, config_hash=cfg.config_hash)
@@ -182,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed-override", type=int, default=None,
                        help="rewrite all cohort seeds from this master seed")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker threads for the simulation batch")
+        # runs are single-threaded; the option stays so callers passing 1 still parse
+        p.add_argument("--jobs", type=int, choices=[1], default=1, help=argparse.SUPPRESS)
         if name == "verify":
             p.add_argument("--templates", default=None,
                            help="reuse templates.json from a previous enroll run")

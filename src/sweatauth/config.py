@@ -132,88 +132,11 @@ def collect_seeds(raw: dict) -> dict:
 # packaged experiments
 # ----------------------------------------------------------------------
 
-def _sex_separation(shifted: bool) -> dict:
-    overrides = {}
-    if not shifted:
-        # neutralize the default alanine shift and share all seeds so the
-        # two cohorts are statistically (here: exactly) identical
-        overrides = {"acids": {"Ala": {"shifts": {"sex=female": 1.0}}}}
-    seed_f = 1101
-    seed_m = 1101 if not shifted else 2202
-    return {
-        "name": "sex-separation" if shifted else "sex-separation-null",
-        "distribution_overrides": overrides,
-        "cohort": {
-            "groups": [
-                {"name": "female", "demographics": {"sex": "female"}, "n": 25, "seed": seed_f},
-                {"name": "male", "demographics": {"sex": "male"}, "n": 25, "seed": seed_m},
-            ],
-            "noise": {"cv": 0.05, "drift_rate": 0.0},
-            "schedule": {"t0": 0.0, "tau": 120.0, "steps": 13},
-            "series_seed": 3303,
-        },
-        "kinetics": {"t_g": 120.0, "dt": 0.01},
-        "channels": [
-            {"name": "ala-405", "cascade": "AltPoxHrp", "inputs": ["Ala"],
-             "transduction": "absorbance", "species": "ABTSox", "feature": "endpoint"},
-        ],
-        "digitize": {
-            "groups": [[0]],
-            "aggregators": ["sum"],
-            "filters": [{"k_half": 11.0, "hill_n": 8.0, "out_lo": 0.0, "out_hi": 1.0}],
-            "bands": {"boundaries": [0.5], "labels": ["low", "high"]},
-        },
-        "auth": {"mode": "group", "k_reg": 3, "lambda": 0.001, "accumulate_k": 10,
-                 "genuine_group": "female", "impostor_group": "male",
-                 "score_channel": 0,
-                 "accept_thr": 3.0, "reject_thr": -9.0, "drift_margin": 0.5},
-    }
-
-
-def _identity() -> dict:
-    return {
-        "name": "identity",
-        "cohort": {
-            "groups": [
-                {"name": "cohort", "demographics": {"sex": "female"}, "n": 25, "seed": 7501},
-            ],
-            "noise": {"cv": 0.10, "drift_rate": 0.0},
-            "schedule": {"t0": 0.0, "tau": 120.0, "steps": 15},
-            "series_seed": 7707,
-        },
-        "kinetics": {"t_g": 120.0, "dt": 0.01},
-        "channels": [
-            {"name": "ala-405", "cascade": "AltPoxHrp", "inputs": ["Ala"],
-             "transduction": "absorbance", "species": "ABTSox", "feature": "endpoint"},
-            {"name": "glu-340", "cascade": "GldhA", "inputs": ["Glu"],
-             "transduction": "absorbance", "species": "NADH", "feature": "endpoint"},
-            {"name": "aspglu-405", "cascade": "AspGlu", "inputs": ["Asp", "Glu"],
-             "transduction": "absorbance", "species": "ABTSox", "feature": "endpoint"},
-        ],
-        "digitize": {
-            "groups": [[0], [1], [2]],
-            "aggregators": ["sum", "sum", "cascade-endpoint"],
-            "filters": [
-                {"k_half": 13.0, "hill_n": 2.0, "out_lo": 0.0, "out_hi": 1.0},
-                {"k_half": 0.7, "hill_n": 2.0, "out_lo": 0.0, "out_hi": 1.0},
-                {"k_half": 5.5, "hill_n": 2.0, "out_lo": 0.0, "out_hi": 1.0},
-            ],
-            "bands": {"boundaries": [0.5], "labels": ["low", "high"]},
-        },
-        "auth": {"mode": "identity", "k_reg": 5, "lambda": 0.01, "accumulate_k": 10,
-                 "accept_thr": 3.0, "reject_thr": -9.0, "drift_margin": 0.5},
-    }
-
-
-_BUILTINS = {
-    "sex-separation": lambda: _sex_separation(True),
-    "sex-separation-null": lambda: _sex_separation(False),
-    "identity": _identity,
-}
-
-
 def builtin_experiment(name: str) -> dict:
-    if name not in _BUILTINS:
+    experiments = resources.files("sweatauth.data").joinpath("experiments")
+    available = sorted(p.name[:-5] for p in experiments.iterdir()
+                       if p.name.endswith(".json"))
+    if name not in available:
         raise ConfigurationError(
-            f"unknown builtin experiment {name!r}; available: {sorted(_BUILTINS)}")
-    return _BUILTINS[name]()
+            f"unknown builtin experiment {name!r}; available: {available}")
+    return _packaged(f"experiments/{name}.json")

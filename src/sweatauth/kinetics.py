@@ -250,15 +250,13 @@ class CascadeNetwork:
                     sub_idx.append(names.index(sp))
                     sub_km.append(st.km[sp])
                 sub_off.append(len(sub_idx))
-            arrays = (
+            self._compiled = (
                 st_dense,
                 vmax,
                 np.asarray(sub_idx, dtype=np.int64),
                 np.asarray(sub_km, dtype=np.float64),
                 np.asarray(sub_off, dtype=np.int64),
-                _kernels.sparse_stoich(st_dense),
             )
-            self._compiled = arrays
         return self._compiled
 
     def init_vector(self, init: dict) -> np.ndarray:
@@ -401,9 +399,7 @@ def simulate(network: CascadeNetwork, init: dict, horizon: float, dt: float) -> 
     """
     n_steps = _n_steps(horizon, dt)
     c0 = network.init_vector(init)
-    st_dense, vmax, sub_idx, sub_km, sub_off, sparse = network.compiled()
-    trace, status, bad = _kernels.rk4_trace(
-        c0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt, sparse=sparse)
+    trace, status, bad = _kernels.rk4_trace(c0, *network.compiled(), n_steps, dt)
     _raise_on_status(status, bad)
     return KineticsTrace(
         times=dt * np.arange(n_steps + 1),
@@ -458,9 +454,8 @@ def simulate_batch(network: CascadeNetwork, init_matrix: np.ndarray,
     """
     n_steps = _n_steps(horizon, dt)
     C0 = np.ascontiguousarray(init_matrix, dtype=np.float64)
-    st_dense, vmax, sub_idx, sub_km, sub_off, sparse = network.compiled()
     c_final, sum_c, sum_tc, status, bad = _kernels.rk4_batch(
-        C0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt, sparse=sparse)
+        C0, *network.compiled(), n_steps, dt)
     for i in np.nonzero(status)[0]:
         _raise_on_status(int(status[i]), int(bad[i]), sim=int(i))
     return BatchResult(c0=C0, c_final=c_final, sum_c=sum_c, sum_tc=sum_tc,

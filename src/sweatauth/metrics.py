@@ -129,7 +129,7 @@ def write_roc_csv(path, curve: RocCurve, config_hash: str = "") -> None:
             fh.write(f"# config_hash={config_hash}\n")
         fh.write("threshold,fpr,tpr\n")
         for thr, (fpr, tpr) in zip(curve.thresholds, curve.points):
-            fh.write(f"{thr!r},{fpr!r},{tpr!r}\n")
+            fh.write(f"{float(thr)!r},{float(fpr)!r},{float(tpr)!r}\n")
 
 
 def write_summary_json(path, payload: dict) -> None:

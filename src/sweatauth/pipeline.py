@@ -3,14 +3,12 @@
 The hot loop is the batched cascade integration: every (individual, time
 step) pair of an experiment becomes one row of a batch handed to the RK4
 kernels, and gate-time features are recovered from endpoint/slope summaries
-without storing full traces. Threads (``jobs``) split the batch; results
-are concatenated in submission order, so output artifacts are byte-stable.
+without storing full traces.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,24 +82,7 @@ def _reporter_step(network, enzyme=None, substrate=None) -> int:
         f"{network.kind.value} cascade lacks the required reporter step")
 
 
-def _batched(network, C0, horizon, dt, jobs=1):
-    if jobs <= 1 or C0.shape[0] < 2 * jobs:
-        return simulate_batch(network, C0, horizon, dt)
-    chunks = np.array_split(np.arange(C0.shape[0]), jobs)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(
-            lambda idx: simulate_batch(network, C0[idx], horizon, dt), chunks))
-    first = parts[0]
-    return type(first)(
-        c0=np.vstack([p.c0 for p in parts]),
-        c_final=np.vstack([p.c_final for p in parts]),
-        sum_c=np.vstack([p.sum_c for p in parts]),
-        sum_tc=np.vstack([p.sum_tc for p in parts]),
-        n_steps=first.n_steps, dt=first.dt, species_names=first.species_names)
-
-
-def channel_features(ch: Channel, X_flat: np.ndarray, t_g: float, dt: float,
-                     jobs: int = 1) -> np.ndarray:
+def channel_features(ch: Channel, X_flat: np.ndarray, t_g: float, dt: float) -> np.ndarray:
     """Gate-time feature per batch row for one channel.
 
     X_flat is [B, 23] sampled concentrations; each row seeds the channel's
@@ -114,7 +95,7 @@ def channel_features(ch: Channel, X_flat: np.ndarray, t_g: float, dt: float,
         C0[:, ch.network.index(acid)] = X_flat[:, ACID_INDEX[acid]]
     if ch.transduction != "absorbance" and ch.feature == "slope":
         return _rate_slope_features(ch, C0, t_g, dt)
-    res = _batched(ch.network, C0, t_g, dt, jobs=jobs)
+    res = simulate_batch(ch.network, C0, t_g, dt)
     if ch.transduction == "absorbance":
         if ch.feature == "endpoint":
             return ch.scale * res.endpoint_delta(ch.species)
@@ -149,7 +130,7 @@ class PipelineResult:
     n_outputs: int
 
 
-def run_pipeline(cfg: ExperimentConfig, jobs: int = 1) -> PipelineResult:
+def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
     """Cohort sampling, cascade simulation, and digitization for one config."""
     cohort_cfg = cfg.section("cohort")
     schedule = SamplingSchedule(**cohort_cfg["schedule"])
@@ -177,7 +158,7 @@ def run_pipeline(cfg: ExperimentConfig, jobs: int = 1) -> PipelineResult:
 
     feats = np.empty((n_indiv * steps, len(channels)))
     for ci, ch in enumerate(channels):
-        feats[:, ci] = channel_features(ch, X_flat, t_g, dt, jobs=jobs)
+        feats[:, ci] = channel_features(ch, X_flat, t_g, dt)
     features = feats.reshape(n_indiv, steps, len(channels))
 
     dig = cfg.section("digitize")
@@ -214,7 +195,7 @@ def _continuation_window(auth_cfg, steps):
     return k_reg, k_acc
 
 
-def run_auth_eval(cfg: ExperimentConfig, jobs: int = 1):
+def run_auth_eval(cfg: ExperimentConfig):
     """Score genuine vs impostor streams and compute ROC/AUC/EER reports.
 
     Group mode compares two cohorts: per-step scores are the digitized
@@ -224,7 +205,7 @@ def run_auth_eval(cfg: ExperimentConfig, jobs: int = 1):
     enrolls one template per individual and scores own-against-other
     continuation streams.
     """
-    result = run_pipeline(cfg, jobs=jobs)
+    result = run_pipeline(cfg)
     auth_cfg = cfg.section("auth")
     mode = auth_cfg.get("mode", "group")
     k_reg, k_acc = _continuation_window(auth_cfg, result.schedule.steps)

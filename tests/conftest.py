@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from sweatauth.config import load_experiment
@@ -18,15 +17,3 @@ def params(cfg):
 def distribution(cfg):
     return cfg.distribution
 
-
-@pytest.fixture(scope="session")
-def warm_kernels(params):
-    """Trigger JIT compilation once so timed tests measure the kernels only."""
-    from sweatauth.kinetics import build_cascade, simulate, simulate_batch
-
-    net = build_cascade("AltLdh", params)
-    simulate(net, {"Ala": 1.0}, 0.1, 0.01)
-    simulate_batch(net, np.tile(net.init_vector({"Ala": 1.0}), (2, 1)), 0.1, 0.01)
-    net2 = build_cascade("AltPoxHrp", params)
-    simulate_batch(net2, np.tile(net2.init_vector({"Ala": 1.0}), (2, 1)), 0.1, 0.01)
-    return True

@@ -1,8 +1,8 @@
 """Acceptance gate: one test per release criterion, each printing a
 [PASS]/[FAIL] line with its elapsed time (run with -s to see them all).
 
-Criteria marked with runtime budgets are timed after a session-scoped
-kernel warmup, so JIT compilation is not charged to any criterion.
+Each criterion's runtime budget covers everything it runs; the numpy
+kernels need no warm-up.
 """
 
 import math
@@ -36,7 +36,7 @@ def criterion(number, description, budget_s):
     assert elapsed < budget_s, f"criterion {number} exceeded {budget_s}s budget"
 
 
-def test_c01_half_saturation_exact(warm_kernels):
+def test_c01_half_saturation_exact():
     with criterion(1, "mm_rate at s=km equals kcat*e_total/2 to 1e-12 relative", 1.0):
         rng = np.random.default_rng(101)
         for _ in range(100):
@@ -48,7 +48,7 @@ def test_c01_half_saturation_exact(warm_kernels):
             assert abs(got - want) <= 1e-12 * want
 
 
-def test_c02_conservation(params, warm_kernels):
+def test_c02_conservation(params):
     with criterion(2, "moiety totals drift < 1e-6 relative over 600 s at dt=0.01", 10.0):
         cases = {
             "AltLdh": {"Ala": 80.0, "KTG": 150.0, "NADH": 120.0},
@@ -64,7 +64,7 @@ def test_c02_conservation(params, warm_kernels):
                 assert drift < 1e-6, (kind, w, drift)
 
 
-def test_c03_integrator_order(params, warm_kernels):
+def test_c03_integrator_order(params):
     with criterion(3, "Richardson dt-halving error ratio in [12, 20]", 10.0):
         net = build_cascade("AltLdh", params)
         init = {"Ala": 50.0, "KTG": 150.0, "NADH": 120.0}
@@ -76,7 +76,7 @@ def test_c03_integrator_order(params, warm_kernels):
         assert 12.0 <= ratio <= 20.0, ratio
 
 
-def test_c04_absorbance_decrease_shape(params, warm_kernels):
+def test_c04_absorbance_decrease_shape(params):
     with criterion(4, "340 nm trace non-increasing, drop grows with alanine", 5.0):
         net = build_cascade("AltLdh", params)
         optics = builtin_optics("NADH", params)
@@ -89,7 +89,7 @@ def test_c04_absorbance_decrease_shape(params, warm_kernels):
         assert drops[0] < drops[1] < drops[2]
 
 
-def test_c05_sex_separation_auc(warm_kernels):
+def test_c05_sex_separation_auc():
     with criterion(5, "25v25 shifted cohort AUC >= 0.95; unshifted in [0.4, 0.6]", 60.0):
         shifted, _, _ = run_auth_eval(load_experiment("builtin:sex-separation"))
         assert shifted["k1"]["auc"] >= 0.95, shifted["k1"]["auc"]
@@ -97,7 +97,7 @@ def test_c05_sex_separation_auc(warm_kernels):
         assert 0.4 <= null["k1"]["auc"] <= 0.6, null["k1"]["auc"]
 
 
-def test_c06_auc_oracle_equivalence(warm_kernels):
+def test_c06_auc_oracle_equivalence():
     with criterion(6, "trapezoid ROC area equals pair-count AUC to 1e-9", 5.0):
         rng = np.random.default_rng(606)
         for trial in range(200):
@@ -116,7 +116,7 @@ def test_c06_auc_oracle_equivalence(warm_kernels):
             assert abs(roc_curve(pop).trapezoid_area() - want) < 1e-9
 
 
-def test_c07_delong_vs_bootstrap(warm_kernels):
+def test_c07_delong_vs_bootstrap():
     with criterion(7, "DeLong variance within 20% of 2000-resample bootstrap", 30.0):
         rng = np.random.default_rng(2024)
         g = rng.normal(1.0, 1.0, 25)
@@ -131,7 +131,7 @@ def test_c07_delong_vs_bootstrap(warm_kernels):
         assert abs(res.variance - bvar) / bvar < 0.2, (res.variance, bvar)
 
 
-def test_c08_filter_digitization(warm_kernels):
+def test_c08_filter_digitization():
     with criterion(8, "hill n=8 squeezes CV-0.2 inputs to output sd < 0.05", 5.0):
         rng = np.random.default_rng(808)
         p = FilterParams(k_half=10.0, hill_n=8.0, out_lo=0.0, out_hi=1.0)
@@ -142,7 +142,7 @@ def test_c08_filter_digitization(warm_kernels):
             assert outs.std() < 0.05, (center, outs.std())
 
 
-def test_c09_time_series_benefit(warm_kernels):
+def test_c09_time_series_benefit():
     with criterion(9, "identity EER with 10-step accumulation <= single-step EER", 60.0):
         summary, _, _ = run_auth_eval(load_experiment("builtin:identity"))
         e1 = summary["k1"]["eer"]
@@ -150,7 +150,7 @@ def test_c09_time_series_benefit(warm_kernels):
         assert e10 <= e1, (e10, e1)
 
 
-def test_c10_determinism(tmp_path, warm_kernels):
+def test_c10_determinism(tmp_path):
     budget = 2.0 * _elapsed.get(5, 60.0)
     with criterion(10, "two identical roc runs produce byte-identical reports", budget):
         outs = []

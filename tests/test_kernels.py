@@ -1,58 +1,8 @@
-"""Cross-checks between the numba kernels and the pure-numpy fallback."""
+"""Direct checks of the numpy RK4 kernels below ``kinetics``."""
 
 import numpy as np
-import pytest
 
 from sweatauth import _kernels
-from sweatauth.kinetics import build_cascade
-
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA,
-                                 reason="numba path not active")
-
-
-def _arrays(params, kind="AltPoxHrp"):
-    net = build_cascade(kind, params)
-    st_dense, vmax, sub_idx, sub_km, sub_off, sparse = net.compiled()
-    return net, (st_dense, vmax, sub_idx, sub_km, sub_off), sparse
-
-
-@needs_numba
-def test_trace_paths_agree(params):
-    net, arrs, sparse = _arrays(params)
-    c0 = net.init_vector({"Ala": 180.0})
-    nb, st_nb, _ = _kernels.rk4_trace_numba(c0, *arrs, 3000, 0.01, _sparse=sparse)
-    np_, st_np, _ = _kernels.rk4_trace_numpy(c0, *arrs, 3000, 0.01)
-    assert st_nb == st_np == _kernels.STATUS_OK
-    np.testing.assert_allclose(nb, np_, rtol=1e-9, atol=1e-12)
-
-
-@needs_numba
-def test_batch_paths_agree(params):
-    net, arrs, sparse = _arrays(params)
-    rng = np.random.default_rng(3)
-    C0 = np.tile(net.init_vector({}), (16, 1))
-    C0[:, net.index("Ala")] = rng.uniform(20, 400, 16)
-    out_nb = _kernels.rk4_batch_numba(C0, *arrs, 2000, 0.01, _sparse=sparse)
-    out_np = _kernels.rk4_batch_numpy(C0, *arrs, 2000, 0.01)
-    for a, b in zip(out_nb[:3], out_np[:3]):
-        np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
-    np.testing.assert_array_equal(out_nb[3], out_np[3])
-
-
-def test_backend_reports_something():
-    assert _kernels.BACKEND in ("numba", "numpy")
-    if _kernels.NUMBA_DISABLED:
-        assert _kernels.BACKEND == "numpy"
-
-
-def test_sparse_stoich_roundtrip():
-    dense = np.array([[0.0, -1.0, 2.0], [1.0, 0.0, -3.0]])
-    idx, coef, off = _kernels.sparse_stoich(dense)
-    rebuilt = np.zeros_like(dense)
-    for j in range(dense.shape[0]):
-        for p in range(off[j], off[j + 1]):
-            rebuilt[j, idx[p]] = coef[p]
-    np.testing.assert_array_equal(rebuilt, dense)
 
 
 def test_numpy_batch_rescues_rows_needing_halving():
@@ -64,12 +14,12 @@ def test_numpy_batch_rescues_rows_needing_halving():
     sub_km = np.array([1e-3])
     sub_off = np.array([0, 1], dtype=np.int64)
     C0 = np.array([[0.3, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    C, sum_c, sum_tc, status, bad = _kernels.rk4_batch_numpy(
+    C, sum_c, sum_tc, status, bad = _kernels.rk4_batch(
         C0, st_dense, vmax, sub_idx, sub_km, sub_off, 40, 0.05)
     assert np.all(status == _kernels.STATUS_OK)
     assert np.all(C >= 0.0)
     for b in range(3):
-        trace, st, _ = _kernels.rk4_trace_numpy(
+        trace, st, _ = _kernels.rk4_trace(
             C0[b], st_dense, vmax, sub_idx, sub_km, sub_off, 40, 0.05)
         assert st == _kernels.STATUS_OK
         np.testing.assert_array_equal(C[b], trace[-1])

@@ -177,6 +177,20 @@ def test_roc_csv(tmp_path):
     assert len(lines) == 2 + 5  # (0,0) anchor plus one point per distinct score
 
 
+def test_roc_csv_values_parse_as_floats(tmp_path):
+    # numpy scalars must be written as plain Python float reprs
+    pop = ScoredPopulation(np.array([0.8, 0.35, 0.35]), np.array([0.4, 0.1]))
+    path = tmp_path / "roc.csv"
+    curve = roc_curve(pop)
+    write_roc_csv(path, curve)
+    rows = [[float(x) for x in line.split(",")]
+            for line in path.read_text().splitlines()[1:]]
+    assert len(rows) == len(curve.points)
+    assert all(len(r) == 3 for r in rows)
+    np.testing.assert_array_equal([r[0] for r in rows], curve.thresholds)
+    np.testing.assert_array_equal([r[1:] for r in rows], curve.points)
+
+
 def test_roc_curve_validation():
     with pytest.raises(ValueError):
         RocCurve(points=np.array([[0.0, 0.0], [0.5, 1.2], [1.0, 1.0]]),
