@@ -2,9 +2,7 @@
 
 One numpy implementation with two entry points: ``rk4_trace`` records
 every grid point of a single simulation, and ``rk4_batch`` advances many
-simulations at once in vectorized steps, keeping only running feature
-sums. A batch row whose step needs halving is redone with the guarded
-scalar advance that ``rk4_trace`` uses, so the two agree exactly.
+simulations at once, keeping only running feature sums.
 
 State advance semantics:
 
@@ -17,6 +15,11 @@ State advance semantics:
 Networks are passed as flat arrays (see ``kinetics.CascadeNetwork.compiled``):
 dense stoichiometry plus per-reaction vmax and substrate Michaelis
 constants. Multi-substrate saturation factors multiply.
+
+``rk4_batch`` gathers all substrates at once (padded to ``[n_rxn, w]`` with
+factor 1.0) and checks the whole batch once per step. Only when that check
+fails are the offending rows redone with the guarded scalar advance of
+``rk4_trace``, so both agree exactly; the batch ends at the first failed redo.
 """
 
 import numpy as np
@@ -44,17 +47,6 @@ def _deriv(c, st_dense, vmax, sub_idx, sub_km, sub_off):
     return st_dense.T @ v
 
 
-def _deriv_batch(C, st_dense, vmax, sub_idx, sub_km, sub_off):
-    """Derivative for a batch of states ``C`` of shape [B, n_species]."""
-    n_rxn = vmax.shape[0]
-    V = np.broadcast_to(vmax, (C.shape[0], n_rxn)).copy()
-    for j in range(n_rxn):
-        for p in range(sub_off[j], sub_off[j + 1]):
-            s = np.maximum(C[:, sub_idx[p]], 0.0)
-            V[:, j] *= s / (sub_km[p] + s)
-    return V @ st_dense
-
-
 def _rk4_step(c, h, st_dense, vmax, sub_idx, sub_km, sub_off):
     k1 = _deriv(c, st_dense, vmax, sub_idx, sub_km, sub_off)
     k2 = _deriv(c + (0.5 * h) * k1, st_dense, vmax, sub_idx, sub_km, sub_off)
@@ -62,13 +54,6 @@ def _rk4_step(c, h, st_dense, vmax, sub_idx, sub_km, sub_off):
     k4 = _deriv(c + h * k3, st_dense, vmax, sub_idx, sub_km, sub_off)
     return c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-
-def _rk4_step_batch(C, h, st_dense, vmax, sub_idx, sub_km, sub_off):
-    k1 = _deriv_batch(C, st_dense, vmax, sub_idx, sub_km, sub_off)
-    k2 = _deriv_batch(C + (0.5 * h) * k1, st_dense, vmax, sub_idx, sub_km, sub_off)
-    k3 = _deriv_batch(C + (0.5 * h) * k2, st_dense, vmax, sub_idx, sub_km, sub_off)
-    k4 = _deriv_batch(C + h * k3, st_dense, vmax, sub_idx, sub_km, sub_off)
-    return C + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 def _advance(c, dt, st_dense, vmax, sub_idx, sub_km, sub_off):
     """Advance one macro step of size dt with halving guard. Returns status."""
@@ -116,37 +101,52 @@ def rk4_trace(c0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt):
 def rk4_batch(C0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt):
     """Integrate a batch of initial states, keeping running feature sums.
 
-    Returns (C_final, sum_c, sum_tc, status[B], bad_step[B]) where the sums
-    run over all grid points k = 0..n_steps (value and time*value).
+    Returns (C_final, sum_c, sum_tc, status[B], bad_step[B]); the sums (value
+    and time*value) run over grid points k = 0..n_steps, or to a failed step.
     """
     C = np.array(C0, dtype=np.float64)
-    B, n_sp = C.shape
-    sum_c = C.copy()
-    sum_tc = np.zeros_like(C)  # t=0 contributes nothing
-    status = np.zeros(B, dtype=np.int64)
-    bad_step = np.full(B, -1, dtype=np.int64)
-    live = np.ones(B, dtype=bool)
-    for k in range(n_steps):
-        C_new = C.copy()
-        with np.errstate(invalid="ignore", over="ignore"):
-            C_new[live] = _rk4_step_batch(C[live], dt, st_dense, vmax, sub_idx, sub_km, sub_off)
-        finite = np.all(np.isfinite(C_new), axis=1)
-        neg = np.any(C_new < -NEG_TOL, axis=1)
-        trouble = live & (~finite | neg)
-        for i in np.nonzero(trouble)[0]:
-            # rare path: redo this macro step with the guarded scalar advance
-            c_i = C[i].copy()
-            st = _advance(c_i, dt, st_dense, vmax, sub_idx, sub_km, sub_off)
-            if st != STATUS_OK:
-                status[i] = st
-                bad_step[i] = k
-                live[i] = False
-            else:
-                C_new[i] = c_i
-        np.maximum(C_new, 0.0, out=C_new)
-        C[live] = C_new[live]
-        t_next = (k + 1) * dt
-        sum_c[live] += C[live]
-        sum_tc[live] += t_next * C[live]
-    return C, sum_c, sum_tc, status, bad_step
+    n_sub = np.diff(sub_off)
+    pad = np.arange(max(int(n_sub.max(initial=0)), 1)) >= n_sub[:, None]  # [n_rxn, w]
+    padded = pad.any()
+    idx, km = np.zeros(pad.shape, dtype=np.int64), np.ones((len(C),) + pad.shape)
+    idx[~pad], km[:, ~pad] = sub_idx, sub_km  # km and vmax tiled: contiguous ops
+    vmax_b = np.tile(vmax, (len(C), 1))
+    F, D, V = np.empty_like(km), np.empty_like(km), np.empty_like(vmax_b)
 
+    def rhs(X, out):  # rates (vmax * f0) * f1 ..., then V @ st_dense
+        np.take(X, idx, axis=1, out=F, mode="clip")  # unbuffered; indices are valid
+        np.maximum(F, 0.0, out=F)
+        np.divide(F, np.add(km, F, out=D), out=F)
+        if padded:
+            F[:, pad] = 1.0
+        np.multiply(vmax_b, F[..., 0], out=V)
+        for q in range(1, pad.shape[1]):
+            np.multiply(V, F[..., q], out=V)
+        np.matmul(V, st_dense, out=out)
+
+    sum_c, sum_tc = C.copy(), np.zeros_like(C)  # t=0 adds nothing to sum_tc
+    status, bad_step = np.zeros(len(C), dtype=np.int64), np.full(len(C), -1, dtype=np.int64)
+    k1, k2, k3, k4, X = (np.empty_like(C) for _ in range(5))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(n_steps):
+            rhs(C, k1)
+            rhs(np.add(C, np.multiply(k1, 0.5 * dt, out=X), out=X), k2)
+            rhs(np.add(C, np.multiply(k2, 0.5 * dt, out=X), out=X), k3)
+            rhs(np.add(C, np.multiply(k3, dt, out=X), out=X), k4)
+            # C + (h/6) * (((k1 + 2 k2) + 2 k3) + k4), the order of _rk4_step
+            np.add(k1, np.multiply(k2, 2.0, out=k2), out=k1)
+            np.add(k1, np.multiply(k3, 2.0, out=k3), out=k1)
+            np.add(C, np.multiply(np.add(k1, k4, out=k1), dt / 6.0, out=k1), out=X)
+            # one check for the whole batch (a NaN fails it); rows in trouble are redone
+            if not (X.min() >= -NEG_TOL and X.max() < np.inf):
+                for i in np.flatnonzero(~np.isfinite(X).all(axis=1) | (X < -NEG_TOL).any(axis=1)):
+                    X[i] = C[i]
+                    status[i] = _advance(X[i], dt, st_dense, vmax, sub_idx, sub_km, sub_off)
+                if status.any():
+                    bad_step[status != STATUS_OK] = k
+                    break
+            np.maximum(X, 0.0, out=X)
+            C, X = X, C
+            sum_c += C
+            sum_tc += np.multiply(C, (k + 1) * dt, out=k1)
+    return C, sum_c, sum_tc, status, bad_step

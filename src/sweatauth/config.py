@@ -21,6 +21,13 @@ from .errors import ConfigurationError
 from .kinetics import KineticParams
 
 
+# every key that pipeline.run_auth_eval and the cli commands read from "auth"
+AUTH_KEYS = frozenset({
+    "mode", "k_reg", "accumulate_k", "lambda", "score_channel", "genuine_group",
+    "impostor_group", "accept_thr", "reject_thr", "drift_margin",
+})
+
+
 def canonical_hash(obj) -> str:
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -98,6 +105,7 @@ def load_experiment(source, seed_override: int = None) -> ExperimentConfig:
 
     if seed_override is not None:
         _override_seeds(raw, seed_override)
+    _check_auth(raw.get("auth", {}))
 
     distribution = GroupDistributionSpec.from_dict(dist_dict)
     params_hash = canonical_hash(params_dict)
@@ -108,6 +116,22 @@ def load_experiment(source, seed_override: int = None) -> ExperimentConfig:
                             distribution_dict=dist_dict, params=params,
                             params_dict=params_dict, config_hash=config_hash,
                             params_hash=params_hash)
+
+
+def _check_auth(auth: dict) -> None:
+    """Reject unknown keys and out-of-range counts before any work is done."""
+    for key in auth:
+        if key not in AUTH_KEYS:
+            raise ConfigurationError(f"auth.{key}: unknown key")
+    for key, low in (("accumulate_k", 1), ("score_channel", 0)):
+        if key not in auth:
+            continue
+        try:
+            value = int(auth[key])
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"auth.{key}: not an integer: {auth[key]!r}") from None
+        if value < low:
+            raise ConfigurationError(f"auth.{key}: must be >= {low}, got {value}")
 
 
 def _override_seeds(raw: dict, master: int) -> None:

@@ -450,7 +450,9 @@ def simulate_batch(network: CascadeNetwork, init_matrix: np.ndarray,
     """Integrate many initial states of one network, summaries only.
 
     init_matrix is [B, n_species] in the network's species order (use
-    network.init_vector to build rows).
+    network.init_vector to build rows). Integration stops at the first step
+    in which a row fails; the IntegrationError raised names that step and
+    the lowest-index row failing in it.
     """
     n_steps = _n_steps(horizon, dt)
     C0 = np.ascontiguousarray(init_matrix, dtype=np.float64)

@@ -286,6 +286,21 @@ def test_cmd_verify_bad_thresholds_exit_code(tmp_path, capsys):
     assert err.startswith("configuration error: accept_thr")
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda auth: auth.update(acumulate_k=auth.pop("accumulate_k")),
+     "auth.acumulate_k: unknown key"),
+    (lambda auth: auth.update(score_channel=-1), "auth.score_channel: must be >= 0, got -1"),
+    (lambda auth: auth.update(accumulate_k=0), "auth.accumulate_k: must be >= 1, got 0"),
+], ids=["misspelled-key", "negative-score-channel", "zero-accumulate-k"])
+def test_cmd_rejects_bad_auth_section(tmp_path, capsys, edit, message):
+    raw = small_config()
+    edit(raw["auth"])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert run_cli("roc", "--config", str(path), "--out", str(tmp_path / "a")) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
 def test_cmd_rejects_jobs_other_than_one(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("roc", "--config", "builtin:sex-separation", "--jobs", "2",
