@@ -105,7 +105,8 @@ def load_experiment(source, seed_override: int = None) -> ExperimentConfig:
 
     if seed_override is not None:
         _override_seeds(raw, seed_override)
-    _check_auth(raw.get("auth", {}))
+    if "auth" in raw:
+        _check_auth(raw["auth"])
 
     distribution = GroupDistributionSpec.from_dict(dist_dict)
     params_hash = canonical_hash(params_dict)
@@ -119,11 +120,13 @@ def load_experiment(source, seed_override: int = None) -> ExperimentConfig:
 
 
 def _check_auth(auth: dict) -> None:
-    """Reject unknown keys and out-of-range counts before any work is done."""
+    """Reject unknown keys, a missing k_reg and bad values before any work is done."""
     for key in auth:
         if key not in AUTH_KEYS:
             raise ConfigurationError(f"auth.{key}: unknown key")
-    for key, low in (("accumulate_k", 1), ("score_channel", 0)):
+    if "k_reg" not in auth:
+        raise ConfigurationError("auth.k_reg: required key is missing")
+    for key, low in (("k_reg", 1), ("accumulate_k", 1), ("score_channel", 0)):
         if key not in auth:
             continue
         try:
@@ -132,6 +135,13 @@ def _check_auth(auth: dict) -> None:
             raise ConfigurationError(f"auth.{key}: not an integer: {auth[key]!r}") from None
         if value < low:
             raise ConfigurationError(f"auth.{key}: must be >= {low}, got {value}")
+    if "lambda" in auth:
+        try:
+            lam = float(auth["lambda"])
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"auth.lambda: not a number: {auth['lambda']!r}") from None
+        if not 0.0 < lam < np.inf:
+            raise ConfigurationError(f"auth.lambda: must be finite and > 0, got {lam}")
 
 
 def _override_seeds(raw: dict, master: int) -> None:

@@ -187,8 +187,6 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
 def _continuation_window(auth_cfg, steps):
     k_reg = int(auth_cfg["k_reg"])
     k_acc = int(auth_cfg.get("accumulate_k", 10))
-    if k_reg < 1:
-        raise ConfigurationError("k_reg must be >= 1")
     if steps < k_reg + k_acc:
         raise InsufficientDataError(
             f"schedule has {steps} steps; need k_reg + accumulate_k = {k_reg + k_acc}")

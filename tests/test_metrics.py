@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from sweatauth.errors import InsufficientDataError
-from sweatauth.metrics import (RocCurve, ScoredPopulation, auc, delong_variance,
-                               eer, roc_curve, write_roc_csv)
+from sweatauth.metrics import (DelongResult, RocCurve, ScoredPopulation, auc,
+                               delong_variance, eer, roc_curve, write_roc_csv)
 
 
 def brute_force_auc(genuine, impostor):
@@ -19,6 +20,135 @@ def brute_force_auc(genuine, impostor):
             elif g == i:
                 ties += 1
     return (wins + 0.5 * ties) / (len(genuine) * len(impostor))
+
+
+# Pairwise oracles: the former genuine x impostor implementations, kept
+# verbatim so the sorted-count versions can be held to them bit for bit.
+
+def pairwise_roc_curve(pop):
+    thresholds = np.unique(np.concatenate([pop.genuine, pop.impostor]))[::-1]
+    n_g, n_i = pop.genuine.size, pop.impostor.size
+    points = [(0.0, 0.0)]
+    thr_out = [np.inf]
+    for thr in thresholds:
+        tpr = np.count_nonzero(pop.genuine >= thr) / n_g
+        fpr = np.count_nonzero(pop.impostor >= thr) / n_i
+        points.append((fpr, tpr))
+        thr_out.append(thr)
+    return RocCurve(points=np.asarray(points, dtype=float),
+                    thresholds=np.asarray(thr_out, dtype=float))
+
+
+def pairwise_auc(pop):
+    g = pop.genuine[:, None]
+    i = pop.impostor[None, :]
+    wins = np.count_nonzero(g > i)
+    ties = np.count_nonzero(g == i)
+    return (wins + 0.5 * ties) / (pop.genuine.size * pop.impostor.size)
+
+
+def pairwise_delong_variance(pop):
+    g = pop.genuine[:, None]
+    i = pop.impostor[None, :]
+    psi = (g > i).astype(float) + 0.5 * (g == i)
+    v10 = psi.mean(axis=1)
+    v01 = psi.mean(axis=0)
+    point = float(psi.mean())
+    var = float(np.var(v10, ddof=1) / v10.size + np.var(v01, ddof=1) / v01.size)
+    half = 1.96 * np.sqrt(var)
+    lo, hi = point - half, point + half
+    return DelongResult(auc=point, variance=var,
+                        ci=(max(lo, 0.0), min(hi, 1.0)), ci_unclipped=(lo, hi))
+
+
+def loop_eer(pop):
+    curve = pairwise_roc_curve(pop)
+    far = curve.points[:, 0]
+    frr = 1.0 - curve.points[:, 1]
+    diff = frr - far
+    for k in range(len(diff) - 1):
+        if diff[k] >= 0.0 and diff[k + 1] <= 0.0:
+            span = diff[k] - diff[k + 1]
+            alpha = diff[k] / span if span > 0 else 0.0
+            return float(far[k] + alpha * (far[k + 1] - far[k]))
+    return float(far[-1])
+
+
+def per_row_roc_csv(path, curve, config_hash=""):
+    with open(path, "w", newline="") as fh:
+        if config_hash:
+            fh.write(f"# config_hash={config_hash}\n")
+        fh.write("threshold,fpr,tpr\n")
+        for thr, (fpr, tpr) in zip(curve.thresholds, curve.points):
+            fh.write(f"{float(thr)!r},{float(fpr)!r},{float(tpr)!r}\n")
+
+
+def assert_matches_oracles(genuine, impostor):
+    pop = ScoredPopulation(genuine, impostor)
+    curve, want = roc_curve(pop), pairwise_roc_curve(pop)
+    assert np.array_equal(curve.points, want.points)
+    assert np.array_equal(curve.thresholds, want.thresholds)
+    assert curve.points.tobytes() == want.points.tobytes()
+    assert curve.thresholds.tobytes() == want.thresholds.tobytes()
+    assert auc(pop) == pairwise_auc(pop)
+    assert eer(pop) == loop_eer(pop)
+    if min(pop.genuine.size, pop.impostor.size) >= 2:
+        got, ref = delong_variance(pop), pairwise_delong_variance(pop)
+        assert got.auc == ref.auc
+        assert got.variance == ref.variance
+        assert got.ci == ref.ci
+        assert got.ci_unclipped == ref.ci_unclipped
+
+
+def oracle_cases():
+    rng = np.random.default_rng(2014)
+    cases = {}
+    for n_g, n_i in [(40, 37), (7, 300), (300, 7), (250, 250)]:
+        cases[f"normal-{n_g}x{n_i}"] = (rng.normal(1, 1, n_g), rng.normal(0, 1, n_i))
+    for n_g, n_i in [(30, 45), (200, 150)]:  # few levels: ties within and across classes
+        cases[f"integer-{n_g}x{n_i}"] = (rng.integers(0, 6, n_g).astype(float),
+                                         rng.integers(0, 6, n_i).astype(float))
+    cases["all-tied"] = (np.full(5, 3.0), np.full(4, 3.0))
+    cases["signed-zeros"] = (np.array([0.0, -0.0, 1.0, -0.0]), np.array([-0.0, 0.0, -1.0]))
+    cases["signed-zeros-only"] = (np.array([-0.0, 0.0]), np.array([0.0, -0.0, -0.0]))
+    cases["one-genuine"] = (np.array([0.3]), rng.normal(0, 1, 9))
+    cases["one-impostor"] = (rng.normal(0, 1, 9), np.array([0.3]))
+    cases["one-each-tied"] = (np.array([2.0]), np.array([2.0]))
+    cases["two-each"] = (np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+    cases["two-genuine"] = (np.array([0.5, -0.5]), rng.integers(-1, 2, 11).astype(float))
+    cases["two-impostor"] = (rng.integers(-1, 2, 11).astype(float), np.array([0.0, -0.0]))
+    # FRR - FAR reaches exactly 0 on a sweep point: the first crossing is the
+    # segment ending there, whose interpolation rounds differently
+    cases["eer-on-a-point"] = (np.array([2.0, 1.0, 3.0, 7.0, 1.0, 1.0]),
+                               np.array([2.0, 4.0, 4.0, 7.0, 7.0, 4.0]))
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(oracle_cases()))
+def test_sorted_counts_match_pairwise_oracles(name):
+    assert_matches_oracles(*oracle_cases()[name])
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=25),
+       st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=25))
+def test_sorted_counts_match_pairwise_oracles_on_any_finite_scores(genuine, impostor):
+    assert_matches_oracles(genuine, impostor)
+
+
+def test_identity_cohort_shape_fits_in_bounded_memory():
+    # 1,000 genuine x 99,000 impostor scores (identity at n = 100): the pair
+    # matrix alone would be 99e6 float64 values, about 0.8 GB
+    rng = np.random.default_rng(100)
+    pop = ScoredPopulation(rng.normal(1, 1, 1_000), rng.normal(0, 1, 99_000))
+    tracemalloc.start()
+    try:
+        delong_variance(pop)
+        roc_curve(pop)
+        eer(pop)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 # ------------------------------------------------------------- roc
@@ -189,6 +319,18 @@ def test_roc_csv_values_parse_as_floats(tmp_path):
     assert all(len(r) == 3 for r in rows)
     np.testing.assert_array_equal([r[0] for r in rows], curve.thresholds)
     np.testing.assert_array_equal([r[1:] for r in rows], curve.points)
+
+
+@pytest.mark.parametrize("config_hash", ["", "beef"])
+def test_roc_csv_bytes_match_per_row_writer(tmp_path, config_hash):
+    rng = np.random.default_rng(9)
+    genuine = np.concatenate([rng.normal(1, 1, 400), [-0.0, 2.5, 2.5]])
+    impostor = np.concatenate([rng.normal(0, 1, 900), rng.choice([-2.0, -1.0, 2.5], 50)])
+    curve = roc_curve(ScoredPopulation(genuine, impostor))
+    assert "-0.0" in map(repr, curve.thresholds.tolist())
+    write_roc_csv(tmp_path / "new.csv", curve, config_hash=config_hash)
+    per_row_roc_csv(tmp_path / "old.csv", curve, config_hash=config_hash)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_roc_curve_validation():

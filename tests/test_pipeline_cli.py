@@ -291,7 +291,14 @@ def test_cmd_verify_bad_thresholds_exit_code(tmp_path, capsys):
      "auth.acumulate_k: unknown key"),
     (lambda auth: auth.update(score_channel=-1), "auth.score_channel: must be >= 0, got -1"),
     (lambda auth: auth.update(accumulate_k=0), "auth.accumulate_k: must be >= 1, got 0"),
-], ids=["misspelled-key", "negative-score-channel", "zero-accumulate-k"])
+    (lambda auth: auth.pop("k_reg"), "auth.k_reg: required key is missing"),
+    (lambda auth: auth.update(k_reg="x"), "auth.k_reg: not an integer: 'x'"),
+    (lambda auth: auth.update(k_reg=0), "auth.k_reg: must be >= 1, got 0"),
+    (lambda auth: auth.update({"lambda": "x"}), "auth.lambda: not a number: 'x'"),
+    (lambda auth: auth.update({"lambda": -1}), "auth.lambda: must be finite and > 0, got -1.0"),
+    (lambda auth: auth.update({"lambda": 0}), "auth.lambda: must be finite and > 0, got 0.0"),
+], ids=["misspelled-key", "negative-score-channel", "zero-accumulate-k", "missing-k-reg",
+        "text-k-reg", "zero-k-reg", "text-lambda", "negative-lambda", "zero-lambda"])
 def test_cmd_rejects_bad_auth_section(tmp_path, capsys, edit, message):
     raw = small_config()
     edit(raw["auth"])
