@@ -12,8 +12,8 @@ from .cohort import (AMINO_ACIDS, ConcentrationSeries, Demographics,
                      SamplingSchedule, generate_individual, mimic_cohort,
                      sample_series)
 from .config import load_experiment
-from .digitize import (BandSpec, FilterParams, GroupingSpec, OutputVector,
-                       classify_band, consolidate, endpoint_feature, hill_filter)
+from .digitize import (BandSpec, FilterParams, GroupingSpec, classify_band, consolidate,
+                       endpoint_feature, hill_filter)
 from .errors import ConfigurationError, InsufficientDataError, IntegrationError
 from .kinetics import (CascadeKind, CascadeNetwork, KineticParams, KineticsTrace,
                        build_cascade, conserved_moieties, mm_rate, simulate,

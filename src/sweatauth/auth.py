@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digitize import OutputVector
 from .errors import ConfigurationError, InsufficientDataError
 
 
@@ -68,21 +67,16 @@ class AuthDecision:
     decided_at_step: int = None  # None while still continuing
 
 
-def _as_matrix(series) -> np.ndarray:
-    rows = [v.values if isinstance(v, OutputVector) else v for v in series]
-    return np.asarray(rows, dtype=float)
-
-
 def enroll(series, k_reg: int, lam: float, user_id: str = "user",
            created_at: float = 0.0) -> Template:
-    """Fit a template on the first k_reg vectors of the registration series.
+    """Fit a template on the first k_reg rows of the [k, S] registration series.
 
     covariance = sample covariance (ddof=1, zero for a single sample) plus
     lam * identity, which keeps it positive definite even when k_reg < S.
     """
     if k_reg < 1:
         raise InsufficientDataError("k_reg must be >= 1")
-    X = _as_matrix(series)
+    X = np.asarray(series, dtype=float)
     if X.shape[0] < k_reg:
         raise InsufficientDataError(
             f"registration needs {k_reg} vectors, stream has {X.shape[0]}")
@@ -99,7 +93,7 @@ def enroll(series, k_reg: int, lam: float, user_id: str = "user",
 
 def score_step(tpl: Template, y) -> float:
     """-0.5 * squared Mahalanobis distance of y from the template."""
-    v = np.asarray(y.values if isinstance(y, OutputVector) else y, dtype=float)
+    v = np.asarray(y, dtype=float)
     if v.shape != tpl.mean.shape:
         raise ValueError(f"probe dimension {v.shape} != template dimension {tpl.mean.shape}")
     d = v - tpl.mean
@@ -172,8 +166,22 @@ def save_templates(path, templates, config_hash: str = "", params_hash: str = ""
 
 
 def load_templates(path) -> list:
-    with open(path) as fh:
-        return [template_from_dict(d) for d in json.load(fh)]
+    """Templates saved by save_templates; a malformed file is a ConfigurationError."""
+    try:
+        with open(path) as fh:
+            entries = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+    if not isinstance(entries, list):
+        raise ConfigurationError(f"{path}: expected a list of templates")
+    templates = []
+    for idx, d in enumerate(entries):
+        try:
+            templates.append(template_from_dict(d))
+        except (KeyError, TypeError, ValueError) as exc:  # LinAlgError is a ValueError
+            reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ConfigurationError(f"{path}: entry {idx}: {reason}") from None
+    return templates
 
 
 def append_audit(path, rows) -> None:

@@ -18,8 +18,8 @@ import sys
 
 
 from . import metrics, pipeline
-from .auth import (VerifyPolicy, append_audit, calibrate_drift_offset, enroll,
-                   load_templates, save_templates, score_step, verify_series)
+from .auth import (VerifyPolicy, append_audit, calibrate_drift_offset, load_templates,
+                   save_templates, score_step, verify_series)
 from .config import load_experiment
 from .errors import ConfigurationError, InsufficientDataError, IntegrationError
 
@@ -68,15 +68,7 @@ def cmd_pipeline(args) -> int:
 def cmd_enroll(args) -> int:
     cfg = _load(args)
     result = pipeline.run_pipeline(cfg)
-    auth_cfg = cfg.section("auth")
-    k_reg = int(auth_cfg["k_reg"])
-    lam = float(auth_cfg.get("lambda", 1e-3))
-    created = float(result.schedule.t0 + k_reg * result.schedule.tau)
-    templates = [
-        enroll(result.outputs[i][:k_reg], k_reg=k_reg, lam=lam,
-               user_id=result.profiles[i].id, created_at=created)
-        for i in range(len(result.profiles))
-    ]
+    templates = pipeline.enroll_templates(result, cfg.section("auth"))
     path = os.path.join(args.out, "templates.json")
     save_templates(path, templates, config_hash=cfg.config_hash,
                    params_hash=cfg.params_hash)
@@ -89,31 +81,29 @@ def cmd_verify(args) -> int:
     result = pipeline.run_pipeline(cfg)
     auth_cfg = cfg.section("auth")
     k_reg = int(auth_cfg["k_reg"])
-    lam = float(auth_cfg.get("lambda", 1e-3))
     if args.templates:
-        templates = {t.user_id: t for t in load_templates(args.templates)}
+        loaded = load_templates(args.templates)
+        for idx, tpl in enumerate(loaded):
+            if tpl.dim != result.n_outputs:
+                raise ConfigurationError(
+                    f"{args.templates}: entry {idx}: template dimension {tpl.dim} "
+                    f"!= {result.n_outputs} outputs")
     else:
-        created = float(result.schedule.t0 + k_reg * result.schedule.tau)
-        templates = {
-            result.profiles[i].id: enroll(result.outputs[i][:k_reg], k_reg=k_reg,
-                                          lam=lam, user_id=result.profiles[i].id,
-                                          created_at=created)
-            for i in range(len(result.profiles))
-        }
+        loaded = pipeline.enroll_templates(result, auth_cfg)
+    templates = {t.user_id: t for t in loaded}
     margin = float(auth_cfg.get("drift_margin", 0.5))
     audit_rows = []
     for i, profile in enumerate(result.profiles):
         tpl = templates.get(profile.id)
         if tpl is None:
             raise ConfigurationError(f"no template for {profile.id}")
-        reg_scores = [score_step(tpl, ov) for ov in result.outputs[i][:k_reg]]
+        reg_scores = [score_step(tpl, y) for y in result.outputs[i, :k_reg]]
         policy = VerifyPolicy(
             accept_thr=float(auth_cfg.get("accept_thr", 3.0)),
             reject_thr=float(auth_cfg.get("reject_thr", -9.0)),
             drift_offset=calibrate_drift_offset(reg_scores, margin))
-        stream = result.outputs[i][k_reg:]
-        decision, series = verify_series(tpl, stream, policy)
-        last_t = stream[len(series.scores) - 1].timestamp if series.scores else 0.0
+        decision, series = verify_series(tpl, result.outputs[i, k_reg:], policy)
+        last_t = result.timestamps[k_reg + len(series.scores) - 1] if series.scores else 0.0
         audit_rows.append((last_t, profile.id, decision.statistic, decision.verdict))
         print(f"{profile.id}: {decision.verdict} (statistic {decision.statistic:.3f})")
     path = os.path.join(args.out, "audit.csv")

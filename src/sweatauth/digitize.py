@@ -134,44 +134,48 @@ class BandSpec:
             raise ConfigurationError("boundaries must lie strictly inside the rails")
 
 
-@dataclass
-class OutputVector:
-    timestamp: float
-    values: list
-    bands: list
-
-
-def consolidate(grouping: GroupingSpec, features, filters,
-                timestamp: float = 0.0, bands: BandSpec = None) -> OutputVector:
+def consolidate(grouping: GroupingSpec, features, filters, bands: BandSpec = None):
     """Aggregate features per group, filter each aggregate, optionally band.
 
-    features is the per-channel scalar list; filters supplies one
-    FilterParams per group. Output length is exactly grouping.n_outputs.
+    features is [..., C] per-channel scalars; filters supplies one FilterParams
+    per group. Returns values [..., S] and band labels [..., S] (None without bands).
     """
-    features = list(features)
+    features = np.asarray(features, dtype=float)
     if len(filters) != grouping.n_outputs:
         raise ConfigurationError("one filter per group required")
-    values = []
-    for gi, (idxs, agg) in enumerate(zip(grouping.groups, grouping.aggregators)):
-        if max(idxs) >= len(features) or min(idxs) < 0:
-            raise ConfigurationError(f"group {gi} indexes beyond the {len(features)} features")
-        if agg == "sum":
-            x = float(sum(features[i] for i in idxs))
-        elif agg == "weighted-sum":
-            w = grouping.weights[gi] if grouping.weights else [1.0] * len(idxs)
-            if len(w) != len(idxs):
-                raise ConfigurationError(f"group {gi}: weight count mismatch")
-            x = float(sum(wi * features[i] for wi, i in zip(w, idxs)))
-        else:  # cascade-endpoint: chemistry already consolidated this group
-            x = float(features[idxs[0]])
-        values.append(hill_filter(x, filters[gi]))
-    labels = [classify_band(v, bands) for v in values] if bands is not None else []
-    return OutputVector(timestamp=timestamp, values=values, bands=labels)
+    n_feat = features.shape[-1]
+    values = np.empty(features.shape[:-1] + (grouping.n_outputs,))
+    labels = None if bands is None else np.empty(values.shape, dtype=object)
+    for gi, (idxs, agg, p) in enumerate(zip(grouping.groups, grouping.aggregators, filters)):
+        if max(idxs) >= n_feat or min(idxs) < 0:
+            raise ConfigurationError(f"group {gi} indexes beyond the {n_feat} features")
+        weighted = agg == "weighted-sum" and grouping.weights
+        w = grouping.weights[gi] if weighted else [1.0] * len(idxs)
+        if len(w) != len(idxs):
+            raise ConfigurationError(f"group {gi}: weight count mismatch")
+        if agg == "cascade-endpoint":  # chemistry already consolidated this group
+            x = features[..., idxs[0]]
+        else:  # weights of 1.0 make this the plain sum, bit for bit
+            x = sum(wi * features[..., i] for wi, i in zip(w, idxs))
+        if p.kind == "hill" and np.any(x < 0):
+            raise ConfigurationError(
+                f"group {gi}: Hill filter input must be >= 0, got {float(x.min())!r}")
+        # scalar filter per element: Python float ** float, not np.power
+        values[..., gi] = np.reshape([hill_filter(v, p) for v in x.ravel().tolist()], x.shape)
+        if bands is not None:
+            try:
+                labels[..., gi] = classify_band(values[..., gi], bands)
+            except ValueError as exc:
+                raise ConfigurationError(f"group {gi}: {exc}") from None
+    return values, labels
 
 
-def classify_band(y: float, bands: BandSpec) -> str:
-    """Label of the half-open interval holding y; boundaries go to the upper band."""
-    if y < bands.out_lo or y > bands.out_hi:
-        raise ValueError(f"value {y} outside rails [{bands.out_lo}, {bands.out_hi}]")
+def classify_band(y, bands: BandSpec):
+    """Label (object array for an array y) of the half-open interval holding y;
+    boundaries go to the upper band."""
+    y = np.asarray(y, dtype=float)
+    bad = y[(y < bands.out_lo) | (y > bands.out_hi)]
+    if bad.size:
+        raise ValueError(f"value {bad[0]} outside rails [{bands.out_lo}, {bands.out_hi}]")
     b = np.asarray(bands.boundaries, dtype=float)
-    return bands.labels[int(np.searchsorted(b, y, side="right"))]
+    return np.array(bands.labels, dtype=object)[np.searchsorted(b, y, side="right")]

@@ -22,7 +22,7 @@ from .config import ExperimentConfig, collect_seeds
 from .digitize import BandSpec, FilterParams, GroupingSpec, consolidate
 from .errors import ConfigurationError, InsufficientDataError
 from .kinetics import build_cascade, simulate, simulate_batch
-from .transduce import builtin_optics, UM_TO_M
+from .transduce import UM_TO_M, _find_step, builtin_optics
 
 
 @dataclass
@@ -60,26 +60,17 @@ def build_channel(entry: dict, params) -> Channel:
         cfg = builtin_optics(species, params)
         ch.species = species
         ch.scale = cfg.epsilon * cfg.path_length * UM_TO_M
-    elif transduction == "luminescence":
-        ch.rate_step = _reporter_step(network, enzyme="HRP", substrate="Luminol")
-        ch.gain = float(entry.get("gain", params.gains.get("luminescence", 1.0)))
-    elif transduction == "amperometric":
-        ch.rate_step = _reporter_step(network, substrate="H2O2")
-        ch.gain = float(entry.get("gain", params.gains.get("amperometric", 1.0)))
+    elif transduction in ("luminescence", "amperometric"):
+        reporter = ({"enzyme": "HRP", "substrate": "Luminol"}
+                    if transduction == "luminescence" else {"substrate": "H2O2"})
+        ch.rate_step = _find_step(network, **reporter)
+        if ch.rate_step is None:
+            raise ConfigurationError(
+                f"{network.kind.value} cascade lacks the required reporter step")
+        ch.gain = float(entry.get("gain", params.gains.get(transduction, 1.0)))
     else:
         raise ConfigurationError(f"unknown transduction {transduction!r}")
     return ch
-
-
-def _reporter_step(network, enzyme=None, substrate=None) -> int:
-    for j, st in enumerate(network.steps):
-        if enzyme is not None and st.enzyme != enzyme:
-            continue
-        if substrate is not None and substrate not in (sp for sp, _ in st.substrates):
-            continue
-        return j
-    raise ConfigurationError(
-        f"{network.kind.value} cascade lacks the required reporter step")
 
 
 def channel_features(ch: Channel, X_flat: np.ndarray, t_g: float, dt: float) -> np.ndarray:
@@ -126,8 +117,28 @@ class PipelineResult:
     t_g: float
     channel_names: list
     features: np.ndarray   # [n_individuals, steps, n_channels]
-    outputs: list          # [n_individuals][steps] of OutputVector
-    n_outputs: int
+    outputs: np.ndarray    # [n_individuals, steps, S] digitized outputs
+    bands: np.ndarray      # [n_individuals, steps, S] band labels, None without bands
+
+    @property
+    def n_outputs(self) -> int:
+        return self.outputs.shape[-1]
+
+    @property
+    def timestamps(self) -> np.ndarray:  # output time: sampling time plus the gate delay
+        return self.schedule.timestamps() + self.t_g
+
+
+def _cohort_groups(cfg: ExperimentConfig) -> list:
+    """(group entry, members) per configured group; member ids are <group>-NNN."""
+    groups = []
+    for g in cfg.section("cohort")["groups"]:
+        demo = Demographics(**g.get("demographics", {}))
+        members = mimic_cohort(cfg.distribution, demo, int(g["n"]), int(g["seed"]))
+        for k, p in enumerate(members):
+            p.id = f"{g['name']}-{k:03d}"
+        groups.append((g, members))
+    return groups
 
 
 def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
@@ -138,11 +149,7 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
     series_seed = int(cohort_cfg.get("series_seed", 0))
 
     profiles, group_of = [], []
-    for g in cohort_cfg["groups"]:
-        demo = Demographics(**g.get("demographics", {}))
-        members = mimic_cohort(cfg.distribution, demo, int(g["n"]), int(g["seed"]))
-        for k, p in enumerate(members):
-            p.id = f"{g['name']}-{k:03d}"
+    for g, members in _cohort_groups(cfg):
         profiles.extend(members)
         group_of.extend([g["name"]] * len(members))
 
@@ -166,18 +173,11 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
                             weights=dig.get("weights", []))
     filters = [FilterParams(**f) for f in dig["filters"]]
     bands = BandSpec(**dig["bands"]) if dig.get("bands") else None
-    ts = schedule.timestamps()
-    outputs = [
-        [consolidate(grouping, features[i, k], filters,
-                     timestamp=float(ts[k] + t_g), bands=bands)
-         for k in range(steps)]
-        for i in range(n_indiv)
-    ]
+    outputs, labels = consolidate(grouping, features, filters, bands=bands)
     return PipelineResult(config=cfg, group_of=group_of, profiles=profiles,
                           schedule=schedule, t_g=t_g,
                           channel_names=[c.name for c in channels],
-                          features=features, outputs=outputs,
-                          n_outputs=grouping.n_outputs)
+                          features=features, outputs=outputs, bands=labels)
 
 
 # ----------------------------------------------------------------------
@@ -252,24 +252,21 @@ def _group_mode_scores(result, auth_cfg, k_reg, k_acc):
     sc = int(auth_cfg.get("score_channel", 0))
     if sc >= result.n_outputs:
         raise ConfigurationError(f"score_channel {sc} out of range (S={result.n_outputs})")
-    cont = range(k_reg, k_reg + k_acc)
-    vals = np.array([[ov.values[sc] for ov in row] for row in result.outputs])
+    gen = result.outputs[gen_idx, k_reg:k_reg + k_acc]   # [n_gen, k_acc, S]
+    imp = result.outputs[imp_idx, k_reg:k_reg + k_acc]
 
-    k1 = metrics.ScoredPopulation(
-        genuine=vals[np.ix_(gen_idx, list(cont))].ravel(),
-        impostor=vals[np.ix_(imp_idx, list(cont))].ravel())
-    acc = metrics.ScoredPopulation(
-        genuine=vals[np.ix_(gen_idx, list(cont))].mean(axis=1),
-        impostor=vals[np.ix_(imp_idx, list(cont))].mean(axis=1))
+    k1 = metrics.ScoredPopulation(genuine=gen[..., sc].ravel(), impostor=imp[..., sc].ravel())
+    acc = metrics.ScoredPopulation(genuine=gen[..., sc].mean(axis=1),
+                                   impostor=imp[..., sc].mean(axis=1))
 
     # secondary: pooled template on the genuine registration rows
     lam = float(auth_cfg.get("lambda", 1e-3))
-    reg_rows = [result.outputs[i][k] for i in gen_idx for k in range(k_reg)]
+    reg_rows = np.concatenate(result.outputs[gen_idx, :k_reg])
     tpl = enroll(reg_rows, k_reg=len(reg_rows), lam=lam, user_id=f"group:{gen_name}",
                  created_at=float(result.schedule.t0 + k_reg * result.schedule.tau))
     tpl_pop = metrics.ScoredPopulation(
-        genuine=[score_step(tpl, result.outputs[i][k]) for i in gen_idx for k in cont],
-        impostor=[score_step(tpl, result.outputs[i][k]) for i in imp_idx for k in cont])
+        genuine=[score_step(tpl, y) for rows in gen for y in rows],
+        impostor=[score_step(tpl, y) for rows in imp for y in rows])
     extras = {
         "genuine_group": gen_name,
         "impostor_group": imp_name,
@@ -280,27 +277,23 @@ def _group_mode_scores(result, auth_cfg, k_reg, k_acc):
     return {"k1": k1, "accumulated": acc}, extras
 
 
+def enroll_templates(result: PipelineResult, auth_cfg: dict) -> list:
+    """One template per individual, fitted on its first auth.k_reg outputs."""
+    k_reg, lam = int(auth_cfg["k_reg"]), float(auth_cfg.get("lambda", 1e-3))
+    created = float(result.schedule.t0 + k_reg * result.schedule.tau)
+    return [enroll(y[:k_reg], k_reg=k_reg, lam=lam, user_id=p.id, created_at=created)
+            for y, p in zip(result.outputs, result.profiles)]
+
+
 def _identity_mode_scores(result, auth_cfg, k_reg, k_acc):
-    lam = float(auth_cfg.get("lambda", 1e-3))
     n = len(result.profiles)
-    cont = range(k_reg, k_reg + k_acc)
-    templates = [
-        enroll(result.outputs[i][:k_reg], k_reg=k_reg, lam=lam,
-               user_id=result.profiles[i].id,
-               created_at=float(result.schedule.t0 + k_reg * result.schedule.tau))
-        for i in range(n)
-    ]
+    cont = result.outputs[:, k_reg:k_reg + k_acc]
     gen_steps, imp_steps, gen_acc, imp_acc = [], [], [], []
-    for i in range(n):
-        own = [score_step(templates[i], result.outputs[i][k]) for k in cont]
-        gen_steps.extend(own)
-        gen_acc.append(sum(own))
-        for j in range(n):
-            if j == i:
-                continue
-            other = [score_step(templates[i], result.outputs[j][k]) for k in cont]
-            imp_steps.extend(other)
-            imp_acc.append(sum(other))
+    for i, tpl in enumerate(enroll_templates(result, auth_cfg)):
+        for j, probes in enumerate(cont):
+            scores = [score_step(tpl, y) for y in probes]
+            (gen_steps if j == i else imp_steps).extend(scores)
+            (gen_acc if j == i else imp_acc).append(sum(scores))
     extras = {"n_genuine_users": n, "n_impostor_users": n}
     return ({"k1": metrics.ScoredPopulation(gen_steps, imp_steps),
              "accumulated": metrics.ScoredPopulation(gen_acc, imp_acc)}, extras)
@@ -318,12 +311,12 @@ def write_outputs_csv(path, result: PipelineResult) -> None:
         w = csv.writer(fh)
         w.writerow(["id", "group", "k", "timestamp_s"]
                    + [f"y{s}" for s in range(S)] + [f"band{s}" for s in range(S)])
-        for i, row in enumerate(result.outputs):
-            for k, ov in enumerate(row):
-                w.writerow([result.profiles[i].id, result.group_of[i], k,
-                            repr(float(ov.timestamp))]
-                           + [repr(float(v)) for v in ov.values]
-                           + list(ov.bands or [""] * S))
+        times = result.timestamps.tolist()
+        for i, rows in enumerate(result.outputs.tolist()):
+            for k, values in enumerate(rows):
+                bands = [""] * S if result.bands is None else list(result.bands[i, k])
+                w.writerow([result.profiles[i].id, result.group_of[i], k, repr(times[k])]
+                           + [repr(v) for v in values] + bands)
 
 
 def write_features_csv(path, result: PipelineResult) -> None:
@@ -341,14 +334,9 @@ def write_cohort_artifacts(cfg: ExperimentConfig, out_dir) -> list:
     """Per-group cohort CSVs plus a manifest; returns written paths."""
     import os
 
-    cohort_cfg = cfg.section("cohort")
     paths = []
     groups_meta = {}
-    for g in cohort_cfg["groups"]:
-        demo = Demographics(**g.get("demographics", {}))
-        members = mimic_cohort(cfg.distribution, demo, int(g["n"]), int(g["seed"]))
-        for k, p in enumerate(members):
-            p.id = f"{g['name']}-{k:03d}"
+    for g, members in _cohort_groups(cfg):
         path = os.path.join(out_dir, f"cohort_{g['name']}.csv")
         write_cohort_csv(path, members, config_hash=cfg.config_hash)
         paths.append(path)

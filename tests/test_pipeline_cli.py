@@ -8,12 +8,13 @@ import pytest
 
 from sweatauth import cli
 from sweatauth.auth import VerifyPolicy, enroll, verify_series
+from sweatauth.cohort import ACID_INDEX
 from sweatauth.config import builtin_experiment, load_experiment
 from sweatauth.digitize import endpoint_feature
 from sweatauth.kinetics import simulate
-from sweatauth.pipeline import (build_channel, channel_features, run_auth_eval,
-                                run_pipeline)
-from sweatauth.transduce import absorbance, builtin_optics
+from sweatauth.pipeline import (build_channel, channel_features, enroll_templates,
+                                run_auth_eval, run_pipeline)
+from sweatauth.transduce import absorbance, amperometric_current, builtin_optics, luminescence
 
 
 def small_config(**tweaks):
@@ -44,24 +45,23 @@ def small_result():
 
 def test_pipeline_shapes(small_result):
     assert small_result.features.shape == (12, 5, 1)
-    assert len(small_result.outputs) == 12
-    assert all(len(row) == 5 for row in small_result.outputs)
+    assert small_result.outputs.shape == (12, 5, 1)
+    assert small_result.bands.shape == (12, 5, 1)
     assert small_result.n_outputs == 1
 
 
 def test_output_timestamps_include_gate_delay(small_result):
     sched = small_result.schedule
-    for row in small_result.outputs:
-        for k, ov in enumerate(row):
-            assert ov.timestamp == sched.t0 + k * sched.tau + small_result.t_g
+    assert small_result.timestamps.shape == (5,)
+    for k, t in enumerate(small_result.timestamps):
+        assert t == sched.t0 + k * sched.tau + small_result.t_g
 
 
 def test_pipeline_deterministic(small_result):
     again = run_pipeline(load_experiment(small_config()))
     np.testing.assert_array_equal(again.features, small_result.features)
-    for a_row, b_row in zip(again.outputs, small_result.outputs):
-        for a, b in zip(a_row, b_row):
-            assert a.values == b.values and a.bands == b.bands
+    np.testing.assert_array_equal(again.outputs, small_result.outputs)
+    assert again.bands.tolist() == small_result.bands.tolist()
 
 
 def test_channel_feature_matches_trace_route(params, small_result):
@@ -91,6 +91,45 @@ def test_slope_feature_route(params):
     assert batched == pytest.approx(endpoint_feature(sig, 60.0, "slope"), rel=1e-9)
 
 
+@pytest.mark.parametrize("cascade, transduction, readout", [
+    ("GldhC", "luminescence", luminescence),
+    ("AltPoxHrp", "amperometric", amperometric_current),
+])
+@pytest.mark.parametrize("feature", ["endpoint", "slope"])
+def test_rate_channel_feature_route(params, cascade, transduction, readout, feature):
+    # rate readouts through the pipeline agree with the explicit route:
+    # simulate -> luminescence / amperometric_current -> endpoint_feature
+    ch = build_channel({"cascade": cascade, "transduction": transduction,
+                        "feature": feature}, params)
+    (acid,) = ch.inputs
+    x = np.zeros((2, 23))
+    x[:, ACID_INDEX[acid]] = [80.0, 150.0]
+    batched = channel_features(ch, x, 60.0, 0.05)
+    for b in range(2):
+        tr = simulate(ch.network, {acid: x[b, ACID_INDEX[acid]]}, 60.0, 0.05)
+        expected = endpoint_feature(readout(tr, ch.gain), 60.0, feature)
+        assert expected > 0.0
+        assert batched[b] == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("transduction", ["luminescence", "amperometric"])
+def test_rate_channel_without_reporter_step(params, transduction):
+    from sweatauth.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError, match="GldhA cascade lacks the required reporter step"):
+        build_channel({"cascade": "GldhA", "transduction": transduction}, params)
+
+
+def test_enroll_templates_one_per_individual(small_result):
+    templates = enroll_templates(small_result, {"k_reg": 2, "lambda": 0.01})
+    assert [t.user_id for t in templates] == [p.id for p in small_result.profiles]
+    for tpl, y in zip(templates, small_result.outputs):
+        expected = enroll(y[:2], k_reg=2, lam=0.01)
+        np.testing.assert_array_equal(tpl.mean, expected.mean)
+        np.testing.assert_array_equal(tpl.covariance, expected.covariance)
+        assert tpl.created_at == small_result.schedule.t0 + 2 * small_result.schedule.tau
+
+
 def test_doubled_alanine_raises_every_feature():
     # linear regime: halving the mean keeps every draw well below reagent
     # limits, so doubling the baseline doubles the endpoint feature
@@ -113,14 +152,14 @@ def test_genuine_accumulated_statistic_beats_impostor():
     k_reg, k = 3, 10
     females = [i for i, g in enumerate(result.group_of) if g == "female"]
     males = [i for i, g in enumerate(result.group_of) if g == "male"]
-    reg = [result.outputs[i][j] for i in females for j in range(k_reg)]
+    reg = np.concatenate(result.outputs[females, :k_reg])
     tpl = enroll(reg, k_reg=len(reg), lam=1e-3)
     policy = VerifyPolicy(accept_thr=np.inf, reject_thr=-np.inf, drift_offset=0.0)
 
     def accumulated(idx):
         stats = []
         for i in idx:
-            stream = result.outputs[i][k_reg:k_reg + k]
+            stream = result.outputs[i, k_reg:k_reg + k]
             decision, _ = verify_series(tpl, stream, policy)
             stats.append(decision.statistic)
         return np.mean(stats)
@@ -306,6 +345,60 @@ def test_cmd_rejects_bad_auth_section(tmp_path, capsys, edit, message):
     path.write_text(json.dumps(raw))
     assert run_cli("roc", "--config", str(path), "--out", str(tmp_path / "a")) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("digitize, message", [
+    ({"aggregators": ["weighted-sum"], "weights": [[-1.0]]},
+     "configuration error: group 0: Hill filter input must be >= 0, got -"),
+    ({"filters": [{"k_half": 11.0, "kind": "passthrough"}]},
+     "configuration error: group 0: value "),
+], ids=["negative-weight-into-hill", "passthrough-outside-band-rails"])
+def test_cmd_rejects_bad_digitize_section(tmp_path, capsys, digitize, message):
+    raw = small_config()
+    raw["digitize"].update(digitize)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert run_cli("pipeline", "--config", str(path), "--out", str(tmp_path / "d")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda t: t.update(mean=[0.5, 0.5], covariance=[[1.0, 0.0], [0.0, 1.0]]),
+     "entry 1: template dimension 2 != 1 outputs"),
+    (lambda t: t.update(covariance=[[-1.0]]), "entry 1: Matrix is not positive definite"),
+    (lambda t: t.pop("k_reg"), "entry 1: missing key 'k_reg'"),
+], ids=["wrong-dimension", "not-positive-definite", "missing-k-reg"])
+def test_cmd_verify_rejects_bad_templates(tmp_path, capsys, edit, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(small_config()))
+    tpath = tmp_path / "templates.json"
+    entries = [{"user_id": f"female-00{i}", "k_reg": 2, "lambda": 0.001, "mean": [0.5],
+                "covariance": [[0.01]]} for i in range(2)]
+    edit(entries[1])
+    tpath.write_text(json.dumps(entries))
+    assert run_cli("verify", "--config", str(path), "--out", str(tmp_path / "v"),
+                   "--templates", str(tpath)) == 2
+    assert capsys.readouterr().err == f"configuration error: {tpath}: {message}\n"
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "No such file or directory"),
+    ("{not json", "Expecting property name"),
+    ('{"user_id": "female-000"}', "expected a list of templates"),
+], ids=["missing-file", "not-json", "not-a-list"])
+def test_cmd_verify_rejects_unreadable_templates(tmp_path, capsys, content, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(small_config()))
+    tpath = tmp_path / "templates.json"
+    if content is not None:
+        tpath.write_text(content)
+    assert run_cli("verify", "--config", str(path), "--out", str(tmp_path / "v"),
+                   "--templates", str(tpath)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {tpath}: ") and message in err
+    assert len(err.splitlines()) == 1
 
 
 def test_cmd_rejects_jobs_other_than_one(tmp_path, capsys):
