@@ -2,7 +2,8 @@
 
 One numpy implementation with two entry points: ``rk4_trace`` records
 every grid point of a single simulation, and ``rk4_batch`` advances many
-simulations at once, keeping only running feature sums.
+simulations at once, keeping one observed signal per row (a species or a
+reaction rate) as its endpoints and running sums.
 
 State advance semantics:
 
@@ -98,11 +99,12 @@ def rk4_trace(c0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt):
     return out, STATUS_OK, -1
 
 
-def rk4_batch(C0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt):
-    """Integrate a batch of initial states, keeping running feature sums.
+def rk4_batch(C0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt, column, rate=False):
+    """Integrate a batch of initial states, observing one signal per row.
 
-    Returns (C_final, sum_c, sum_tc, status[B], bad_step[B]); the sums (value
-    and time*value) run over grid points k = 0..n_steps, or to a failed step.
+    y is species ``column``, or with ``rate`` the rate of reaction ``column``.
+    Returns (C_final, y0, y_end, sum_y, sum_ty, status[B], bad_step[B]); the
+    sums of y and t*y run over grid points k = 0..n_steps, or to a failed step.
     """
     C = np.array(C0, dtype=np.float64)
     n_sub = np.diff(sub_off)
@@ -113,7 +115,7 @@ def rk4_batch(C0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt):
     vmax_b = np.tile(vmax, (len(C), 1))
     F, D, V = np.empty_like(km), np.empty_like(km), np.empty_like(vmax_b)
 
-    def rhs(X, out):  # rates (vmax * f0) * f1 ..., then V @ st_dense
+    def rhs(X, out):  # rates (vmax * f0) * f1 ... into V, then V @ st_dense
         np.take(X, idx, axis=1, out=F, mode="clip")  # unbuffered; indices are valid
         np.maximum(F, 0.0, out=F)
         np.divide(F, np.add(km, F, out=D), out=F)
@@ -124,12 +126,13 @@ def rk4_batch(C0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt):
             np.multiply(V, F[..., q], out=V)
         np.matmul(V, st_dense, out=out)
 
-    sum_c, sum_tc = C.copy(), np.zeros_like(C)  # t=0 adds nothing to sum_tc
     status, bad_step = np.zeros(len(C), dtype=np.int64), np.full(len(C), -1, dtype=np.int64)
     k1, k2, k3, k4, X = (np.empty_like(C) for _ in range(5))
     with np.errstate(invalid="ignore", over="ignore"):
+        rhs(C, k1)  # fills V with the rates at C, the first stage of every step
+        y0 = (V if rate else C)[:, column].copy()
+        y, sum_y, sum_ty = y0, y0.copy(), np.zeros_like(y0)  # t=0 adds nothing to sum_ty
         for k in range(n_steps):
-            rhs(C, k1)
             rhs(np.add(C, np.multiply(k1, 0.5 * dt, out=X), out=X), k2)
             rhs(np.add(C, np.multiply(k2, 0.5 * dt, out=X), out=X), k3)
             rhs(np.add(C, np.multiply(k3, dt, out=X), out=X), k4)
@@ -147,6 +150,8 @@ def rk4_batch(C0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt):
                     break
             np.maximum(X, 0.0, out=X)
             C, X = X, C
-            sum_c += C
-            sum_tc += np.multiply(C, (k + 1) * dt, out=k1)
-    return C, sum_c, sum_tc, status, bad_step
+            rhs(C, k1)
+            y = (V if rate else C)[:, column].copy()
+            sum_y += y
+            sum_ty += y * ((k + 1) * dt)
+    return C, y0, y, sum_y, sum_ty, status, bad_step

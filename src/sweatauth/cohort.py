@@ -56,9 +56,6 @@ class Demographics:
     ethnicity: str = "unspecified"
     physiological_state: str = "rested"
 
-    def as_dict(self) -> dict:
-        return {f: getattr(self, f) for f in DEMOGRAPHIC_FIELDS}
-
     def validate(self, vocabulary: dict) -> None:
         """Check every field against the closed vocabulary of the spec."""
         for f in DEMOGRAPHIC_FIELDS:
@@ -161,12 +158,6 @@ class IndividualProfile:
     demographics: Demographics
     baseline: np.ndarray  # µM, indexed by ACID_INDEX
     rng_seed: int
-
-    def baseline_of(self, acid: str) -> float:
-        return float(self.baseline[ACID_INDEX[acid]])
-
-    def as_dict(self) -> dict:
-        return {a: float(self.baseline[i]) for i, a in enumerate(AMINO_ACIDS)}
 
 
 @dataclass(frozen=True)

@@ -107,6 +107,10 @@ def load_experiment(source, seed_override: int = None) -> ExperimentConfig:
         _override_seeds(raw, seed_override)
     if "auth" in raw:
         _check_auth(raw["auth"])
+    if "kinetics" in raw:
+        check_keys(raw["kinetics"], "kinetics", ("t_g", "dt"), required=("t_g", "dt"))
+        for key in ("t_g", "dt"):
+            positive_number(raw["kinetics"][key], f"kinetics.{key}")
 
     distribution = GroupDistributionSpec.from_dict(dist_dict)
     params_hash = canonical_hash(params_dict)
@@ -119,13 +123,30 @@ def load_experiment(source, seed_override: int = None) -> ExperimentConfig:
                             params_hash=params_hash)
 
 
+def check_keys(section: dict, where: str, allowed, required=()) -> None:
+    """Reject keys of a config section outside allowed, and missing required ones."""
+    for key in section:
+        if key not in allowed:
+            raise ConfigurationError(f"{where}.{key}: unknown key")
+    for key in required:
+        if key not in section:
+            raise ConfigurationError(f"{where}.{key}: required key is missing")
+
+
+def positive_number(value, where: str) -> float:
+    """value as a finite float > 0, else a ConfigurationError naming where."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{where}: not a number: {value!r}") from None
+    if not 0.0 < number < np.inf:
+        raise ConfigurationError(f"{where}: must be finite and > 0, got {number}")
+    return number
+
+
 def _check_auth(auth: dict) -> None:
     """Reject unknown keys, a missing k_reg and bad values before any work is done."""
-    for key in auth:
-        if key not in AUTH_KEYS:
-            raise ConfigurationError(f"auth.{key}: unknown key")
-    if "k_reg" not in auth:
-        raise ConfigurationError("auth.k_reg: required key is missing")
+    check_keys(auth, "auth", AUTH_KEYS, required=("k_reg",))
     for key, low in (("k_reg", 1), ("accumulate_k", 1), ("score_channel", 0)):
         if key not in auth:
             continue
@@ -136,12 +157,7 @@ def _check_auth(auth: dict) -> None:
         if value < low:
             raise ConfigurationError(f"auth.{key}: must be >= {low}, got {value}")
     if "lambda" in auth:
-        try:
-            lam = float(auth["lambda"])
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"auth.lambda: not a number: {auth['lambda']!r}") from None
-        if not 0.0 < lam < np.inf:
-            raise ConfigurationError(f"auth.lambda: must be finite and > 0, got {lam}")
+        positive_number(auth["lambda"], "auth.lambda")
 
 
 def _override_seeds(raw: dict, master: int) -> None:

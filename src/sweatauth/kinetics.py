@@ -12,6 +12,8 @@ buffered (aerated oxygen by default) are held constant by zeroing their
 stoichiometry rows; the conserved-moiety analysis operates on that same
 effective matrix, so reported invariants are exactly what the integrator
 preserves.
+``simulate_batch`` keeps one observed signal per row (a species or a step's
+rate) as its endpoints and the sums its least-squares slope needs.
 """
 
 from __future__ import annotations
@@ -89,14 +91,6 @@ class EnzymaticStep:
     @property
     def vmax(self) -> float:
         return self.kcat * self.e_total
-
-    def rate(self, conc: dict) -> float:
-        """Instantaneous rate (µM/s) at the given concentration map."""
-        v = self.vmax
-        for sp, _ in self.substrates:
-            s = max(conc.get(sp, 0.0), 0.0)
-            v *= s / (self.km[sp] + s)
-        return v
 
 
 def mm_rate(s: float, kcat: float, e_total: float, km: float) -> float:
@@ -413,55 +407,55 @@ def simulate(network: CascadeNetwork, init: dict, horizon: float, dt: float) -> 
 
 @dataclass
 class BatchResult:
-    """Endpoint summaries for a batch of simulations of one network.
+    """Readout summaries for a batch of simulations of one network.
 
-    sum_c and sum_tc accumulate concentration and time*concentration over
-    all grid points, enough to recover least-squares slopes per species.
+    Each row observes one signal y, a species concentration or one
+    reaction's rate: its values at t = 0 and at the horizon, and its sums
+    over all grid points, enough to recover its least-squares slope.
     """
 
-    c0: np.ndarray
     c_final: np.ndarray
-    sum_c: np.ndarray
-    sum_tc: np.ndarray
+    y0: np.ndarray
+    y_end: np.ndarray
+    sum_y: np.ndarray
+    sum_ty: np.ndarray
     n_steps: int
     dt: float
-    species_names: list
 
-    def _col(self, species):
-        return self.species_names.index(species)
+    def endpoint_delta(self) -> np.ndarray:
+        return np.abs(self.y_end - self.y0)
 
-    def endpoint_delta(self, species: str) -> np.ndarray:
-        j = self._col(species)
-        return np.abs(self.c_final[:, j] - self.c0[:, j])
-
-    def slope(self, species: str) -> np.ndarray:
-        """Least-squares slope of c(t) over the full grid, per simulation."""
-        j = self._col(species)
-        n = self.n_steps + 1
+    def slope(self) -> np.ndarray:
+        """Least-squares slope of y(t) over the full grid, per simulation."""
         t_mean = 0.5 * self.dt * self.n_steps
         # sum of t_k^2 over k = 0..n_steps, closed form
         sum_t2 = self.dt ** 2 * self.n_steps * (self.n_steps + 1) * (2 * self.n_steps + 1) / 6.0
-        ss_tt = sum_t2 - n * t_mean ** 2
-        return (self.sum_tc[:, j] - t_mean * self.sum_c[:, j]) / ss_tt
+        ss_tt = sum_t2 - (self.n_steps + 1) * t_mean ** 2
+        return (self.sum_ty - t_mean * self.sum_y) / ss_tt
 
 
 def simulate_batch(network: CascadeNetwork, init_matrix: np.ndarray,
-                   horizon: float, dt: float) -> BatchResult:
+                   horizon: float, dt: float, signal=None) -> BatchResult:
     """Integrate many initial states of one network, summaries only.
 
     init_matrix is [B, n_species] in the network's species order (use
-    network.init_vector to build rows). Integration stops at the first step
-    in which a row fails; the IntegrationError raised names that step and
-    the lowest-index row failing in it.
+    network.init_vector to build rows). signal is the species whose
+    concentration is observed, or the index of the step whose rate is
+    (default: the first reporter species). Integration stops at the first
+    step in which a row fails; the IntegrationError raised names that step
+    and the lowest-index row failing in it.
     """
     n_steps = _n_steps(horizon, dt)
+    signal = network.reporter_species[0] if signal is None else signal
+    rate = not isinstance(signal, str)
+    column = int(signal) if rate else network.index(signal)
     C0 = np.ascontiguousarray(init_matrix, dtype=np.float64)
-    c_final, sum_c, sum_tc, status, bad = _kernels.rk4_batch(
-        C0, *network.compiled(), n_steps, dt)
+    c_final, y0, y_end, sum_y, sum_ty, status, bad = _kernels.rk4_batch(
+        C0, *network.compiled(), n_steps, dt, column, rate)
     for i in np.nonzero(status)[0]:
         _raise_on_status(int(status[i]), int(bad[i]), sim=int(i))
-    return BatchResult(c0=C0, c_final=c_final, sum_c=sum_c, sum_tc=sum_tc,
-                       n_steps=n_steps, dt=dt, species_names=network.species_names)
+    return BatchResult(c_final=c_final, y0=y0, y_end=y_end, sum_y=sum_y, sum_ty=sum_ty,
+                       n_steps=n_steps, dt=dt)
 
 
 def _raise_on_status(status, bad_step, sim=None):

@@ -1,9 +1,9 @@
 """End-to-end experiment runs: cohorts through cascades to auth metrics.
 
 The hot loop is the batched cascade integration: every (individual, time
-step) pair of an experiment becomes one row of a batch handed to the RK4
-kernels, and gate-time features are recovered from endpoint/slope summaries
-without storing full traces.
+step) pair of an experiment becomes one row of one batch per channel, which
+observes only the channel's signal (``transduce.readout``); gate-time
+features come from its endpoints or slope sums, without full traces.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ from .auth import enroll, score_step
 from .cohort import (ACID_INDEX, AMINO_ACIDS, N_ACIDS, Demographics, NoiseSpec,
                      SamplingSchedule, mimic_cohort, sample_series,
                      write_cohort_csv, write_manifest)
-from .config import ExperimentConfig, collect_seeds
+from .config import ExperimentConfig, check_keys, collect_seeds
 from .digitize import BandSpec, FilterParams, GroupingSpec, consolidate
 from .errors import ConfigurationError, InsufficientDataError
-from .kinetics import build_cascade, simulate, simulate_batch
-from .transduce import UM_TO_M, _find_step, builtin_optics
+from .kinetics import build_cascade, simulate_batch
+from .transduce import REPORTER_STEPS, readout
 
 
 @dataclass
@@ -32,45 +32,33 @@ class Channel:
     name: str
     network: object
     inputs: list
-    transduction: str
     feature: str
-    species: str = ""
-    scale: float = 1.0       # absorbance: epsilon * path * 1e-6
-    gain: float = 1.0        # rate-based channels
-    rate_step: int = -1      # index of the reporter step for rate readouts
+    signal: object   # observed species name, or reporter-step index (rate readouts)
+    scale: float     # Beer-Lambert scale or gain
 
 
-def build_channel(entry: dict, params) -> Channel:
-    network = build_cascade(entry["cascade"], params)
-    inputs = list(entry.get("inputs", network.input_species))
-    for acid in inputs:
-        if acid not in ACID_INDEX:
-            raise ConfigurationError(f"channel input {acid!r} is not a panel amino acid")
-        if acid not in network.input_species:
-            raise ConfigurationError(
-                f"{acid!r} is not an input of the {network.kind.value} cascade")
-    transduction = entry.get("transduction", "absorbance")
-    feature = entry.get("feature", "endpoint")
-    if feature not in ("endpoint", "slope"):
-        raise ConfigurationError(f"unknown feature mode {feature!r}")
-    ch = Channel(name=entry.get("name", network.kind.value), network=network,
-                 inputs=inputs, transduction=transduction, feature=feature)
-    if transduction == "absorbance":
-        species = entry.get("species", network.reporter_species[0])
-        cfg = builtin_optics(species, params)
-        ch.species = species
-        ch.scale = cfg.epsilon * cfg.path_length * UM_TO_M
-    elif transduction in ("luminescence", "amperometric"):
-        reporter = ({"enzyme": "HRP", "substrate": "Luminol"}
-                    if transduction == "luminescence" else {"substrate": "H2O2"})
-        ch.rate_step = _find_step(network, **reporter)
-        if ch.rate_step is None:
-            raise ConfigurationError(
-                f"{network.kind.value} cascade lacks the required reporter step")
-        ch.gain = float(entry.get("gain", params.gains.get(transduction, 1.0)))
-    else:
-        raise ConfigurationError(f"unknown transduction {transduction!r}")
-    return ch
+def build_channel(entry: dict, params, where: str = "channel") -> Channel:
+    """Channel for one config entry; errors are prefixed with ``where``."""
+    own = "gain" if entry.get("transduction") in REPORTER_STEPS else "species"
+    check_keys(entry, where, {"name", "cascade", "inputs", "transduction", "feature", own},
+               required=("cascade",))
+    try:
+        network = build_cascade(entry["cascade"], params)
+        inputs = list(entry.get("inputs", network.input_species))
+        for acid in inputs:
+            if acid not in ACID_INDEX:
+                raise ConfigurationError(f"channel input {acid!r} is not a panel amino acid")
+            if acid not in network.input_species:
+                raise ConfigurationError(
+                    f"{acid!r} is not an input of the {network.kind.value} cascade")
+        feature = entry.get("feature", "endpoint")
+        if feature not in ("endpoint", "slope"):
+            raise ConfigurationError(f"unknown feature mode {feature!r}")
+        signal, scale = readout(network, entry, params)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
+    return Channel(name=entry.get("name", network.kind.value), network=network,
+                   inputs=inputs, feature=feature, signal=signal, scale=scale)
 
 
 def channel_features(ch: Channel, X_flat: np.ndarray, t_g: float, dt: float) -> np.ndarray:
@@ -79,33 +67,13 @@ def channel_features(ch: Channel, X_flat: np.ndarray, t_g: float, dt: float) -> 
     X_flat is [B, 23] sampled concentrations; each row seeds the channel's
     cascade with its input analytes on top of the assay mix.
     """
-    B = X_flat.shape[0]
-    base = ch.network.init_vector({})
-    C0 = np.tile(base, (B, 1))
+    C0 = np.tile(ch.network.init_vector({}), (len(X_flat), 1))
     for acid in ch.inputs:
         C0[:, ch.network.index(acid)] = X_flat[:, ACID_INDEX[acid]]
-    if ch.transduction != "absorbance" and ch.feature == "slope":
-        return _rate_slope_features(ch, C0, t_g, dt)
-    res = simulate_batch(ch.network, C0, t_g, dt)
-    if ch.transduction == "absorbance":
-        if ch.feature == "endpoint":
-            return ch.scale * res.endpoint_delta(ch.species)
-        return ch.scale * np.abs(res.slope(ch.species))
-    r0 = ch.network.step_rates(res.c0)[:, ch.rate_step]
-    rT = ch.network.step_rates(res.c_final)[:, ch.rate_step]
-    return ch.gain * np.abs(rT - r0)
-
-
-def _rate_slope_features(ch, C0, t_g, dt):
-    # slope of a rate signal needs the full trace; per-row slow path
-    out = np.empty(C0.shape[0])
-    names = ch.network.species_names
-    for b in range(C0.shape[0]):
-        tr = simulate(ch.network, dict(zip(names, C0[b])), t_g, dt)
-        rates = ch.network.step_rates(tr.concentrations)[:, ch.rate_step]
-        t = tr.times - tr.times.mean()
-        out[b] = ch.gain * abs(float(t @ (rates - rates.mean()) / (t @ t)))
-    return out
+    res = simulate_batch(ch.network, C0, t_g, dt, ch.signal)
+    if ch.feature == "endpoint":
+        return ch.scale * res.endpoint_delta()
+    return ch.scale * np.abs(res.slope())
 
 
 @dataclass
@@ -155,7 +123,10 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
 
     kin = cfg.section("kinetics")
     t_g, dt = float(kin["t_g"]), float(kin["dt"])
-    channels = [build_channel(e, cfg.params) for e in cfg.section("channels")]
+    channels = [build_channel(e, cfg.params, f"channels[{i}]")
+                for i, e in enumerate(cfg.section("channels"))]
+    if not profiles:
+        raise InsufficientDataError("cohort is empty: every group has n = 0")
 
     n_indiv, steps = len(profiles), schedule.steps
     X = np.empty((n_indiv, steps, N_ACIDS))

@@ -5,6 +5,9 @@ amperometric current are proportional to the instantaneous rate of the
 reporter step (flash-type emission, faradaic turnover). All transductions
 are homogeneous degree 1 in their gain parameter and never add noise of
 their own: sampling noise enters once, in cohort sampling.
+
+The readout rule lives here once (reporter step, Beer-Lambert scale, and
+``readout`` for a channel entry), shared by trace and batch readouts.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import positive_number
 from .errors import ConfigurationError
 from .kinetics import KineticsTrace
 
@@ -21,6 +25,9 @@ BUILTIN_WAVELENGTHS = {"NADH": 340, "ABTSox": 405, "Formazan": 580}
 LUMINOL_WAVELENGTH = 425
 
 UM_TO_M = 1e-6
+
+# reporter step of each rate readout: (its enzyme, or None for any; a substrate it consumes)
+REPORTER_STEPS = {"luminescence": ("HRP", "Luminol"), "amperometric": (None, "H2O2")}
 
 
 @dataclass(frozen=True)
@@ -35,6 +42,10 @@ class OpticalConfig:
             raise ConfigurationError("epsilon must be > 0")
         if not self.path_length > 0:
             raise ConfigurationError("path length must be > 0")
+
+    @property
+    def scale(self) -> float:  # absorbance per µM: c in mol/L
+        return self.epsilon * self.path_length * UM_TO_M
 
 
 def builtin_optics(species: str, params) -> OpticalConfig:
@@ -69,42 +80,52 @@ class SignalTrace:
 def absorbance(trace: KineticsTrace, cfg: OpticalConfig) -> SignalTrace:
     """Beer-Lambert absorbance A(t) = epsilon * c(t) * path, c in mol/L."""
     c = trace.column(cfg.species)  # raises KeyError when absent
-    return SignalTrace(
-        times=trace.times,
-        values=cfg.epsilon * cfg.path_length * UM_TO_M * c,
-        channel=f"A{cfg.wavelength:.0f}/{cfg.species}",
-    )
+    return SignalTrace(times=trace.times, values=cfg.scale * c,
+                       channel=f"A{cfg.wavelength:.0f}/{cfg.species}")
 
 
-def _find_step(network, enzyme=None, substrate=None):
+def reporter_step(network, transduction: str) -> int:
+    """Index of the step whose rate a luminescence or amperometric readout follows."""
+    enzyme, substrate = REPORTER_STEPS[transduction]
     for j, st in enumerate(network.steps):
-        if enzyme is not None and st.enzyme != enzyme:
-            continue
-        if substrate is not None and substrate not in (sp for sp, _ in st.substrates):
-            continue
-        return j
-    return None
+        if enzyme in (None, st.enzyme) and substrate in (sp for sp, _ in st.substrates):
+            return j
+    raise ConfigurationError(
+        f"{network.kind.value} cascade lacks the required reporter step for {transduction}")
+
+
+def _rate_signal(trace: KineticsTrace, transduction: str, gain: float, channel: str):
+    if trace.network is None:
+        raise ConfigurationError("trace carries no network to take reporter rates from")
+    rates = trace.network.step_rates(trace.concentrations)
+    return SignalTrace(times=trace.times, channel=channel,
+                       values=gain * rates[:, reporter_step(trace.network, transduction)])
 
 
 def luminescence(trace: KineticsTrace, gain: float) -> SignalTrace:
     """Emission proportional to the instantaneous HRP/luminol reaction rate."""
-    net = trace.network
-    j = _find_step(net, enzyme="HRP", substrate="Luminol") if net else None
-    if j is None:
-        raise ConfigurationError("network has no HRP/luminol reporter branch")
-    rates = net.step_rates(trace.concentrations)[:, j]
-    return SignalTrace(times=trace.times, values=gain * rates,
-                       channel=f"lum{LUMINOL_WAVELENGTH}")
+    return _rate_signal(trace, "luminescence", gain, f"lum{LUMINOL_WAVELENGTH}")
 
 
 def amperometric_current(trace: KineticsTrace, faradaic_gain: float) -> SignalTrace:
     """Current proportional to the peroxide turnover rate at the reporter step."""
-    net = trace.network
-    if net is None or "H2O2" not in net.species_names:
-        raise ConfigurationError("network does not produce H2O2")
-    j = _find_step(net, substrate="H2O2")
-    if j is None:
-        raise ConfigurationError("network has no H2O2-consuming reporter step")
-    rates = net.step_rates(trace.concentrations)[:, j]
-    return SignalTrace(times=trace.times, values=faradaic_gain * rates,
-                       channel="amperometric")
+    return _rate_signal(trace, "amperometric", faradaic_gain, "amperometric")
+
+
+def readout(network, entry: dict, params) -> tuple:
+    """(signal, scale) of a channel entry, as ``kinetics.simulate_batch`` observes it.
+
+    Absorbance: a chromophore (``species``, default the first reporter) and
+    its Beer-Lambert scale. Luminescence, amperometric: the reporter step's
+    rate and a ``gain`` (default ``params.gains``).
+    """
+    transduction = entry.get("transduction", "absorbance")
+    if transduction == "absorbance":
+        species = entry.get("species", network.reporter_species[0])
+        if species not in network.species_names:
+            raise ConfigurationError(f"species {species!r} is not in the {network.kind.value} cascade")
+        return species, builtin_optics(species, params).scale
+    if transduction not in REPORTER_STEPS:
+        raise ConfigurationError(f"unknown transduction {transduction!r}")
+    gain = positive_number(entry.get("gain", params.gains.get(transduction, 1.0)), "gain")
+    return reporter_step(network, transduction), gain

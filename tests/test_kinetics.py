@@ -188,24 +188,40 @@ def test_step_halving_exhaustion_raises():
 # ---------------------------------------------------------------- batch
 
 def test_batch_matches_single_runs(params):
+    # every species and every step rate observed by the batch agrees with
+    # the recorded trace: endpoints bit for bit, sums to rounding
     net = build_cascade("AltPoxHrp", params)
     alas = [40.0, 120.0, 333.0]
     C0 = np.stack([net.init_vector({"Ala": a}) for a in alas])
-    res = simulate_batch(net, C0, 30.0, 0.01)
-    for b, a in enumerate(alas):
-        tr = simulate(net, {"Ala": a}, 30.0, 0.01)
-        np.testing.assert_allclose(res.c_final[b], tr.concentrations[-1], rtol=1e-12)
-        np.testing.assert_allclose(res.sum_c[b], tr.concentrations.sum(axis=0), rtol=1e-12)
+    traces = [simulate(net, {"Ala": a}, 30.0, 0.01).concentrations for a in alas]
+    signals = net.species_names + list(range(len(net.steps)))
+    for signal in signals:
+        res = simulate_batch(net, C0, 30.0, 0.01, signal)
+        for b, tr in enumerate(traces):
+            y = (tr[:, net.index(signal)] if isinstance(signal, str)
+                 else net.step_rates(tr)[:, signal])
+            np.testing.assert_allclose(res.c_final[b], tr[-1], rtol=1e-12)
+            assert (res.y0[b], res.y_end[b]) == (y[0], y[-1]), signal
+            np.testing.assert_allclose(res.sum_y[b], y.sum(), rtol=1e-12)
+
+
+def test_batch_default_signal_is_first_reporter(params):
+    net = build_cascade("GldhC", params)
+    C0 = np.stack([net.init_vector({"Glu": g}) for g in (30.0, 90.0)])
+    default = simulate_batch(net, C0, 2.0, 0.01)
+    named = simulate_batch(net, C0, 2.0, 0.01, net.reporter_species[0])
+    for field in ("c_final", "y0", "y_end", "sum_y", "sum_ty"):
+        np.testing.assert_array_equal(getattr(default, field), getattr(named, field))
 
 
 def test_batch_slope_matches_polyfit(params):
     net = build_cascade("AltPoxHrp", params)
     C0 = np.stack([net.init_vector({"Ala": a}) for a in (50.0, 200.0)])
-    res = simulate_batch(net, C0, 10.0, 0.01)
+    res = simulate_batch(net, C0, 10.0, 0.01, "ABTSox")
     for b, a in enumerate((50.0, 200.0)):
         tr = simulate(net, {"Ala": a}, 10.0, 0.01)
         want = np.polyfit(tr.times, tr.column("ABTSox"), 1)[0]
-        assert abs(res.slope("ABTSox")[b] - want) < 1e-9 * max(abs(want), 1.0)
+        assert abs(res.slope()[b] - want) < 1e-9 * max(abs(want), 1.0)
 
 
 # ---------------------------------------------------------------- moieties

@@ -107,9 +107,50 @@ def test_rate_channel_feature_route(params, cascade, transduction, readout, feat
     batched = channel_features(ch, x, 60.0, 0.05)
     for b in range(2):
         tr = simulate(ch.network, {acid: x[b, ACID_INDEX[acid]]}, 60.0, 0.05)
-        expected = endpoint_feature(readout(tr, ch.gain), 60.0, feature)
+        expected = endpoint_feature(readout(tr, ch.scale), 60.0, feature)
         assert expected > 0.0
         assert batched[b] == pytest.approx(expected, rel=1e-9)
+
+
+def oracle_rate_slope_features(ch, C0, t_g, dt):
+    """The former per-row route: one recorded trace per row, centred least squares."""
+    out = np.empty(C0.shape[0])
+    names = ch.network.species_names
+    for b in range(C0.shape[0]):
+        tr = simulate(ch.network, dict(zip(names, C0[b])), t_g, dt)
+        rates = ch.network.step_rates(tr.concentrations)[:, ch.signal]
+        t = tr.times - tr.times.mean()
+        out[b] = ch.scale * abs(float(t @ (rates - rates.mean()) / (t @ t)))
+    return out
+
+
+@pytest.mark.parametrize("cascade, transduction", [("GldhC", "luminescence"),
+                                                   ("AltPoxHrp", "amperometric")])
+def test_rate_slope_matches_per_row_oracle(params, monkeypatch, cascade, transduction):
+    # a 375-row rate-slope channel is one batch pass, with no per-row simulate
+    import sweatauth.kinetics
+    import sweatauth.pipeline
+
+    ch = build_channel({"cascade": cascade, "transduction": transduction,
+                        "feature": "slope"}, params)
+    x = np.zeros((375, 23))
+    for acid in ch.inputs:
+        x[:, ACID_INDEX[acid]] = np.linspace(20.0, 400.0, 375)
+    calls = []
+    batch = sweatauth.pipeline.simulate_batch
+    monkeypatch.setattr(sweatauth.pipeline, "simulate_batch",
+                        lambda *a, **kw: calls.append(a) or batch(*a, **kw))
+    monkeypatch.setattr(sweatauth.kinetics, "simulate", None)
+    got = channel_features(ch, x, 20.0, 0.05)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    rows = np.arange(0, 375, 53)
+    C0 = np.tile(ch.network.init_vector({}), (len(rows), 1))
+    for acid in ch.inputs:
+        C0[:, ch.network.index(acid)] = x[rows, ACID_INDEX[acid]]
+    want = oracle_rate_slope_features(ch, C0, 20.0, 0.05)
+    assert np.all(want > 0.0)
+    np.testing.assert_allclose(got[rows], want, rtol=1e-9, atol=0.0)
 
 
 @pytest.mark.parametrize("transduction", ["luminescence", "amperometric"])
@@ -345,6 +386,72 @@ def test_cmd_rejects_bad_auth_section(tmp_path, capsys, edit, message):
     path.write_text(json.dumps(raw))
     assert run_cli("roc", "--config", str(path), "--out", str(tmp_path / "a")) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+def as_rate_channel(ch, **keys):
+    del ch["species"]
+    ch.update(transduction="amperometric", **keys)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda ch: ch.update(feture=ch.pop("feature")), "channels[0].feture: unknown key"),
+    (lambda ch: ch.update(trasduction="amperometric"), "channels[0].trasduction: unknown key"),
+    (lambda ch: ch.update(gain=2.0), "channels[0].gain: unknown key"),
+    (lambda ch: ch.update(transduction="amperometric"), "channels[0].species: unknown key"),
+    (lambda ch: as_rate_channel(ch, gain="x"), "channels[0]: gain: not a number: 'x'"),
+    (lambda ch: as_rate_channel(ch, gain=0), "channels[0]: gain: must be finite and > 0, got 0.0"),
+    (lambda ch: ch.update(species="NADH"),
+     "channels[0]: species 'NADH' is not in the AltPoxHrp cascade"),
+    (lambda ch: ch.update(transduction="fluorescence"),
+     "channels[0]: unknown transduction 'fluorescence'"),
+    (lambda ch: ch.pop("cascade"), "channels[0].cascade: required key is missing"),
+    (lambda ch: ch.update(feature="peak"), "channels[0]: unknown feature mode 'peak'"),
+], ids=["misspelled-feature", "misspelled-transduction", "gain-on-absorbance",
+        "species-on-rate-channel", "text-gain", "zero-gain", "species-not-in-cascade",
+        "unknown-transduction", "missing-cascade", "unknown-feature"])
+def test_cmd_rejects_bad_channel_entry(tmp_path, capsys, edit, message):
+    raw = small_config()
+    edit(raw["channels"][0])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert run_cli("pipeline", "--config", str(path), "--out", str(tmp_path / "c")) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda kin: kin.pop("dt"), "kinetics.dt: required key is missing"),
+    (lambda kin: kin.update(dt="x"), "kinetics.dt: not a number: 'x'"),
+    (lambda kin: kin.update(dtt=kin.pop("dt")), "kinetics.dtt: unknown key"),
+    (lambda kin: kin.update(dt=0), "kinetics.dt: must be finite and > 0, got 0.0"),
+    (lambda kin: kin.update(t_g=-60.0), "kinetics.t_g: must be finite and > 0, got -60.0"),
+    (lambda kin: kin.update(t_g=float("inf")), "kinetics.t_g: must be finite and > 0, got inf"),
+    (lambda kin: kin.update(t_g=None), "kinetics.t_g: not a number: None"),
+], ids=["missing-dt", "text-dt", "misspelled-dt", "zero-dt", "negative-t-g", "infinite-t-g",
+        "null-t-g"])
+def test_cmd_rejects_bad_kinetics_section(tmp_path, capsys, edit, message):
+    raw = small_config()
+    edit(raw["kinetics"])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert run_cli("roc", "--config", str(path), "--out", str(tmp_path / "k")) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+def test_kinetics_check_leaves_config_hash_alone():
+    raw = small_config()
+    assert load_experiment(raw).config_hash == load_experiment(small_config()).config_hash
+    assert raw["kinetics"] == {"t_g": 60.0, "dt": 0.02}
+
+
+@pytest.mark.parametrize("command", ["pipeline", "roc"])
+def test_cmd_empty_cohort_exit_code(tmp_path, capsys, command):
+    raw = small_config()
+    for g in raw["cohort"]["groups"]:
+        g["n"] = 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert run_cli(command, "--config", str(path), "--out", str(tmp_path / "e")) == 3
+    assert capsys.readouterr().err == "insufficient data: cohort is empty: every group has n = 0\n"
 
 
 @pytest.mark.parametrize("digitize, message", [

@@ -3,8 +3,9 @@ import pytest
 
 from sweatauth.errors import ConfigurationError
 from sweatauth.kinetics import build_cascade, conserved_moieties, simulate
-from sweatauth.transduce import (OpticalConfig, absorbance, amperometric_current,
-                                 builtin_optics, luminescence)
+from sweatauth.kinetics import CascadeKind
+from sweatauth.transduce import (UM_TO_M, OpticalConfig, absorbance, amperometric_current,
+                                 builtin_optics, luminescence, readout, reporter_step)
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +33,34 @@ def test_absorbance_linear_law():
     cfg = OpticalConfig(wavelength=340, epsilon=6220.0, path_length=1.0, species="NADH")
     sig = absorbance(tr, cfg)
     assert abs(sig.values[0] - 0.622) < 1e-12
+
+
+def test_absorbance_scale_keeps_its_bits(params, altldh_trace):
+    # epsilon * path * 1e-6, in that order, as the batch path multiplies it
+    cfg = builtin_optics("NADH", params)
+    want = cfg.epsilon * cfg.path_length * UM_TO_M * altldh_trace.column("NADH")
+    assert absorbance(altldh_trace, cfg).values.tobytes() == want.tobytes()
+    assert readout(altldh_trace.network, {}, params) == ("NADH", cfg.scale)
+
+
+# step index each rate readout follows, per catalogued cascade (None: no such step)
+REPORTER_STEPS = {
+    "AltLdh": (None, None), "AltPoxHrp": (None, 2), "GldhA": (None, None),
+    "GldhB": (None, None), "GldhC": (2, 2), "AlaGlu": (None, 2), "AspGlu": (None, 2),
+    "AlaAspGlu": (None, 3),
+}
+
+
+@pytest.mark.parametrize("kind", list(CascadeKind))
+def test_reporter_steps_of_the_catalogue(params, kind):
+    net = build_cascade(kind, params)
+    for transduction, step in zip(("luminescence", "amperometric"), REPORTER_STEPS[kind.value]):
+        if step is None:
+            with pytest.raises(ConfigurationError, match="lacks the required reporter step"):
+                reporter_step(net, transduction)
+        else:
+            assert reporter_step(net, transduction) == step
+            assert readout(net, {"transduction": transduction, "gain": 3}, params) == (step, 3.0)
 
 
 def test_absorbance_missing_species(params, altldh_trace):
