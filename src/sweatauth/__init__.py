@@ -15,7 +15,7 @@ from .config import load_experiment
 from .digitize import (BandSpec, FilterParams, GroupingSpec, classify_band, consolidate,
                        endpoint_feature, hill_filter)
 from .errors import ConfigurationError, InsufficientDataError, IntegrationError
-from .kinetics import (CascadeKind, CascadeNetwork, KineticParams, KineticsTrace,
+from .kinetics import (CascadeKind, CascadeNetwork, CascadeUnion, KineticParams, KineticsTrace,
                        build_cascade, conserved_moieties, mm_rate, simulate,
                        simulate_batch)
 from .metrics import RocCurve, ScoredPopulation, auc, delong_variance, eer, roc_curve

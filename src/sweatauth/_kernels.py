@@ -2,8 +2,9 @@
 
 One numpy implementation with two entry points: ``rk4_trace`` records
 every grid point of a single simulation, and ``rk4_batch`` advances many
-simulations at once, keeping one observed signal per row (a species or a
-reaction rate) as its endpoints and running sums.
+simulations of one or more independent networks at once, keeping each
+observed signal (a species or a reaction rate) as its endpoints and running
+sums.
 
 State advance semantics:
 
@@ -17,10 +18,18 @@ Networks are passed as flat arrays (see ``kinetics.CascadeNetwork.compiled``):
 dense stoichiometry plus per-reaction vmax and substrate Michaelis
 constants. Multi-substrate saturation factors multiply.
 
-``rk4_batch`` gathers all substrates at once (padded to ``[n_rxn, w]`` with
-factor 1.0) and checks the whole batch once per step. Only when that check
-fails are the offending rows redone with the guarded scalar advance of
-``rk4_trace``, so both agree exactly; the batch ends at the first failed redo.
+``rk4_batch`` stacks its networks into one block-diagonal network
+(``block_diagonal``), so every RK4 stage of every network is one set of
+numpy calls. It gathers all substrates at once (padded to ``[n_rxn, w]``
+with factor 1.0) and checks the whole batch once per step. Only when that
+check fails are the offending blocks of the offending rows redone, each with
+the guarded scalar advance of ``rk4_trace`` on the block's own arrays, so
+both agree exactly and healthy blocks keep their bits; the batch ends at the
+first failed redo. The off-block zeros of the stacked stoichiometry add
+exact zeros to each derivative, and ``tests/test_kernels.py`` checks that
+every block gets the bits of its own batch. A non-finite rate spreads NaN to
+the other blocks of its row (inf * 0); they are then redone as well, and the
+batch ends at that step, since the failing block's redo fails too.
 """
 
 import numpy as np
@@ -99,13 +108,39 @@ def rk4_trace(c0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt):
     return out, STATUS_OK, -1
 
 
-def rk4_batch(C0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt, column, rate=False):
-    """Integrate a batch of initial states, observing one signal per row.
+def block_diagonal(blocks):
+    """Flat arrays of the disjoint union of networks given as flat arrays.
 
-    y is species ``column``, or with ``rate`` the rate of reaction ``column``.
-    Returns (C_final, y0, y_end, sum_y, sum_ty, status[B], bad_step[B]); the
+    The stoichiometry is block-diagonal, vmax and the substrate Km are
+    concatenated, and substrate indices are offset by each block's first
+    species. One block is returned as it is.
+    """
+    if len(blocks) == 1:
+        return blocks[0]
+    st_dense = np.zeros((sum(b[0].shape[0] for b in blocks), sum(b[0].shape[1] for b in blocks)))
+    sub_idx, sub_off, r0, s0 = [], [np.zeros(1, dtype=np.int64)], 0, 0
+    for st, _, idx, _, off in blocks:
+        st_dense[r0:r0 + st.shape[0], s0:s0 + st.shape[1]] = st
+        sub_idx.append(idx + s0)
+        sub_off.append(off[1:] + sub_off[-1][-1])
+        r0, s0 = r0 + st.shape[0], s0 + st.shape[1]
+    return (st_dense, np.concatenate([b[1] for b in blocks]), np.concatenate(sub_idx),
+            np.concatenate([b[3] for b in blocks]), np.concatenate(sub_off))
+
+
+def rk4_batch(C0, blocks, n_steps, dt, signals):
+    """Integrate a batch of initial states of independent networks as one system.
+
+    blocks holds each network's flat arrays; a row of C0 is the networks'
+    states side by side, in block order. signals is a sequence of
+    (column, rate) pairs: y is species ``column`` of the row, or with
+    ``rate`` the rate of reaction ``column`` (both counted across blocks).
+    Returns (C_final, y0, y_end, sum_y, sum_ty, status, bad_step): the y
+    arrays are [B, len(signals)], status and bad_step [B, len(blocks)]; the
     sums of y and t*y run over grid points k = 0..n_steps, or to a failed step.
     """
+    st_dense, vmax, sub_idx, sub_km, sub_off = block_diagonal(blocks)
+    starts = np.cumsum([0] + [b[0].shape[1] for b in blocks])
     C = np.array(C0, dtype=np.float64)
     n_sub = np.diff(sub_off)
     pad = np.arange(max(int(n_sub.max(initial=0)), 1)) >= n_sub[:, None]  # [n_rxn, w]
@@ -114,6 +149,9 @@ def rk4_batch(C0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt, column,
     idx[~pad], km[:, ~pad] = sub_idx, sub_km  # km and vmax tiled: contiguous ops
     vmax_b = np.tile(vmax, (len(C), 1))
     F, D, V = np.empty_like(km), np.empty_like(km), np.empty_like(vmax_b)
+    columns = np.array([int(c) for c, _ in signals], dtype=np.int64)
+    rate = np.array([bool(r) for _, r in signals], dtype=bool)
+    species_only, species_cols, rate_cols = not rate.any(), columns[~rate], columns[rate]
 
     def rhs(X, out):  # rates (vmax * f0) * f1 ... into V, then V @ st_dense
         np.take(X, idx, axis=1, out=F, mode="clip")  # unbuffered; indices are valid
@@ -126,11 +164,20 @@ def rk4_batch(C0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt, column,
             np.multiply(V, F[..., q], out=V)
         np.matmul(V, st_dense, out=out)
 
-    status, bad_step = np.zeros(len(C), dtype=np.int64), np.full(len(C), -1, dtype=np.int64)
+    def observe(X):  # the signals at state X, whose rates rhs has just put in V
+        if species_only:  # one gather, as cheap per step as a single column
+            return X[:, columns]
+        y = np.empty((len(X), len(columns)))
+        y[:, ~rate] = X[:, species_cols]
+        y[:, rate] = V[:, rate_cols]
+        return y
+
+    status = np.zeros((len(C), len(blocks)), dtype=np.int64)
+    bad_step = np.full(status.shape, -1, dtype=np.int64)
     k1, k2, k3, k4, X = (np.empty_like(C) for _ in range(5))
     with np.errstate(invalid="ignore", over="ignore"):
         rhs(C, k1)  # fills V with the rates at C, the first stage of every step
-        y0 = (V if rate else C)[:, column].copy()
+        y0 = observe(C)
         y, sum_y, sum_ty = y0, y0.copy(), np.zeros_like(y0)  # t=0 adds nothing to sum_ty
         for k in range(n_steps):
             rhs(np.add(C, np.multiply(k1, 0.5 * dt, out=X), out=X), k2)
@@ -140,18 +187,22 @@ def rk4_batch(C0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt, column,
             np.add(k1, np.multiply(k2, 2.0, out=k2), out=k1)
             np.add(k1, np.multiply(k3, 2.0, out=k3), out=k1)
             np.add(C, np.multiply(np.add(k1, k4, out=k1), dt / 6.0, out=k1), out=X)
-            # one check for the whole batch (a NaN fails it); rows in trouble are redone
+            # one check for the whole batch (a NaN fails it); only the blocks
+            # in trouble are redone, each with its own arrays
             if not (X.min() >= -NEG_TOL and X.max() < np.inf):
-                for i in np.flatnonzero(~np.isfinite(X).all(axis=1) | (X < -NEG_TOL).any(axis=1)):
-                    X[i] = C[i]
-                    status[i] = _advance(X[i], dt, st_dense, vmax, sub_idx, sub_km, sub_off)
+                bad = ~np.isfinite(X) | (X < -NEG_TOL)
+                trouble = np.logical_or.reduceat(bad, starts[:-1], axis=1)  # [B, n_blocks]
+                for i, b in zip(*np.nonzero(trouble)):
+                    block = slice(starts[b], starts[b + 1])
+                    X[i, block] = C[i, block]
+                    status[i, b] = _advance(X[i, block], dt, *blocks[b])
                 if status.any():
                     bad_step[status != STATUS_OK] = k
                     break
             np.maximum(X, 0.0, out=X)
             C, X = X, C
             rhs(C, k1)
-            y = (V if rate else C)[:, column].copy()
+            y = observe(C)
             sum_y += y
             sum_ty += y * ((k + 1) * dt)
     return C, y0, y, sum_y, sum_ty, status, bad_step

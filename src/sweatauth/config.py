@@ -16,8 +16,8 @@ from importlib import resources
 
 import numpy as np
 
-from .cohort import GroupDistributionSpec
-from .errors import ConfigurationError
+from .cohort import DEMOGRAPHIC_FIELDS, GroupDistributionSpec
+from .errors import ConfigurationError, InsufficientDataError
 from .kinetics import KineticParams
 
 
@@ -26,6 +26,15 @@ AUTH_KEYS = frozenset({
     "mode", "k_reg", "accumulate_k", "lambda", "score_channel", "genuine_group",
     "impostor_group", "accept_thr", "reject_thr", "drift_margin",
 })
+ACCUMULATE_K = 10  # auth.accumulate_k when not given
+# the keys of "cohort" and "digitize" and of their entries, as run_pipeline reads them
+COHORT_KEYS = ("groups", "schedule", "noise", "series_seed")
+GROUP_KEYS = ("name", "demographics", "n", "seed")
+SCHEDULE_KEYS = ("t0", "tau", "steps")
+NOISE_KEYS = ("cv", "drift_rate")
+DIGITIZE_KEYS = ("groups", "aggregators", "weights", "filters", "bands")
+FILTER_KEYS = ("k_half", "hill_n", "out_lo", "out_hi", "kind")
+BAND_KEYS = ("boundaries", "labels", "out_lo", "out_hi")
 
 
 def canonical_hash(obj) -> str:
@@ -103,6 +112,8 @@ def load_experiment(source, seed_override: int = None) -> ExperimentConfig:
     params_dict = (_read_json(raw["params"]) if raw.get("params")
                    else default_params_dict())
 
+    if "cohort" in raw:
+        _check_cohort(raw["cohort"])
     if seed_override is not None:
         _override_seeds(raw, seed_override)
     if "auth" in raw:
@@ -111,6 +122,8 @@ def load_experiment(source, seed_override: int = None) -> ExperimentConfig:
         check_keys(raw["kinetics"], "kinetics", ("t_g", "dt"), required=("t_g", "dt"))
         for key in ("t_g", "dt"):
             positive_number(raw["kinetics"][key], f"kinetics.{key}")
+    if "digitize" in raw:
+        _check_digitize(raw["digitize"])
 
     distribution = GroupDistributionSpec.from_dict(dist_dict)
     params_hash = canonical_hash(params_dict)
@@ -125,6 +138,8 @@ def load_experiment(source, seed_override: int = None) -> ExperimentConfig:
 
 def check_keys(section: dict, where: str, allowed, required=()) -> None:
     """Reject keys of a config section outside allowed, and missing required ones."""
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"{where}: not an object: {section!r}")
     for key in section:
         if key not in allowed:
             raise ConfigurationError(f"{where}.{key}: unknown key")
@@ -142,6 +157,95 @@ def positive_number(value, where: str) -> float:
     if not 0.0 < number < np.inf:
         raise ConfigurationError(f"{where}: must be finite and > 0, got {number}")
     return number
+
+
+def json_number(value, where: str, low=-np.inf, integer=False):
+    """value if it is a JSON number (an integer with ``integer``), finite and >= low.
+
+    Numeric strings and booleans are rejected, since the cohort and
+    digitize readers use the values as they are.
+    """
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ConfigurationError(f"{where}: not {kind}: {value!r}")
+    if not low <= value < np.inf:
+        bound = "" if low == -np.inf else f" and >= {low}"
+        raise ConfigurationError(f"{where}: must be finite{bound}, got {value}")
+    return value
+
+
+def json_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigurationError(f"{where}: not a list: {value!r}")
+    return value
+
+
+def _check_cohort(cohort: dict) -> None:
+    """Keys, types and ranges of the cohort section, as run_pipeline reads it."""
+    check_keys(cohort, "cohort", COHORT_KEYS, required=("groups", "schedule"))
+    for i, g in enumerate(json_list(cohort["groups"], "cohort.groups")):
+        where = f"cohort.groups[{i}]"
+        check_keys(g, where, GROUP_KEYS, required=("name", "n", "seed"))
+        if not isinstance(g["name"], str):
+            raise ConfigurationError(f"{where}.name: not a string: {g['name']!r}")
+        check_keys(g.get("demographics", {}), f"{where}.demographics", DEMOGRAPHIC_FIELDS)
+        json_number(g["n"], f"{where}.n", low=0, integer=True)
+        json_number(g["seed"], f"{where}.seed", low=0, integer=True)
+    schedule = cohort["schedule"]
+    check_keys(schedule, "cohort.schedule", SCHEDULE_KEYS, required=SCHEDULE_KEYS)
+    json_number(schedule["t0"], "cohort.schedule.t0")
+    positive_number(json_number(schedule["tau"], "cohort.schedule.tau"), "cohort.schedule.tau")
+    json_number(schedule["steps"], "cohort.schedule.steps", low=1, integer=True)
+    noise = cohort.get("noise", {})
+    check_keys(noise, "cohort.noise", NOISE_KEYS)
+    if "cv" in noise:
+        json_number(noise["cv"], "cohort.noise.cv", low=0)
+    if "drift_rate" in noise:
+        json_number(noise["drift_rate"], "cohort.noise.drift_rate")
+    if "series_seed" in cohort:
+        json_number(cohort["series_seed"], "cohort.series_seed", low=0, integer=True)
+
+
+def _check_digitize(dig: dict) -> None:
+    """Keys and types of the digitize section; pipeline._digitize_specs checks the rest."""
+    check_keys(dig, "digitize", DIGITIZE_KEYS, required=("groups", "aggregators", "filters"))
+    for i, group in enumerate(json_list(dig["groups"], "digitize.groups")):
+        for j, channel in enumerate(json_list(group, f"digitize.groups[{i}]")):
+            json_number(channel, f"digitize.groups[{i}][{j}]", low=0, integer=True)
+    json_list(dig["aggregators"], "digitize.aggregators")
+    for i, weights in enumerate(json_list(dig.get("weights", []), "digitize.weights")):
+        for j, w in enumerate(json_list(weights, f"digitize.weights[{i}]")):
+            json_number(w, f"digitize.weights[{i}][{j}]")
+    for i, f in enumerate(json_list(dig["filters"], "digitize.filters")):
+        check_keys(f, f"digitize.filters[{i}]", FILTER_KEYS, required=("k_half",))
+        for key in FILTER_KEYS[:-1]:
+            if key in f:
+                json_number(f[key], f"digitize.filters[{i}].{key}")
+    if dig.get("bands"):
+        check_keys(dig["bands"], "digitize.bands", BAND_KEYS, required=("boundaries", "labels"))
+        for j, b in enumerate(json_list(dig["bands"]["boundaries"], "digitize.bands.boundaries")):
+            json_number(b, f"digitize.bands.boundaries[{j}]")
+        json_list(dig["bands"]["labels"], "digitize.bands.labels")
+        for key in ("out_lo", "out_hi"):
+            if key in dig["bands"]:
+                json_number(dig["bands"][key], f"digitize.bands.{key}")
+
+
+def check_auth_fits(cfg: ExperimentConfig) -> None:
+    """The auth window fits the schedule, and score_channel names an output.
+
+    Checked where auth is evaluated rather than in load_experiment: runs
+    that stop at the outputs never read auth, and need not fit it.
+    """
+    auth, steps = cfg.section("auth"), cfg.section("cohort")["schedule"]["steps"]
+    need = int(auth["k_reg"]) + int(auth.get("accumulate_k", ACCUMULATE_K))
+    if need > steps:
+        raise InsufficientDataError(
+            f"auth: k_reg + accumulate_k = {need} exceeds cohort.schedule.steps = {steps}")
+    n_outputs = len(cfg.section("digitize")["groups"])
+    if int(auth.get("score_channel", 0)) >= n_outputs:
+        raise ConfigurationError(f"auth.score_channel: {int(auth['score_channel'])} is out of "
+                                 f"range: digitize has {n_outputs} output groups")
 
 
 def _check_auth(auth: dict) -> None:

@@ -12,12 +12,16 @@ class InsufficientDataError(ValueError):
 class IntegrationError(ArithmeticError):
     """ODE integration failed (non-finite state or step-size underflow).
 
-    Carries the macro step index at which the failure occurred.
+    Carries the macro step index at which the failure occurred, and for a
+    batch the failing row and the cascade that failed in it.
     """
 
-    def __init__(self, message, step=None, sim=None):
+    def __init__(self, message, step=None, sim=None, cascade=None):
         if step is not None:
             message = f"{message} (step {step}" + (f", sim {sim})" if sim is not None else ")")
+        if cascade is not None:
+            message = f"{cascade} cascade: {message}"
         super().__init__(message)
         self.step = step
         self.sim = sim
+        self.cascade = cascade

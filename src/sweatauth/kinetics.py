@@ -12,8 +12,10 @@ buffered (aerated oxygen by default) are held constant by zeroing their
 stoichiometry rows; the conserved-moiety analysis operates on that same
 effective matrix, so reported invariants are exactly what the integrator
 preserves.
-``simulate_batch`` keeps one observed signal per row (a species or a step's
-rate) as its endpoints and the sums its least-squares slope needs.
+``simulate_batch`` integrates a batch of rows of one network, or of a
+``CascadeUnion`` of networks side by side as one block-diagonal system, and
+keeps each observed signal (a block's species or a step's rate) as its
+endpoints and the sums its least-squares slope needs.
 """
 
 from __future__ import annotations
@@ -405,13 +407,47 @@ def simulate(network: CascadeNetwork, init: dict, horizon: float, dt: float) -> 
     )
 
 
+@dataclass(frozen=True)
+class UnionKind:
+    """Kind of a union network: its block kinds joined by "+"."""
+
+    value: str
+
+
+class CascadeUnion:
+    """Disjoint union of cascade networks, integrated as one system.
+
+    A row of its state holds the blocks' states side by side: block b owns
+    species ``species_offsets[b]:species_offsets[b + 1]`` and reactions
+    ``reaction_offsets[b]:reaction_offsets[b + 1]``. The kernel stacks the
+    blocks' own ``compiled()`` arrays into one block-diagonal network and
+    rescues a failing block with that block's arrays alone.
+    """
+
+    def __init__(self, blocks):
+        self.blocks = list(blocks)
+        self.kind = UnionKind("+".join(net.kind.value for net in self.blocks))
+        self.species_offsets = np.cumsum([0] + [len(net.species) for net in self.blocks])
+        self.reaction_offsets = np.cumsum([0] + [len(net.steps) for net in self.blocks])
+
+    def column(self, block: int, signal) -> tuple:
+        """(column, rate) across the union of a block's species name or step index."""
+        net = self.blocks[block]
+        if isinstance(signal, str):
+            return int(self.species_offsets[block]) + net.index(signal), False
+        if not 0 <= signal < len(net.steps):
+            raise KeyError(f"step {signal!r} not in {net.kind.value} network")
+        return int(self.reaction_offsets[block]) + int(signal), True
+
+
 @dataclass
 class BatchResult:
-    """Readout summaries for a batch of simulations of one network.
+    """Readout summaries for a batch of simulations.
 
-    Each row observes one signal y, a species concentration or one
-    reaction's rate: its values at t = 0 and at the horizon, and its sums
-    over all grid points, enough to recover its least-squares slope.
+    Each of the m observed signals y is a species concentration or one
+    reaction's rate; per row and signal ([B, m] arrays) it keeps the values
+    at t = 0 and at the horizon and the sums over all grid points, enough
+    to recover the least-squares slope.
     """
 
     c_final: np.ndarray
@@ -426,7 +462,7 @@ class BatchResult:
         return np.abs(self.y_end - self.y0)
 
     def slope(self) -> np.ndarray:
-        """Least-squares slope of y(t) over the full grid, per simulation."""
+        """Least-squares slope of y(t) over the full grid, per simulation and signal."""
         t_mean = 0.5 * self.dt * self.n_steps
         # sum of t_k^2 over k = 0..n_steps, closed form
         sum_t2 = self.dt ** 2 * self.n_steps * (self.n_steps + 1) * (2 * self.n_steps + 1) / 6.0
@@ -434,37 +470,42 @@ class BatchResult:
         return (self.sum_ty - t_mean * self.sum_y) / ss_tt
 
 
-def simulate_batch(network: CascadeNetwork, init_matrix: np.ndarray,
-                   horizon: float, dt: float, signal=None) -> BatchResult:
-    """Integrate many initial states of one network, summaries only.
+def simulate_batch(network, init_matrix: np.ndarray, horizon: float, dt: float,
+                   signals=None) -> BatchResult:
+    """Integrate many initial states of a network, summaries only.
 
-    init_matrix is [B, n_species] in the network's species order (use
-    network.init_vector to build rows). signal is the species whose
-    concentration is observed, or the index of the step whose rate is
-    (default: the first reporter species). Integration stops at the first
-    step in which a row fails; the IntegrationError raised names that step
-    and the lowest-index row failing in it.
+    network is a CascadeUnion, or a CascadeNetwork as a one-block union.
+    init_matrix is [B, n_species] with the blocks' species side by side in
+    block order (use each block's init_vector to build them). signals lists
+    (block, signal) pairs: the species whose concentration is observed, or
+    the index of the step whose rate is (default: each block's first
+    reporter species). Integration stops at the first step in which a row
+    fails; the IntegrationError raised names that step, the lowest-index row
+    failing in it and that row's first failing cascade.
     """
+    union = network if isinstance(network, CascadeUnion) else CascadeUnion([network])
     n_steps = _n_steps(horizon, dt)
-    signal = network.reporter_species[0] if signal is None else signal
-    rate = not isinstance(signal, str)
-    column = int(signal) if rate else network.index(signal)
+    if signals is None:
+        signals = [(b, net.reporter_species[0]) for b, net in enumerate(union.blocks)]
+    columns = [union.column(b, signal) for b, signal in signals]
     C0 = np.ascontiguousarray(init_matrix, dtype=np.float64)
     c_final, y0, y_end, sum_y, sum_ty, status, bad = _kernels.rk4_batch(
-        C0, *network.compiled(), n_steps, dt, column, rate)
-    for i in np.nonzero(status)[0]:
-        _raise_on_status(int(status[i]), int(bad[i]), sim=int(i))
+        C0, [net.compiled() for net in union.blocks], n_steps, dt, columns)
+    for i, b in zip(*np.nonzero(status)):
+        _raise_on_status(int(status[i, b]), int(bad[i, b]), sim=int(i),
+                         cascade=union.blocks[b].kind.value)
     return BatchResult(c_final=c_final, y0=y0, y_end=y_end, sum_y=sum_y, sum_ty=sum_ty,
                        n_steps=n_steps, dt=dt)
 
 
-def _raise_on_status(status, bad_step, sim=None):
+def _raise_on_status(status, bad_step, sim=None, cascade=None):
     if status == _kernels.STATUS_NONFINITE:
-        raise IntegrationError("integration diverged: non-finite state", step=bad_step, sim=sim)
+        raise IntegrationError("integration diverged: non-finite state",
+                               step=bad_step, sim=sim, cascade=cascade)
     if status == _kernels.STATUS_UNDERFLOW:
         raise IntegrationError(
             f"integration diverged: step halving exhausted after {_kernels.MAX_HALVINGS} levels",
-            step=bad_step, sim=sim)
+            step=bad_step, sim=sim, cascade=cascade)
 
 
 def conserved_moieties(network: CascadeNetwork) -> list:

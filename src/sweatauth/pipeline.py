@@ -1,9 +1,11 @@
 """End-to-end experiment runs: cohorts through cascades to auth metrics.
 
 The hot loop is the batched cascade integration: every (individual, time
-step) pair of an experiment becomes one row of one batch per channel, which
-observes only the channel's signal (``transduce.readout``); gate-time
-features come from its endpoints or slope sums, without full traces.
+step) pair of an experiment becomes one row of one batch for the whole run.
+Each distinct (cascade, inputs) pair of the configured channels is one block
+of a ``CascadeUnion``, and the batch observes one signal per channel
+(``transduce.readout``); gate-time features come from its endpoints or slope
+sums, without full traces.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from .auth import enroll, score_step
 from .cohort import (ACID_INDEX, AMINO_ACIDS, N_ACIDS, Demographics, NoiseSpec,
                      SamplingSchedule, mimic_cohort, sample_series,
                      write_cohort_csv, write_manifest)
-from .config import ExperimentConfig, check_keys, collect_seeds
+from .config import ACCUMULATE_K, ExperimentConfig, check_auth_fits, check_keys, collect_seeds
 from .digitize import BandSpec, FilterParams, GroupingSpec, consolidate
 from .errors import ConfigurationError, InsufficientDataError
-from .kinetics import build_cascade, simulate_batch
+from .kinetics import BatchResult, CascadeUnion, build_cascade, simulate_batch
 from .transduce import REPORTER_STEPS, readout
 
 
@@ -61,19 +63,36 @@ def build_channel(entry: dict, params, where: str = "channel") -> Channel:
                    inputs=inputs, feature=feature, signal=signal, scale=scale)
 
 
-def channel_features(ch: Channel, X_flat: np.ndarray, t_g: float, dt: float) -> np.ndarray:
-    """Gate-time feature per batch row for one channel.
-
-    X_flat is [B, 23] sampled concentrations; each row seeds the channel's
-    cascade with its input analytes on top of the assay mix.
-    """
-    C0 = np.tile(ch.network.init_vector({}), (len(X_flat), 1))
-    for acid in ch.inputs:
-        C0[:, ch.network.index(acid)] = X_flat[:, ACID_INDEX[acid]]
-    res = simulate_batch(ch.network, C0, t_g, dt, ch.signal)
+def channel_features(ch: Channel, res: BatchResult, column: int) -> np.ndarray:
+    """Gate-time feature per batch row of a channel, from its signal ``column`` of res."""
     if ch.feature == "endpoint":
-        return ch.scale * res.endpoint_delta()
-    return ch.scale * np.abs(res.slope())
+        return ch.scale * res.endpoint_delta()[:, column]
+    return ch.scale * np.abs(res.slope()[:, column])
+
+
+def integrate_channels(channels: list, X_flat: np.ndarray, t_g: float, dt: float) -> BatchResult:
+    """One batch for all channels; column j of its signals belongs to channels[j].
+
+    X_flat is [B, 23] sampled concentrations. Channels with the same cascade
+    and inputs share a block, which each row seeds with its input analytes
+    on top of the assay mix.
+    """
+    first = {}  # (cascade, inputs) -> the first channel with them, one block each
+    for ch in channels:
+        first.setdefault(_block_key(ch), ch)
+    keys = list(first)
+    union = CascadeUnion([ch.network for ch in first.values()])
+    C0 = np.empty((len(X_flat), int(union.species_offsets[-1])))
+    for lo, ch in zip(union.species_offsets, first.values()):
+        C0[:, lo:lo + len(ch.network.species)] = ch.network.init_vector({})
+        for acid in ch.inputs:
+            C0[:, lo + ch.network.index(acid)] = X_flat[:, ACID_INDEX[acid]]
+    return simulate_batch(union, C0, t_g, dt,
+                          [(keys.index(_block_key(ch)), ch.signal) for ch in channels])
+
+
+def _block_key(ch: Channel) -> tuple:
+    return ch.network.kind, tuple(ch.inputs)
 
 
 @dataclass
@@ -95,6 +114,23 @@ class PipelineResult:
     @property
     def timestamps(self) -> np.ndarray:  # output time: sampling time plus the gate delay
         return self.schedule.timestamps() + self.t_g
+
+
+def _digitize_specs(dig: dict, n_channels: int) -> tuple:
+    """(grouping, filters, bands) of a digitize section; errors are prefixed ``digitize``."""
+    try:
+        grouping = GroupingSpec(groups=dig["groups"], aggregators=dig["aggregators"],
+                                weights=dig.get("weights", []))
+        for gi, idxs in enumerate(grouping.groups):
+            if max(idxs) >= n_channels:
+                raise ConfigurationError(f"group {gi} indexes beyond the {n_channels} channels")
+        filters = [FilterParams(**f) for f in dig["filters"]]
+        if len(filters) != grouping.n_outputs:
+            raise ConfigurationError("one filter per group required")
+        bands = BandSpec(**dig["bands"]) if dig.get("bands") else None
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"digitize: {exc}") from None
+    return grouping, filters, bands
 
 
 def _cohort_groups(cfg: ExperimentConfig) -> list:
@@ -125,6 +161,7 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
     t_g, dt = float(kin["t_g"]), float(kin["dt"])
     channels = [build_channel(e, cfg.params, f"channels[{i}]")
                 for i, e in enumerate(cfg.section("channels"))]
+    grouping, filters, bands = _digitize_specs(cfg.section("digitize"), len(channels))
     if not profiles:
         raise InsufficientDataError("cohort is empty: every group has n = 0")
 
@@ -134,16 +171,12 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
         X[i] = sample_series(p, schedule, noise, series_seed).values
     X_flat = X.reshape(n_indiv * steps, N_ACIDS)
 
+    res = integrate_channels(channels, X_flat, t_g, dt)
     feats = np.empty((n_indiv * steps, len(channels)))
     for ci, ch in enumerate(channels):
-        feats[:, ci] = channel_features(ch, X_flat, t_g, dt)
+        feats[:, ci] = channel_features(ch, res, ci)
     features = feats.reshape(n_indiv, steps, len(channels))
 
-    dig = cfg.section("digitize")
-    grouping = GroupingSpec(groups=dig["groups"], aggregators=dig["aggregators"],
-                            weights=dig.get("weights", []))
-    filters = [FilterParams(**f) for f in dig["filters"]]
-    bands = BandSpec(**dig["bands"]) if dig.get("bands") else None
     outputs, labels = consolidate(grouping, features, filters, bands=bands)
     return PipelineResult(config=cfg, group_of=group_of, profiles=profiles,
                           schedule=schedule, t_g=t_g,
@@ -155,15 +188,6 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
 # authentication evaluation
 # ----------------------------------------------------------------------
 
-def _continuation_window(auth_cfg, steps):
-    k_reg = int(auth_cfg["k_reg"])
-    k_acc = int(auth_cfg.get("accumulate_k", 10))
-    if steps < k_reg + k_acc:
-        raise InsufficientDataError(
-            f"schedule has {steps} steps; need k_reg + accumulate_k = {k_reg + k_acc}")
-    return k_reg, k_acc
-
-
 def run_auth_eval(cfg: ExperimentConfig):
     """Score genuine vs impostor streams and compute ROC/AUC/EER reports.
 
@@ -174,10 +198,11 @@ def run_auth_eval(cfg: ExperimentConfig):
     enrolls one template per individual and scores own-against-other
     continuation streams.
     """
+    check_auth_fits(cfg)
     result = run_pipeline(cfg)
     auth_cfg = cfg.section("auth")
     mode = auth_cfg.get("mode", "group")
-    k_reg, k_acc = _continuation_window(auth_cfg, result.schedule.steps)
+    k_reg, k_acc = int(auth_cfg["k_reg"]), int(auth_cfg.get("accumulate_k", ACCUMULATE_K))
     if len(result.profiles) < 2:
         raise InsufficientDataError("auth evaluation needs at least 2 individuals")
 
@@ -220,9 +245,7 @@ def _group_mode_scores(result, auth_cfg, k_reg, k_acc):
     if not gen_idx or not imp_idx:
         raise InsufficientDataError(
             f"groups {gen_name!r}/{imp_name!r} must both be non-empty")
-    sc = int(auth_cfg.get("score_channel", 0))
-    if sc >= result.n_outputs:
-        raise ConfigurationError(f"score_channel {sc} out of range (S={result.n_outputs})")
+    sc = int(auth_cfg.get("score_channel", 0))  # < S, checked by check_auth_fits
     gen = result.outputs[gen_idx, k_reg:k_reg + k_acc]   # [n_gen, k_acc, S]
     imp = result.outputs[imp_idx, k_reg:k_reg + k_acc]
 

@@ -1,11 +1,16 @@
 """Direct checks of the numpy RK4 kernels below ``kinetics``.
 
-The batch kernel is gated bit for bit against ``oracle_rk4_batch``, its
-former implementation: one Python loop over reactions and substrates per
-rate-law evaluation, per-row guards on every step, and failed rows masked
-out while the others keep integrating. The oracle observes every species
-and every reaction rate at once; the kernel observes one of them per call.
+The batch kernel is gated bit for bit against two oracles. ``oracle_rk4_batch``
+is an earlier implementation: one Python loop over reactions and substrates
+per rate-law evaluation, per-row guards on every step, and failed rows
+masked out while the others keep integrating; it observes every species and
+every reaction rate at once. ``network_batch`` is the kernel as it was
+before networks were integrated as one union: one network and one observed
+signal per call. A union of blocks must give each block the bits that its
+own ``network_batch`` gives it.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -13,7 +18,8 @@ import pytest
 from sweatauth import _kernels
 from sweatauth.config import default_params_dict
 from sweatauth.errors import IntegrationError
-from sweatauth.kinetics import CascadeKind, KineticParams, build_cascade, simulate_batch
+from sweatauth.kinetics import (CascadeKind, CascadeUnion, KineticParams, build_cascade,
+                               simulate_batch)
 
 # the stiff single-reaction network whose rows need step halving at dt = 0.05
 STIFF = (np.array([[-1.0, 1.0]]), np.array([1.0]), np.array([0], dtype=np.int64),
@@ -94,20 +100,80 @@ def oracle_rk4_batch(C0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt):
     return C, Y0, Y, sum_y, sum_ty, status, bad_step
 
 
+def network_batch(C0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt, column, rate=False):
+    """The batch kernel for one network and one signal, as it was before unions.
+
+    y is species ``column``, or with ``rate`` the rate of reaction ``column``.
+    Returns (C_final, y0, y_end, sum_y, sum_ty, status[B], bad_step[B]).
+    """
+    C = np.array(C0, dtype=np.float64)
+    n_sub = np.diff(sub_off)
+    pad = np.arange(max(int(n_sub.max(initial=0)), 1)) >= n_sub[:, None]  # [n_rxn, w]
+    padded = pad.any()
+    idx, km = np.zeros(pad.shape, dtype=np.int64), np.ones((len(C),) + pad.shape)
+    idx[~pad], km[:, ~pad] = sub_idx, sub_km
+    vmax_b = np.tile(vmax, (len(C), 1))
+    F, D, V = np.empty_like(km), np.empty_like(km), np.empty_like(vmax_b)
+
+    def rhs(X, out):
+        np.take(X, idx, axis=1, out=F, mode="clip")
+        np.maximum(F, 0.0, out=F)
+        np.divide(F, np.add(km, F, out=D), out=F)
+        if padded:
+            F[:, pad] = 1.0
+        np.multiply(vmax_b, F[..., 0], out=V)
+        for q in range(1, pad.shape[1]):
+            np.multiply(V, F[..., q], out=V)
+        np.matmul(V, st_dense, out=out)
+
+    status, bad_step = np.zeros(len(C), dtype=np.int64), np.full(len(C), -1, dtype=np.int64)
+    k1, k2, k3, k4, X = (np.empty_like(C) for _ in range(5))
+    with np.errstate(invalid="ignore", over="ignore"):
+        rhs(C, k1)
+        y0 = (V if rate else C)[:, column].copy()
+        y, sum_y, sum_ty = y0, y0.copy(), np.zeros_like(y0)
+        for k in range(n_steps):
+            rhs(np.add(C, np.multiply(k1, 0.5 * dt, out=X), out=X), k2)
+            rhs(np.add(C, np.multiply(k2, 0.5 * dt, out=X), out=X), k3)
+            rhs(np.add(C, np.multiply(k3, dt, out=X), out=X), k4)
+            np.add(k1, np.multiply(k2, 2.0, out=k2), out=k1)
+            np.add(k1, np.multiply(k3, 2.0, out=k3), out=k1)
+            np.add(C, np.multiply(np.add(k1, k4, out=k1), dt / 6.0, out=k1), out=X)
+            if not (X.min() >= -_kernels.NEG_TOL and X.max() < np.inf):
+                for i in np.flatnonzero(~np.isfinite(X).all(axis=1)
+                                        | (X < -_kernels.NEG_TOL).any(axis=1)):
+                    X[i] = C[i]
+                    status[i] = _kernels._advance(X[i], dt, st_dense, vmax,
+                                                  sub_idx, sub_km, sub_off)
+                if status.any():
+                    bad_step[status != _kernels.STATUS_OK] = k
+                    break
+            np.maximum(X, 0.0, out=X)
+            C, X = X, C
+            rhs(C, k1)
+            y = (V if rate else C)[:, column].copy()
+            sum_y += y
+            sum_ty += y * ((k + 1) * dt)
+    return C, y0, y, sum_y, sum_ty, status, bad_step
+
+
 NAMES = ("C_final", "y0", "y_end", "sum_y", "sum_ty", "status", "bad_step")
 
 
+def every_signal(n_species, n_rxn):
+    """(column, rate) of every species, then of every reaction rate."""
+    return [(c, False) for c in range(n_species)] + [(r, True) for r in range(n_rxn)]
+
+
 def assert_same_as_oracle(C0, compiled, n_steps, dt):
-    """rk4_batch observing each species and each rate column equals the oracle's column."""
+    """rk4_batch observing every species and every rate column equals the oracle."""
     want = oracle_rk4_batch(C0, *compiled, n_steps, dt)
-    n_sp, n_obs = C0.shape[1], want[1].shape[1]
-    for col in range(n_obs):
-        rate = col >= n_sp
-        got = _kernels.rk4_batch(C0, *compiled, n_steps, dt, col - n_sp if rate else col, rate)
-        for name, g, w in zip(NAMES, got, want):
-            if name.startswith(("y", "sum")):
-                w = w[:, col]
-            assert np.array_equal(g, w), (name, col)
+    got = _kernels.rk4_batch(C0, [compiled], n_steps, dt,
+                             every_signal(C0.shape[1], len(compiled[1])))
+    for name, g, w in zip(NAMES, got, want):
+        if name in ("status", "bad_step"):  # one block
+            g = g[:, 0]
+        assert np.array_equal(g, w), name
     return want
 
 
@@ -152,14 +218,15 @@ def test_numpy_batch_rescues_rows_needing_halving():
     # kernel and must reproduce the scalar trace kernel exactly
     traces = [_kernels.rk4_trace(c0, *STIFF, 40, 0.05) for c0 in STIFF_C0]
     assert all(st == _kernels.STATUS_OK for _, st, _ in traces)
-    for col in range(STIFF_C0.shape[1]):
-        C, y0, y_end, sum_y, _, status, _ = _kernels.rk4_batch(STIFF_C0, *STIFF, 40, 0.05, col)
-        assert np.all(status == _kernels.STATUS_OK)
-        assert np.all(C >= 0.0)
-        for b, (trace, _, _) in enumerate(traces):
-            np.testing.assert_array_equal(C[b], trace[-1])
-            assert (y0[b], y_end[b]) == (trace[0, col], trace[-1, col])
-            np.testing.assert_allclose(sum_y[b], trace[:, col].sum(), rtol=1e-12)
+    C, y0, y_end, sum_y, _, status, _ = _kernels.rk4_batch(
+        STIFF_C0, [STIFF], 40, 0.05, every_signal(STIFF_C0.shape[1], 0))
+    assert np.all(status == _kernels.STATUS_OK)
+    assert np.all(C >= 0.0)
+    for b, (trace, _, _) in enumerate(traces):
+        np.testing.assert_array_equal(C[b], trace[-1])
+        np.testing.assert_array_equal(y0[b], trace[0])
+        np.testing.assert_array_equal(y_end[b], trace[-1])
+        np.testing.assert_allclose(sum_y[b], trace.sum(axis=0), rtol=1e-12)
 
 
 def _depleting_gldh(glu):
@@ -189,9 +256,128 @@ def test_earliest_failing_step_is_reported():
     net, C0 = _depleting_gldh([0.0, 3.0, 1.0, 1.0])
     *_, status, bad = oracle_rk4_batch(C0, *net.compiled(), 100, 0.01)
     assert status[1] and status[2] and bad[2] < bad[1]
-    *_, got_status, got_bad = _kernels.rk4_batch(C0, *net.compiled(), 100, 0.01, 0)
-    assert got_status.tolist() == [0, 0, status[2], status[3]]
-    assert got_bad.tolist() == [-1, -1, bad[2], bad[3]]
+    *_, got_status, got_bad = _kernels.rk4_batch(C0, [net.compiled()], 100, 0.01, [(0, False)])
+    assert got_status[:, 0].tolist() == [0, 0, status[2], status[3]]
+    assert got_bad[:, 0].tolist() == [-1, -1, bad[2], bad[3]]
     with pytest.raises(IntegrationError) as exc:
         simulate_batch(net, C0, 1.0, 0.01)
     assert (exc.value.step, exc.value.sim) == (bad[2], 2)
+
+
+# ---------------------------------------------------------------- unions
+
+def assert_union_matches_blocks(blocks, C0s, n_steps, dt, signals):
+    """One union batch gives every block the bits of its own network_batch.
+
+    signals[b] lists block b's (column, rate) pairs in the block's own
+    numbering; each is checked against one network_batch call.
+    """
+    sp = np.cumsum([0] + [arrays[0].shape[1] for arrays in blocks])
+    rx = np.cumsum([0] + [len(arrays[1]) for arrays in blocks])
+    union_signals = [(c + (rx if rate else sp)[b], rate)
+                     for b, sigs in enumerate(signals) for c, rate in sigs]
+    got = _kernels.rk4_batch(np.hstack(C0s), blocks, n_steps, dt, union_signals)
+    j = 0
+    for b, (arrays, C0, sigs) in enumerate(zip(blocks, C0s, signals)):
+        for column, rate in sigs:
+            want = network_batch(C0, *arrays, n_steps, dt, column, rate)
+            assert np.array_equal(got[0][:, sp[b]:sp[b + 1]], want[0]), (b, "C_final")
+            for name, g, w in zip(NAMES[1:5], got[1:5], want[1:5]):
+                assert np.array_equal(g[:, j], w), (b, column, rate, name)
+            for name, g, w in zip(NAMES[5:], got[5:], want[5:]):
+                assert np.array_equal(g[:, b], w), (b, name)
+            j += 1
+    return got
+
+
+def random_inputs(net, rows, seed):
+    rng = np.random.default_rng(seed)
+    C0 = np.tile(net.init_vector({}), (rows, 1))
+    for sp in net.input_species:
+        C0[:, net.index(sp)] = rng.uniform(20.0, 400.0, rows)
+    return C0
+
+
+@pytest.mark.parametrize("first, second", list(itertools.product(CascadeKind, repeat=2)),
+                         ids=lambda kind: kind.value)
+def test_union_of_two_matches_separate_batches(params, first, second):
+    # the reporter species and the last step's rate of each block
+    nets = [build_cascade(first, params), build_cascade(second, params)]
+    signals = [[(net.index(net.reporter_species[0]), False), (len(net.steps) - 1, True)]
+               for net in nets]
+    C0s = [random_inputs(net, 5, seed) for seed, net in enumerate(nets)]
+    *_, status, _ = assert_union_matches_blocks(
+        [net.compiled() for net in nets], C0s, 100, 0.02, signals)
+    assert not status.any()
+
+
+def test_identity_triple_matches_separate_batches(params):
+    # every species and every rate of the identity channels' cascades, 375 rows
+    nets = [build_cascade(kind, params) for kind in ("AltPoxHrp", "GldhA", "AspGlu")]
+    C0s = [random_inputs(net, 375, seed) for seed, net in enumerate(nets)]
+    assert_union_matches_blocks([net.compiled() for net in nets], C0s, 150, 0.01,
+                                [every_signal(len(n.species), len(n.steps)) for n in nets])
+
+
+@pytest.mark.parametrize("network, C0", [(STIFF, STIFF_C0), (MIXED, MIXED_C0)],
+                         ids=["stiff", "mixed"])
+def test_halving_rescue_runs_per_block(monkeypatch, params, network, C0):
+    # rows needing halving in one block leave the healthy blocks beside them
+    # with the bits of their own batch: only the failing block is redone
+    healthy = [build_cascade(kind, params) for kind in ("AltPoxHrp", "GldhA")]
+    blocks = [healthy[0].compiled(), network, healthy[1].compiled()]
+    C0s = [random_inputs(healthy[0], len(C0), 1), C0, random_inputs(healthy[1], len(C0), 2)]
+    redone = []
+    advance = _kernels._advance
+
+    def recorded(c, dt, st_dense, *arrays):
+        redone.append(st_dense)
+        return advance(c, dt, st_dense, *arrays)
+
+    monkeypatch.setattr(_kernels, "_advance", recorded)
+    signals = [every_signal(arrays[0].shape[1], len(arrays[1])) for arrays in blocks]
+    *_, status, _ = assert_union_matches_blocks(blocks, C0s, 40, 0.05, signals)
+    assert redone and all(st is network[0] for st in redone)
+    assert not status.any()
+
+
+def test_overflow_next_to_healthy_block_fails_like_its_own_batch(params):
+    runaway = (np.array([[0.0, 1.0]]), np.array([1e308]), np.array([0], dtype=np.int64),
+               np.array([1.0]), np.array([0, 1], dtype=np.int64))
+    healthy = build_cascade("AltPoxHrp", params)
+    C0s = [random_inputs(healthy, 2, 0), np.array([[1.0, 0.0], [2.0, 5.0]])]
+    got = _kernels.rk4_batch(np.hstack(C0s), [healthy.compiled(), runaway], 10, 1.0,
+                             [(0, False), (len(healthy.species) + 1, False)])
+    *_, status, bad = network_batch(C0s[1], *runaway, 10, 1.0, 1)
+    assert status.tolist() == [_kernels.STATUS_NONFINITE] * 2
+    np.testing.assert_array_equal(got[5], np.stack([np.zeros(2, dtype=np.int64), status], 1))
+    np.testing.assert_array_equal(got[6], np.stack([np.full(2, -1), bad], 1))
+
+
+def _runaway_gldh():
+    """GldhA with Glu and NAD+ held constant and a huge vmax: its products overflow."""
+    raw = default_params_dict()
+    raw["enzymes"]["GlDH"].update(kcat=1e308, e_total=1.0, km={"Glu": 1e-3, "NADplus": 1e-3})
+    raw["buffered"] = ["O2", "Glu", "NADplus"]
+    return build_cascade("GldhA", KineticParams.from_dict(raw))
+
+
+@pytest.mark.parametrize("failing, horizon, dt", [
+    (_runaway_gldh, 10.0, 1.0),
+    (lambda: _depleting_gldh([0.0])[0], 1.0, 0.01),
+], ids=["overflow", "underflow"])
+def test_integration_error_names_the_failing_cascade(params, failing, horizon, dt):
+    net = failing()
+    healthy = build_cascade("AltPoxHrp", params)
+    C0 = np.tile(net.init_vector({}), (4, 1))
+    C0[:, net.index("Glu")] = [0.0, 3.0, 1.0, 1.0]
+    *_, status, bad = network_batch(C0, *net.compiled(), round(horizon / dt), dt, 0)
+    row = int(np.flatnonzero(status)[0])
+    with pytest.raises(IntegrationError) as alone:
+        simulate_batch(net, C0, horizon, dt)
+    with pytest.raises(IntegrationError) as beside:
+        simulate_batch(CascadeUnion([healthy, net]),
+                       np.hstack([random_inputs(healthy, 4, 0), C0]), horizon, dt)
+    for exc in (alone.value, beside.value):
+        assert (exc.step, exc.sim, exc.cascade) == (bad[row], row, "GldhA")
+        assert str(exc).startswith("GldhA cascade: integration diverged")

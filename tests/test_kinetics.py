@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sweatauth.errors import ConfigurationError, IntegrationError
-from sweatauth.kinetics import (CascadeKind, CascadeNetwork, EnzymaticStep,
+from sweatauth.kinetics import (CascadeKind, CascadeNetwork, CascadeUnion, EnzymaticStep,
                                 EnzymeParams, KineticParams, Species,
                                 build_cascade, conserved_moieties, mm_rate,
                                 simulate, simulate_batch)
@@ -195,21 +195,21 @@ def test_batch_matches_single_runs(params):
     C0 = np.stack([net.init_vector({"Ala": a}) for a in alas])
     traces = [simulate(net, {"Ala": a}, 30.0, 0.01).concentrations for a in alas]
     signals = net.species_names + list(range(len(net.steps)))
-    for signal in signals:
-        res = simulate_batch(net, C0, 30.0, 0.01, signal)
-        for b, tr in enumerate(traces):
+    res = simulate_batch(net, C0, 30.0, 0.01, [(0, signal) for signal in signals])
+    for b, tr in enumerate(traces):
+        np.testing.assert_allclose(res.c_final[b], tr[-1], rtol=1e-12)
+        for j, signal in enumerate(signals):
             y = (tr[:, net.index(signal)] if isinstance(signal, str)
                  else net.step_rates(tr)[:, signal])
-            np.testing.assert_allclose(res.c_final[b], tr[-1], rtol=1e-12)
-            assert (res.y0[b], res.y_end[b]) == (y[0], y[-1]), signal
-            np.testing.assert_allclose(res.sum_y[b], y.sum(), rtol=1e-12)
+            assert (res.y0[b, j], res.y_end[b, j]) == (y[0], y[-1]), signal
+            np.testing.assert_allclose(res.sum_y[b, j], y.sum(), rtol=1e-12)
 
 
 def test_batch_default_signal_is_first_reporter(params):
     net = build_cascade("GldhC", params)
     C0 = np.stack([net.init_vector({"Glu": g}) for g in (30.0, 90.0)])
     default = simulate_batch(net, C0, 2.0, 0.01)
-    named = simulate_batch(net, C0, 2.0, 0.01, net.reporter_species[0])
+    named = simulate_batch(net, C0, 2.0, 0.01, [(0, net.reporter_species[0])])
     for field in ("c_final", "y0", "y_end", "sum_y", "sum_ty"):
         np.testing.assert_array_equal(getattr(default, field), getattr(named, field))
 
@@ -217,11 +217,11 @@ def test_batch_default_signal_is_first_reporter(params):
 def test_batch_slope_matches_polyfit(params):
     net = build_cascade("AltPoxHrp", params)
     C0 = np.stack([net.init_vector({"Ala": a}) for a in (50.0, 200.0)])
-    res = simulate_batch(net, C0, 10.0, 0.01, "ABTSox")
+    res = simulate_batch(net, C0, 10.0, 0.01, [(0, "ABTSox")])
     for b, a in enumerate((50.0, 200.0)):
         tr = simulate(net, {"Ala": a}, 10.0, 0.01)
         want = np.polyfit(tr.times, tr.column("ABTSox"), 1)[0]
-        assert abs(res.slope()[b] - want) < 1e-9 * max(abs(want), 1.0)
+        assert abs(res.slope()[b, 0] - want) < 1e-9 * max(abs(want), 1.0)
 
 
 # ---------------------------------------------------------------- moieties
@@ -342,3 +342,22 @@ def test_trace_csv_export(tmp_path, params):
     assert lines[0] == "# config_hash=deadbeef"
     assert lines[1].split(",") == ["t_s"] + net.species_names
     assert len(lines) == 2 + tr.times.size
+
+
+def test_union_signals_are_numbered_per_block(params):
+    # the same species name or step index means a different column in each block
+    nets = [build_cascade(kind, params) for kind in ("GldhA", "AltPoxHrp")]
+    union = CascadeUnion(nets)
+    assert union.kind.value == "GldhA+AltPoxHrp"
+    assert union.column(0, "NADH") == (nets[0].index("NADH"), False)
+    assert union.column(1, "O2") == (len(nets[0].species) + nets[1].index("O2"), False)
+    assert union.column(1, 2) == (len(nets[0].steps) + 2, True)
+    with pytest.raises(KeyError):
+        union.column(0, 1)  # GldhA has one step
+    C0 = np.hstack([np.stack([net.init_vector({net.input_species[0]: c}) for c in (30.0, 90.0)])
+                    for net in nets])
+    res = simulate_batch(union, C0, 2.0, 0.01)  # default: each block's first reporter
+    for b, net in enumerate(nets):
+        alone = simulate_batch(net, C0[:, union.species_offsets[b]:union.species_offsets[b + 1]],
+                               2.0, 0.01)
+        np.testing.assert_array_equal(res.y_end[:, b], alone.y_end[:, 0])

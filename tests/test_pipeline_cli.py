@@ -11,9 +11,9 @@ from sweatauth.auth import VerifyPolicy, enroll, verify_series
 from sweatauth.cohort import ACID_INDEX
 from sweatauth.config import builtin_experiment, load_experiment
 from sweatauth.digitize import endpoint_feature
-from sweatauth.kinetics import simulate
+from sweatauth.kinetics import simulate, simulate_batch
 from sweatauth.pipeline import (build_channel, channel_features, enroll_templates,
-                                run_auth_eval, run_pipeline)
+                                integrate_channels, run_auth_eval, run_pipeline)
 from sweatauth.transduce import absorbance, amperometric_current, builtin_optics, luminescence
 
 
@@ -34,6 +34,23 @@ def small_config(**tweaks):
         else:
             raw[section] = value
     return raw
+
+
+def features_of(channels, X_flat, t_g, dt):
+    """[B, n_channels] features of one union batch, the way run_pipeline makes them."""
+    res = integrate_channels(channels, X_flat, t_g, dt)
+    return np.stack([channel_features(ch, res, j) for j, ch in enumerate(channels)], axis=1)
+
+
+def oracle_channel_features(ch, X_flat, t_g, dt):
+    """The former per-channel route: one batch of the channel's own cascade."""
+    C0 = np.tile(ch.network.init_vector({}), (len(X_flat), 1))
+    for acid in ch.inputs:
+        C0[:, ch.network.index(acid)] = X_flat[:, ACID_INDEX[acid]]
+    res = simulate_batch(ch.network, C0, t_g, dt, [(0, ch.signal)])
+    if ch.feature == "endpoint":
+        return ch.scale * res.endpoint_delta()[:, 0]
+    return ch.scale * np.abs(res.slope()[:, 0])
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +89,7 @@ def test_channel_feature_matches_trace_route(params, small_result):
     ch = build_channel(entry, params)
     x = np.zeros((1, 23))
     x[0, 0] = 137.0  # Ala column
-    batched = channel_features(ch, x, 60.0, 0.02)[0]
+    batched = features_of([ch], x, 60.0, 0.02)[0, 0]
     tr = simulate(ch.network, {"Ala": 137.0}, 60.0, 0.02)
     sig = absorbance(tr, builtin_optics("ABTSox", params))
     assert batched == pytest.approx(endpoint_feature(sig, 60.0, "endpoint"), rel=1e-9)
@@ -85,7 +102,7 @@ def test_slope_feature_route(params):
     ch = build_channel(entry, params)
     x = np.zeros((1, 23))
     x[0, 0] = 90.0
-    batched = channel_features(ch, x, 60.0, 0.02)[0]
+    batched = features_of([ch], x, 60.0, 0.02)[0, 0]
     tr = simulate(ch.network, {"Ala": 90.0}, 60.0, 0.02)
     sig = absorbance(tr, builtin_optics("ABTSox", params))
     assert batched == pytest.approx(endpoint_feature(sig, 60.0, "slope"), rel=1e-9)
@@ -104,7 +121,7 @@ def test_rate_channel_feature_route(params, cascade, transduction, readout, feat
     (acid,) = ch.inputs
     x = np.zeros((2, 23))
     x[:, ACID_INDEX[acid]] = [80.0, 150.0]
-    batched = channel_features(ch, x, 60.0, 0.05)
+    batched = features_of([ch], x, 60.0, 0.05)[:, 0]
     for b in range(2):
         tr = simulate(ch.network, {acid: x[b, ACID_INDEX[acid]]}, 60.0, 0.05)
         expected = endpoint_feature(readout(tr, ch.scale), 60.0, feature)
@@ -141,7 +158,7 @@ def test_rate_slope_matches_per_row_oracle(params, monkeypatch, cascade, transdu
     monkeypatch.setattr(sweatauth.pipeline, "simulate_batch",
                         lambda *a, **kw: calls.append(a) or batch(*a, **kw))
     monkeypatch.setattr(sweatauth.kinetics, "simulate", None)
-    got = channel_features(ch, x, 20.0, 0.05)
+    got = features_of([ch], x, 20.0, 0.05)[:, 0]
     assert len(calls) == 1
     monkeypatch.undo()
     rows = np.arange(0, 375, 53)
@@ -159,6 +176,54 @@ def test_rate_channel_without_reporter_step(params, transduction):
 
     with pytest.raises(ConfigurationError, match="GldhA cascade lacks the required reporter step"):
         build_channel({"cascade": "GldhA", "transduction": transduction}, params)
+
+
+IDENTITY_CHANNELS = builtin_experiment("identity")["channels"]
+ALT_ABSORBANCE = {"cascade": "AltPoxHrp", "transduction": "absorbance", "feature": "endpoint"}
+ALT_CURRENT = {"cascade": "AltPoxHrp", "transduction": "amperometric", "feature": "slope"}
+
+
+@pytest.mark.parametrize("entries, n_blocks", [
+    (IDENTITY_CHANNELS, 3),
+    ([ALT_ABSORBANCE, ALT_CURRENT], 1),
+    ([{"cascade": "AspGlu", "inputs": ["Asp"]},
+      {"cascade": "AspGlu", "inputs": ["Asp", "Glu"]}], 2),
+    ([{"cascade": "GldhC", "transduction": "luminescence", "feature": "slope"}], 1),
+    ([ALT_CURRENT, *IDENTITY_CHANNELS, ALT_ABSORBANCE], 3),
+], ids=["identity", "one-block-two-signals", "two-input-lists", "gldhc-luminescence-slope",
+        "identity-and-alt-signals"])
+def test_union_features_match_per_channel_batches(params, monkeypatch, entries, n_blocks):
+    # one batch for all channels, one block per (cascade, inputs) pair, and
+    # every channel's features bit for bit those of its own batch
+    import sweatauth.pipeline
+
+    channels = [build_channel(e, params) for e in entries]
+    X = np.random.default_rng(len(entries)).uniform(20.0, 400.0, (7, 23))
+    unions = []
+    monkeypatch.setattr(sweatauth.pipeline, "simulate_batch",
+                        lambda net, *a: unions.append(net) or simulate_batch(net, *a))
+    got = features_of(channels, X, 20.0, 0.05)
+    assert len(unions) == 1 and len(unions[0].blocks) == n_blocks
+    for j, ch in enumerate(channels):
+        assert np.array_equal(got[:, j], oracle_channel_features(ch, X, 20.0, 0.05)), ch.name
+
+
+def test_run_pipeline_makes_one_batch_call(monkeypatch):
+    import sweatauth.pipeline
+
+    raw = builtin_experiment("identity")
+    raw["cohort"]["groups"][0]["n"] = 3
+    raw["cohort"]["schedule"]["steps"] = 2
+    raw["kinetics"].update(t_g=10.0, dt=0.05)
+    cfg = load_experiment(raw)
+    calls = []
+    monkeypatch.setattr(sweatauth.pipeline, "simulate_batch",
+                        lambda *a: calls.append(a) or simulate_batch(*a))
+    result = run_pipeline(cfg)
+    (network, init_matrix, *_), = calls
+    assert network.kind.value == "AltPoxHrp+GldhA+AspGlu"
+    assert init_matrix.shape == (3 * 2, network.species_offsets[-1])
+    assert result.features.shape == (3, 2, 3)
 
 
 def test_enroll_templates_one_per_individual(small_result):
@@ -564,3 +629,71 @@ def test_console_entry_point():
     assert proc.returncode == 0
     for name in ("cohort", "pipeline", "enroll", "verify", "roc", "report"):
         assert name in proc.stdout
+
+
+def no_integration(*args, **kwargs):
+    raise AssertionError("a config error must be caught before any integration")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw["cohort"]["groups"][0].update(n="x"),
+     "cohort.groups[0].n: not an integer: 'x'"),
+    (lambda raw: raw["cohort"]["groups"][0].update(n=-1),
+     "cohort.groups[0].n: must be finite and >= 0, got -1"),
+    (lambda raw: raw["cohort"]["groups"][0].pop("seed"),
+     "cohort.groups[0].seed: required key is missing"),
+    (lambda raw: raw["cohort"]["groups"][0].update(demographics={"sexx": "male"}),
+     "cohort.groups[0].demographics.sexx: unknown key"),
+    (lambda raw: raw["cohort"]["schedule"].update(steps="x"),
+     "cohort.schedule.steps: not an integer: 'x'"),
+    (lambda raw: raw["cohort"]["schedule"].update(tau=0),
+     "cohort.schedule.tau: must be finite and > 0, got 0.0"),
+    (lambda raw: raw["cohort"].update(noize=raw["cohort"].pop("noise")),
+     "cohort.noize: unknown key"),
+    (lambda raw: raw["cohort"].update(groups={}), "cohort.groups: not a list: {}"),
+    (lambda raw: raw["digitize"].pop("groups"), "digitize.groups: required key is missing"),
+    (lambda raw: raw["digitize"].update(filterz=raw["digitize"].pop("filters")),
+     "digitize.filterz: unknown key"),
+    (lambda raw: raw["digitize"]["filters"][0].update(k_half="x"),
+     "digitize.filters[0].k_half: not a number: 'x'"),
+    (lambda raw: raw["digitize"].update(aggregators=["median"]),
+     "digitize: unknown aggregator 'median'"),
+    (lambda raw: raw["digitize"].update(groups=[[1]]),
+     "digitize: group 0 indexes beyond the 1 channels"),
+], ids=["text-n", "negative-n", "missing-seed", "misspelled-demographic", "text-steps",
+        "zero-tau", "misspelled-noise", "groups-not-a-list", "missing-digitize-groups",
+        "misspelled-filters", "text-k-half", "unknown-aggregator", "group-beyond-channels"])
+def test_cmd_rejects_bad_cohort_and_digitize_sections(tmp_path, capsys, monkeypatch, edit,
+                                                      message):
+    import sweatauth.pipeline
+
+    raw = small_config()
+    edit(raw)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    monkeypatch.setattr(sweatauth.pipeline, "simulate_batch", no_integration)
+    assert run_cli("pipeline", "--config", str(path), "--out", str(tmp_path / "p")) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("edit, code, message", [
+    ({"accumulate_k": 10}, 3,
+     "insufficient data: auth: k_reg + accumulate_k = 12 exceeds cohort.schedule.steps = 5"),
+    ({"score_channel": 1}, 2, "configuration error: auth.score_channel: 1 is out of range: "
+                              "digitize has 1 output groups"),
+], ids=["window-beyond-schedule", "score-channel-beyond-outputs"])
+def test_cmd_roc_checks_auth_against_schedule_and_outputs_first(tmp_path, capsys, monkeypatch,
+                                                                edit, code, message):
+    import sweatauth.pipeline
+
+    raw = small_config()
+    raw["auth"].update(edit)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    monkeypatch.setattr(sweatauth.pipeline, "simulate_batch", no_integration)
+    assert run_cli("roc", "--config", str(path), "--out", str(tmp_path / "r")) == code
+    assert capsys.readouterr().err == f"{message}\n"
+
+
+def test_section_checks_leave_raw_alone():
+    assert load_experiment(small_config()).raw == small_config()
