@@ -27,14 +27,6 @@ AUTH_KEYS = frozenset({
     "impostor_group", "accept_thr", "reject_thr", "drift_margin",
 })
 ACCUMULATE_K = 10  # auth.accumulate_k when not given
-# the keys of "cohort" and "digitize" and of their entries, as run_pipeline reads them
-COHORT_KEYS = ("groups", "schedule", "noise", "series_seed")
-GROUP_KEYS = ("name", "demographics", "n", "seed")
-SCHEDULE_KEYS = ("t0", "tau", "steps")
-NOISE_KEYS = ("cv", "drift_rate")
-DIGITIZE_KEYS = ("groups", "aggregators", "weights", "filters", "bands")
-FILTER_KEYS = ("k_half", "hill_n", "out_lo", "out_hi", "kind")
-BAND_KEYS = ("boundaries", "labels", "out_lo", "out_hi")
 
 
 def canonical_hash(obj) -> str:
@@ -159,7 +151,7 @@ def positive_number(value, where: str) -> float:
     return number
 
 
-def json_number(value, where: str, low=-np.inf, integer=False):
+def _json_number(value, where: str, low=-np.inf, integer=False):
     """value if it is a JSON number (an integer with ``integer``), finite and >= low.
 
     Numeric strings and booleans are rejected, since the cohort and
@@ -174,7 +166,7 @@ def json_number(value, where: str, low=-np.inf, integer=False):
     return value
 
 
-def json_list(value, where: str) -> list:
+def _json_list(value, where: str) -> list:
     if not isinstance(value, list):
         raise ConfigurationError(f"{where}: not a list: {value!r}")
     return value
@@ -182,53 +174,57 @@ def json_list(value, where: str) -> list:
 
 def _check_cohort(cohort: dict) -> None:
     """Keys, types and ranges of the cohort section, as run_pipeline reads it."""
-    check_keys(cohort, "cohort", COHORT_KEYS, required=("groups", "schedule"))
-    for i, g in enumerate(json_list(cohort["groups"], "cohort.groups")):
+    check_keys(cohort, "cohort", ("groups", "schedule", "noise", "series_seed"),
+               required=("groups", "schedule"))
+    for i, g in enumerate(_json_list(cohort["groups"], "cohort.groups")):
         where = f"cohort.groups[{i}]"
-        check_keys(g, where, GROUP_KEYS, required=("name", "n", "seed"))
+        check_keys(g, where, ("name", "demographics", "n", "seed"), required=("name", "n", "seed"))
         if not isinstance(g["name"], str):
             raise ConfigurationError(f"{where}.name: not a string: {g['name']!r}")
         check_keys(g.get("demographics", {}), f"{where}.demographics", DEMOGRAPHIC_FIELDS)
-        json_number(g["n"], f"{where}.n", low=0, integer=True)
-        json_number(g["seed"], f"{where}.seed", low=0, integer=True)
+        _json_number(g["n"], f"{where}.n", low=0, integer=True)
+        _json_number(g["seed"], f"{where}.seed", low=0, integer=True)
     schedule = cohort["schedule"]
-    check_keys(schedule, "cohort.schedule", SCHEDULE_KEYS, required=SCHEDULE_KEYS)
-    json_number(schedule["t0"], "cohort.schedule.t0")
-    positive_number(json_number(schedule["tau"], "cohort.schedule.tau"), "cohort.schedule.tau")
-    json_number(schedule["steps"], "cohort.schedule.steps", low=1, integer=True)
+    check_keys(schedule, "cohort.schedule", ("t0", "tau", "steps"), required=("t0", "tau", "steps"))
+    _json_number(schedule["t0"], "cohort.schedule.t0")
+    positive_number(_json_number(schedule["tau"], "cohort.schedule.tau"), "cohort.schedule.tau")
+    _json_number(schedule["steps"], "cohort.schedule.steps", low=1, integer=True)
     noise = cohort.get("noise", {})
-    check_keys(noise, "cohort.noise", NOISE_KEYS)
+    check_keys(noise, "cohort.noise", ("cv", "drift_rate"))
     if "cv" in noise:
-        json_number(noise["cv"], "cohort.noise.cv", low=0)
+        _json_number(noise["cv"], "cohort.noise.cv", low=0)
     if "drift_rate" in noise:
-        json_number(noise["drift_rate"], "cohort.noise.drift_rate")
+        _json_number(noise["drift_rate"], "cohort.noise.drift_rate")
     if "series_seed" in cohort:
-        json_number(cohort["series_seed"], "cohort.series_seed", low=0, integer=True)
+        _json_number(cohort["series_seed"], "cohort.series_seed", low=0, integer=True)
 
 
 def _check_digitize(dig: dict) -> None:
     """Keys and types of the digitize section; pipeline._digitize_specs checks the rest."""
-    check_keys(dig, "digitize", DIGITIZE_KEYS, required=("groups", "aggregators", "filters"))
-    for i, group in enumerate(json_list(dig["groups"], "digitize.groups")):
-        for j, channel in enumerate(json_list(group, f"digitize.groups[{i}]")):
-            json_number(channel, f"digitize.groups[{i}][{j}]", low=0, integer=True)
-    json_list(dig["aggregators"], "digitize.aggregators")
-    for i, weights in enumerate(json_list(dig.get("weights", []), "digitize.weights")):
-        for j, w in enumerate(json_list(weights, f"digitize.weights[{i}]")):
-            json_number(w, f"digitize.weights[{i}][{j}]")
-    for i, f in enumerate(json_list(dig["filters"], "digitize.filters")):
-        check_keys(f, f"digitize.filters[{i}]", FILTER_KEYS, required=("k_half",))
-        for key in FILTER_KEYS[:-1]:
+    check_keys(dig, "digitize", ("groups", "aggregators", "weights", "filters", "bands"),
+               required=("groups", "aggregators", "filters"))
+    for i, group in enumerate(_json_list(dig["groups"], "digitize.groups")):
+        for j, channel in enumerate(_json_list(group, f"digitize.groups[{i}]")):
+            _json_number(channel, f"digitize.groups[{i}][{j}]", low=0, integer=True)
+    _json_list(dig["aggregators"], "digitize.aggregators")
+    for i, weights in enumerate(_json_list(dig.get("weights", []), "digitize.weights")):
+        for j, w in enumerate(_json_list(weights, f"digitize.weights[{i}]")):
+            _json_number(w, f"digitize.weights[{i}][{j}]")
+    numbers = ("k_half", "hill_n", "out_lo", "out_hi")
+    for i, f in enumerate(_json_list(dig["filters"], "digitize.filters")):
+        check_keys(f, f"digitize.filters[{i}]", numbers + ("kind",), required=("k_half",))
+        for key in numbers:
             if key in f:
-                json_number(f[key], f"digitize.filters[{i}].{key}")
+                _json_number(f[key], f"digitize.filters[{i}].{key}")
     if dig.get("bands"):
-        check_keys(dig["bands"], "digitize.bands", BAND_KEYS, required=("boundaries", "labels"))
-        for j, b in enumerate(json_list(dig["bands"]["boundaries"], "digitize.bands.boundaries")):
-            json_number(b, f"digitize.bands.boundaries[{j}]")
-        json_list(dig["bands"]["labels"], "digitize.bands.labels")
+        check_keys(dig["bands"], "digitize.bands", ("boundaries", "labels", "out_lo", "out_hi"),
+                   required=("boundaries", "labels"))
+        for j, b in enumerate(_json_list(dig["bands"]["boundaries"], "digitize.bands.boundaries")):
+            _json_number(b, f"digitize.bands.boundaries[{j}]")
+        _json_list(dig["bands"]["labels"], "digitize.bands.labels")
         for key in ("out_lo", "out_hi"):
             if key in dig["bands"]:
-                json_number(dig["bands"][key], f"digitize.bands.{key}")
+                _json_number(dig["bands"][key], f"digitize.bands.{key}")
 
 
 def check_auth_fits(cfg: ExperimentConfig) -> None:

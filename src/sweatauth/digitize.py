@@ -102,15 +102,17 @@ class GroupingSpec:
             raise ConfigurationError("need at least one group")
         if len(self.aggregators) != len(self.groups):
             raise ConfigurationError("one aggregator per group required")
-        for g, agg in zip(self.groups, self.aggregators):
+        if self.weights and len(self.weights) != len(self.groups):
+            raise ConfigurationError("weights must align with groups")
+        for gi, (g, agg) in enumerate(zip(self.groups, self.aggregators)):
             if agg not in AGGREGATORS:
                 raise ConfigurationError(f"unknown aggregator {agg!r}")
             if not g:
                 raise ConfigurationError("empty group")
             if agg == "cascade-endpoint" and len(g) != 1:
                 raise ConfigurationError("cascade-endpoint groups hold exactly one channel")
-        if self.weights and len(self.weights) != len(self.groups):
-            raise ConfigurationError("weights must align with groups")
+            if agg == "weighted-sum" and self.weights and len(self.weights[gi]) != len(g):
+                raise ConfigurationError(f"group {gi}: weight count mismatch")
 
     @property
     def n_outputs(self) -> int:
@@ -151,8 +153,6 @@ def consolidate(grouping: GroupingSpec, features, filters, bands: BandSpec = Non
             raise ConfigurationError(f"group {gi} indexes beyond the {n_feat} features")
         weighted = agg == "weighted-sum" and grouping.weights
         w = grouping.weights[gi] if weighted else [1.0] * len(idxs)
-        if len(w) != len(idxs):
-            raise ConfigurationError(f"group {gi}: weight count mismatch")
         if agg == "cascade-endpoint":  # chemistry already consolidated this group
             x = features[..., idxs[0]]
         else:  # weights of 1.0 make this the plain sum, bit for bit

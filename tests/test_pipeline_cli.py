@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sweatauth import cli
 from sweatauth.auth import VerifyPolicy, enroll, verify_series
@@ -660,9 +661,12 @@ def no_integration(*args, **kwargs):
      "digitize: unknown aggregator 'median'"),
     (lambda raw: raw["digitize"].update(groups=[[1]]),
      "digitize: group 0 indexes beyond the 1 channels"),
+    (lambda raw: raw["digitize"].update(aggregators=["weighted-sum"], weights=[[1.0, 2.0]]),
+     "digitize: group 0: weight count mismatch"),
 ], ids=["text-n", "negative-n", "missing-seed", "misspelled-demographic", "text-steps",
         "zero-tau", "misspelled-noise", "groups-not-a-list", "missing-digitize-groups",
-        "misspelled-filters", "text-k-half", "unknown-aggregator", "group-beyond-channels"])
+        "misspelled-filters", "text-k-half", "unknown-aggregator", "group-beyond-channels",
+        "weight-count-mismatch"])
 def test_cmd_rejects_bad_cohort_and_digitize_sections(tmp_path, capsys, monkeypatch, edit,
                                                       message):
     import sweatauth.pipeline
@@ -697,3 +701,53 @@ def test_cmd_roc_checks_auth_against_schedule_and_outputs_first(tmp_path, capsys
 
 def test_section_checks_leave_raw_alone():
     assert load_experiment(small_config()).raw == small_config()
+
+
+def _key_paths(node, path=()):
+    """Every key or index path under a nested dict/list config section."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, path + (key,))
+
+
+@st.composite
+def mutated_config(draw):
+    """small_config with one key of cohort or digitize dropped, renamed or retyped."""
+    raw = small_config()
+    raw["kinetics"].update(t_g=2.0, dt=0.1)
+    section = draw(st.sampled_from(["cohort", "digitize"]))
+    *parents, key = draw(st.sampled_from(sorted(_key_paths(raw[section]), key=repr)))
+    node = raw[section]
+    for p in parents:
+        node = node[p]
+    action = draw(st.sampled_from(["drop", "rename", "retype"]))
+    if action == "drop":
+        del node[key]
+    elif action == "rename" and isinstance(node, dict):
+        node[f"{key}x"] = node.pop(key)
+    else:
+        node[key] = draw(st.sampled_from(["x", None, [], {}, True, -1, 0]))
+    return raw
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw=mutated_config())
+def test_mutated_cohort_or_digitize_ends_in_one_line(raw):
+    # whatever one key of these sections holds, a run ends with exit 0, or
+    # with exit 2, 3 or 4 and one stderr line: never with a traceback
+    import contextlib
+    import io
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/cfg.json"
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run_cli("pipeline", "--config", path, "--out", f"{tmp}/out")
+    assert code in (0, 2, 3, 4)
+    assert (code == 0) == (err.getvalue() == "")
+    assert err.getvalue().count("\n") == (code != 0)
