@@ -150,8 +150,8 @@ def rk4_batch(C0, blocks, n_steps, dt, signals):
     vmax_b = np.tile(vmax, (len(C), 1))
     F, D, V = np.empty_like(km), np.empty_like(km), np.empty_like(vmax_b)
     columns = np.array([int(c) for c, _ in signals], dtype=np.int64)
-    rate = np.array([bool(r) for _, r in signals], dtype=bool)
-    species_only, species_cols, rate_cols = not rate.any(), columns[~rate], columns[rate]
+    rate_at = np.flatnonzero([bool(r) for _, r in signals])
+    rate_cols = columns[rate_at]
 
     def rhs(X, out):  # rates (vmax * f0) * f1 ... into V, then V @ st_dense
         np.take(X, idx, axis=1, out=F, mode="clip")  # unbuffered; indices are valid
@@ -165,11 +165,8 @@ def rk4_batch(C0, blocks, n_steps, dt, signals):
         np.matmul(V, st_dense, out=out)
 
     def observe(X):  # the signals at state X, whose rates rhs has just put in V
-        if species_only:  # one gather, as cheap per step as a single column
-            return X[:, columns]
-        y = np.empty((len(X), len(columns)))
-        y[:, ~rate] = X[:, species_cols]
-        y[:, rate] = V[:, rate_cols]
+        y = np.take(X, columns, axis=1, mode="clip")  # rate columns are overwritten
+        y[:, rate_at] = V[:, rate_cols]
         return y
 
     status = np.zeros((len(C), len(blocks)), dtype=np.int64)

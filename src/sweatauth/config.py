@@ -151,8 +151,9 @@ def positive_number(value, where: str) -> float:
     return number
 
 
-def _json_number(value, where: str, low=-np.inf, integer=False):
-    """value if it is a JSON number (an integer with ``integer``), finite and >= low.
+def _json_number(value, where: str, low=-np.inf, integer=False, strict=False):
+    """value if it is a JSON number (an integer with ``integer``), finite and >= low
+    (> low with ``strict``).
 
     Numeric strings and booleans are rejected, since the cohort and
     digitize readers use the values as they are.
@@ -160,8 +161,8 @@ def _json_number(value, where: str, low=-np.inf, integer=False):
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         kind = "an integer" if integer else "a number"
         raise ConfigurationError(f"{where}: not {kind}: {value!r}")
-    if not low <= value < np.inf:
-        bound = "" if low == -np.inf else f" and >= {low}"
+    if not (low < value if strict else low <= value) or not value < np.inf:
+        bound = "" if low == -np.inf else f" and {'>' if strict else '>='} {low}"
         raise ConfigurationError(f"{where}: must be finite{bound}, got {value}")
     return value
 
@@ -187,7 +188,7 @@ def _check_cohort(cohort: dict) -> None:
     schedule = cohort["schedule"]
     check_keys(schedule, "cohort.schedule", ("t0", "tau", "steps"), required=("t0", "tau", "steps"))
     _json_number(schedule["t0"], "cohort.schedule.t0")
-    positive_number(_json_number(schedule["tau"], "cohort.schedule.tau"), "cohort.schedule.tau")
+    _json_number(schedule["tau"], "cohort.schedule.tau", low=0, strict=True)
     _json_number(schedule["steps"], "cohort.schedule.steps", low=1, integer=True)
     noise = cohort.get("noise", {})
     check_keys(noise, "cohort.noise", ("cv", "drift_rate"))
@@ -228,7 +229,7 @@ def _check_digitize(dig: dict) -> None:
 
 
 def check_auth_fits(cfg: ExperimentConfig) -> None:
-    """The auth window fits the schedule, and score_channel names an output.
+    """The auth window fits the schedule, and in group mode score_channel names an output.
 
     Checked where auth is evaluated rather than in load_experiment: runs
     that stop at the outputs never read auth, and need not fit it.
@@ -239,7 +240,7 @@ def check_auth_fits(cfg: ExperimentConfig) -> None:
         raise InsufficientDataError(
             f"auth: k_reg + accumulate_k = {need} exceeds cohort.schedule.steps = {steps}")
     n_outputs = len(cfg.section("digitize")["groups"])
-    if int(auth.get("score_channel", 0)) >= n_outputs:
+    if auth.get("mode", "group") == "group" and int(auth.get("score_channel", 0)) >= n_outputs:
         raise ConfigurationError(f"auth.score_channel: {int(auth['score_channel'])} is out of "
                                  f"range: digitize has {n_outputs} output groups")
 

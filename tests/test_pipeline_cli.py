@@ -648,7 +648,7 @@ def no_integration(*args, **kwargs):
     (lambda raw: raw["cohort"]["schedule"].update(steps="x"),
      "cohort.schedule.steps: not an integer: 'x'"),
     (lambda raw: raw["cohort"]["schedule"].update(tau=0),
-     "cohort.schedule.tau: must be finite and > 0, got 0.0"),
+     "cohort.schedule.tau: must be finite and > 0, got 0"),
     (lambda raw: raw["cohort"].update(noize=raw["cohort"].pop("noise")),
      "cohort.noize: unknown key"),
     (lambda raw: raw["cohort"].update(groups={}), "cohort.groups: not a list: {}"),
@@ -697,6 +697,15 @@ def test_cmd_roc_checks_auth_against_schedule_and_outputs_first(tmp_path, capsys
     monkeypatch.setattr(sweatauth.pipeline, "simulate_batch", no_integration)
     assert run_cli("roc", "--config", str(path), "--out", str(tmp_path / "r")) == code
     assert capsys.readouterr().err == f"{message}\n"
+
+
+def test_cmd_roc_identity_mode_ignores_score_channel(tmp_path, capsys):
+    raw = small_config()
+    raw["auth"].update(mode="identity", score_channel=1)  # identity mode scores every output
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert run_cli("roc", "--config", str(path), "--out", str(tmp_path / "r")) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_section_checks_leave_raw_alone():
