@@ -20,8 +20,11 @@ constants. Multi-substrate saturation factors multiply.
 
 ``rk4_batch`` stacks its networks into one block-diagonal network
 (``block_diagonal``), so every RK4 stage of every network is one set of
-numpy calls. It gathers all substrates at once (padded to ``[n_rxn, w]``
-with factor 1.0) and checks the whole batch once per step. Only when that
+numpy calls. It holds the state species-major, ``[n_species, B]``, so
+gathering all substrates at once (padded to ``[w, n_rxn]`` with factor 1.0)
+copies whole rows and each substrate slot is contiguous; BLAS still gets the
+``[B, n_rxn] @ [n_rxn, n_species]`` product of the rates, so every value
+keeps its bits. It checks the whole batch once per step. Only when that
 check fails are the offending blocks of the offending rows redone, each with
 the guarded scalar advance of ``rk4_trace`` on the block's own arrays, so
 both agree exactly and healthy blocks keep their bits; the batch ends at the
@@ -141,35 +144,38 @@ def rk4_batch(C0, blocks, n_steps, dt, signals):
     """
     st_dense, vmax, sub_idx, sub_km, sub_off = block_diagonal(blocks)
     starts = np.cumsum([0] + [b[0].shape[1] for b in blocks])
-    C = np.array(C0, dtype=np.float64)
+    C = np.array(np.transpose(C0), dtype=np.float64, order="C")  # [n_species, B]
+    B = C.shape[1]
     n_sub = np.diff(sub_off)
     pad = np.arange(max(int(n_sub.max(initial=0)), 1)) >= n_sub[:, None]  # [n_rxn, w]
     padded = pad.any()
-    idx, km = np.zeros(pad.shape, dtype=np.int64), np.ones((len(C),) + pad.shape)
-    idx[~pad], km[:, ~pad] = sub_idx, sub_km  # km and vmax tiled: contiguous ops
-    vmax_b = np.tile(vmax, (len(C), 1))
+    # [w, n_rxn], filled reaction by reaction: F[q] is substrate slot q of every reaction
+    idx, km = np.zeros(pad.T.shape, dtype=np.int64), np.ones(pad.T.shape)
+    idx.T[~pad], km.T[~pad] = sub_idx, sub_km
+    km = np.repeat(km[..., None], B, axis=2)  # km and vmax tiled: contiguous ops
+    vmax_b = np.repeat(vmax[:, None], B, axis=1)
     F, D, V = np.empty_like(km), np.empty_like(km), np.empty_like(vmax_b)
     columns = np.array([int(c) for c, _ in signals], dtype=np.int64)
     rate_at = np.flatnonzero([bool(r) for _, r in signals])
     rate_cols = columns[rate_at]
 
-    def rhs(X, out):  # rates (vmax * f0) * f1 ... into V, then V @ st_dense
-        np.take(X, idx, axis=1, out=F, mode="clip")  # unbuffered; indices are valid
+    def rhs(X, out):  # rates (vmax * f0) * f1 ... into V, then V.T @ st_dense
+        np.take(X, idx, axis=0, out=F, mode="clip")  # unbuffered; indices are valid
         np.maximum(F, 0.0, out=F)
         np.divide(F, np.add(km, F, out=D), out=F)
         if padded:
-            F[:, pad] = 1.0
-        np.multiply(vmax_b, F[..., 0], out=V)
-        for q in range(1, pad.shape[1]):
-            np.multiply(V, F[..., q], out=V)
-        np.matmul(V, st_dense, out=out)
+            F[pad.T] = 1.0
+        np.multiply(vmax_b, F[0], out=V)
+        for q in range(1, len(F)):
+            np.multiply(V, F[q], out=V)
+        np.matmul(V.T, st_dense, out=out.T)  # BLAS gets the [B, n_rxn] @ [n_rxn, n_sp] product
 
     def observe(X):  # the signals at state X, whose rates rhs has just put in V
-        y = np.take(X, columns, axis=1, mode="clip")  # rate columns are overwritten
-        y[:, rate_at] = V[:, rate_cols]
+        y = np.take(X, columns, axis=0, mode="clip")  # rate rows are overwritten
+        y[rate_at] = V[rate_cols]
         return y
 
-    status = np.zeros((len(C), len(blocks)), dtype=np.int64)
+    status = np.zeros((B, len(blocks)), dtype=np.int64)
     bad_step = np.full(status.shape, -1, dtype=np.int64)
     k1, k2, k3, k4, X = (np.empty_like(C) for _ in range(5))
     with np.errstate(invalid="ignore", over="ignore"):
@@ -188,11 +194,11 @@ def rk4_batch(C0, blocks, n_steps, dt, signals):
             # in trouble are redone, each with its own arrays
             if not (X.min() >= -NEG_TOL and X.max() < np.inf):
                 bad = ~np.isfinite(X) | (X < -NEG_TOL)
-                trouble = np.logical_or.reduceat(bad, starts[:-1], axis=1)  # [B, n_blocks]
+                trouble = np.logical_or.reduceat(bad, starts[:-1], axis=0).T  # [B, n_blocks]
                 for i, b in zip(*np.nonzero(trouble)):
-                    block = slice(starts[b], starts[b + 1])
-                    X[i, block] = C[i, block]
-                    status[i, b] = _advance(X[i, block], dt, *blocks[b])
+                    c = C[starts[b]:starts[b + 1], i].copy()  # block b of row i is a column
+                    status[i, b] = _advance(c, dt, *blocks[b])
+                    X[starts[b]:starts[b + 1], i] = c
                 if status.any():
                     bad_step[status != STATUS_OK] = k
                     break
@@ -202,4 +208,4 @@ def rk4_batch(C0, blocks, n_steps, dt, signals):
             y = observe(C)
             sum_y += y
             sum_ty += y * ((k + 1) * dt)
-    return C, y0, y, sum_y, sum_ty, status, bad_step
+    return C.T, y0.T, y.T, sum_y.T, sum_ty.T, status, bad_step  # [B, ...] views

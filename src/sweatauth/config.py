@@ -27,6 +27,14 @@ AUTH_KEYS = frozenset({
     "impostor_group", "accept_thr", "reject_thr", "drift_margin",
 })
 ACCUMULATE_K = 10  # auth.accumulate_k when not given
+# Largest kinetics.t_g / kinetics.dt. The builtin runs take 12,000 RK4 steps
+# (t_g = 120 s at dt = 0.01); this allows about 80 times that, minutes on the
+# builtin cohorts, and refuses the step counts that would run for days.
+MAX_STEPS = 1_000_000
+# Largest factor by which cohort.noise.drift_rate may scale a sample over the
+# schedule, up or down: far beyond any drift of sweat concentrations, and far
+# from overflowing baseline * drift * noise.
+MAX_DRIFT = 1e6
 
 
 def canonical_hash(obj) -> str:
@@ -112,8 +120,13 @@ def load_experiment(source, seed_override: int = None) -> ExperimentConfig:
         _check_auth(raw["auth"])
     if "kinetics" in raw:
         check_keys(raw["kinetics"], "kinetics", ("t_g", "dt"), required=("t_g", "dt"))
-        for key in ("t_g", "dt"):
-            positive_number(raw["kinetics"][key], f"kinetics.{key}")
+        t_g, dt = (positive_number(raw["kinetics"][key], f"kinetics.{key}")
+                   for key in ("t_g", "dt"))
+        if t_g / dt > MAX_STEPS:
+            raise ConfigurationError(f"kinetics: t_g / dt = {t_g / dt:.7g} RK4 steps exceeds "
+                                     f"the limit of {MAX_STEPS:,}")
+    if "channels" in raw:
+        _json_list(raw["channels"], "channels")
     if "digitize" in raw:
         _check_digitize(raw["digitize"])
 
@@ -195,7 +208,12 @@ def _check_cohort(cohort: dict) -> None:
     if "cv" in noise:
         _json_number(noise["cv"], "cohort.noise.cv", low=0)
     if "drift_rate" in noise:
-        _json_number(noise["drift_rate"], "cohort.noise.drift_rate")
+        rate = _json_number(noise["drift_rate"], "cohort.noise.drift_rate")
+        exponent = rate * (schedule["steps"] - 1) * schedule["tau"]
+        if abs(exponent) > np.log(MAX_DRIFT):
+            raise ConfigurationError(
+                f"cohort.noise.drift_rate: {rate} scales the last sample by exp({exponent:g}), "
+                f"beyond the limit of a factor {MAX_DRIFT:g} over the schedule")
     if "series_seed" in cohort:
         _json_number(cohort["series_seed"], "cohort.series_seed", low=0, integer=True)
 

@@ -41,6 +41,15 @@ class Channel:
 
 def build_channel(entry: dict, params, where: str = "channel") -> Channel:
     """Channel for one config entry; errors are prefixed with ``where``."""
+    if not isinstance(entry, dict):
+        raise ConfigurationError(f"{where}: not an object: {entry!r}")
+    for key, value in entry.items():
+        if key == "inputs" and not (isinstance(value, list)
+                                    and all(isinstance(acid, str) for acid in value)):
+            raise ConfigurationError(f"{where}.inputs: not a list of strings: {value!r}")
+        if (key in ("name", "cascade", "transduction", "feature", "species")
+                and not isinstance(value, str)):
+            raise ConfigurationError(f"{where}.{key}: not a string: {value!r}")
     own = "gain" if entry.get("transduction") in REPORTER_STEPS else "species"
     check_keys(entry, where, {"name", "cascade", "inputs", "transduction", "feature", own},
                required=("cascade",))

@@ -177,7 +177,7 @@ def assert_same_as_oracle(C0, compiled, n_steps, dt):
     return want
 
 
-@pytest.mark.parametrize("rows", [1, 7, 375])
+@pytest.mark.parametrize("rows", [1, 2, 7, 375])  # B = 1 and 2 may take other BLAS paths
 @pytest.mark.parametrize("kind", list(CascadeKind))
 def test_batch_matches_oracle_bit_for_bit(params, kind, rows):
     net = build_cascade(kind, params)
@@ -298,17 +298,30 @@ def random_inputs(net, rows, seed):
     return C0
 
 
-@pytest.mark.parametrize("first, second", list(itertools.product(CascadeKind, repeat=2)),
-                         ids=lambda kind: kind.value)
-def test_union_of_two_matches_separate_batches(params, first, second):
+def assert_union_of_two_matches(params, first, second, rows):
     # the reporter species and the last step's rate of each block
     nets = [build_cascade(first, params), build_cascade(second, params)]
     signals = [[(net.index(net.reporter_species[0]), False), (len(net.steps) - 1, True)]
                for net in nets]
-    C0s = [random_inputs(net, 5, seed) for seed, net in enumerate(nets)]
+    C0s = [random_inputs(net, rows, seed) for seed, net in enumerate(nets)]
     *_, status, _ = assert_union_matches_blocks(
         [net.compiled() for net in nets], C0s, 100, 0.02, signals)
     assert not status.any()
+
+
+PAIRS = pytest.mark.parametrize("first, second", list(itertools.product(CascadeKind, repeat=2)),
+                                ids=lambda kind: kind.value)
+
+
+@PAIRS
+def test_union_of_two_matches_separate_batches(params, first, second):
+    assert_union_of_two_matches(params, first, second, 5)
+
+
+@pytest.mark.parametrize("rows", [1, 2])  # B = 1 and 2 may take other BLAS paths
+@PAIRS
+def test_union_of_two_matches_separate_batches_at_tiny_batches(params, first, second, rows):
+    assert_union_of_two_matches(params, first, second, rows)
 
 
 def test_identity_triple_matches_separate_batches(params):

@@ -472,15 +472,40 @@ def as_rate_channel(ch, **keys):
      "channels[0]: unknown transduction 'fluorescence'"),
     (lambda ch: ch.pop("cascade"), "channels[0].cascade: required key is missing"),
     (lambda ch: ch.update(feature="peak"), "channels[0]: unknown feature mode 'peak'"),
+    (lambda ch: ch.update(inputs=None), "channels[0].inputs: not a list of strings: None"),
+    (lambda ch: ch.update(inputs=True), "channels[0].inputs: not a list of strings: True"),
+    (lambda ch: ch.update(inputs=-1), "channels[0].inputs: not a list of strings: -1"),
+    (lambda ch: ch.update(inputs=0), "channels[0].inputs: not a list of strings: 0"),
+    (lambda ch: ch.update(inputs=[[]]), "channels[0].inputs: not a list of strings: [[]]"),
+    (lambda ch: ch.update(inputs=["Ala", {}]),
+     "channels[0].inputs: not a list of strings: ['Ala', {}]"),
+    (lambda ch: ch.update(transduction=[]), "channels[0].transduction: not a string: []"),
+    (lambda ch: ch.update(transduction={}), "channels[0].transduction: not a string: {}"),
+    (lambda ch: ch.update(cascade=7), "channels[0].cascade: not a string: 7"),
 ], ids=["misspelled-feature", "misspelled-transduction", "gain-on-absorbance",
         "species-on-rate-channel", "text-gain", "zero-gain", "species-not-in-cascade",
-        "unknown-transduction", "missing-cascade", "unknown-feature"])
+        "unknown-transduction", "missing-cascade", "unknown-feature", "null-inputs",
+        "true-inputs", "negative-inputs", "zero-inputs", "list-input", "object-input",
+        "list-transduction", "object-transduction", "number-cascade"])
 def test_cmd_rejects_bad_channel_entry(tmp_path, capsys, edit, message):
     raw = small_config()
     edit(raw["channels"][0])
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
     assert run_cli("pipeline", "--config", str(path), "--out", str(tmp_path / "c")) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("channels, message", [
+    (["AltPoxHrp"], "channels[0]: not an object: 'AltPoxHrp'"),
+    ([None], "channels[0]: not an object: None"),
+    ({}, "channels: not a list: {}"),
+    (None, "channels: not a list: None"),
+], ids=["text-entry", "null-entry", "object-section", "null-section"])
+def test_cmd_rejects_channels_that_are_not_objects(tmp_path, capsys, channels, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(small_config(channels=channels)))
+    assert run_cli("roc", "--config", str(path), "--out", str(tmp_path / "c")) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
@@ -492,8 +517,15 @@ def test_cmd_rejects_bad_channel_entry(tmp_path, capsys, edit, message):
     (lambda kin: kin.update(t_g=-60.0), "kinetics.t_g: must be finite and > 0, got -60.0"),
     (lambda kin: kin.update(t_g=float("inf")), "kinetics.t_g: must be finite and > 0, got inf"),
     (lambda kin: kin.update(t_g=None), "kinetics.t_g: not a number: None"),
+    # finite and > 0, but a run that would never end
+    (lambda kin: kin.update(t_g=1e300),
+     "kinetics: t_g / dt = 5e+301 RK4 steps exceeds the limit of 1,000,000"),
+    (lambda kin: kin.update(dt=1e-300),
+     "kinetics: t_g / dt = 6e+301 RK4 steps exceeds the limit of 1,000,000"),
+    (lambda kin: kin.update(t_g=1_000_001.0, dt=1.0),
+     "kinetics: t_g / dt = 1000001 RK4 steps exceeds the limit of 1,000,000"),
 ], ids=["missing-dt", "text-dt", "misspelled-dt", "zero-dt", "negative-t-g", "infinite-t-g",
-        "null-t-g"])
+        "null-t-g", "huge-t-g", "tiny-dt", "one-step-too-many"])
 def test_cmd_rejects_bad_kinetics_section(tmp_path, capsys, edit, message):
     raw = small_config()
     edit(raw["kinetics"])
@@ -501,6 +533,14 @@ def test_cmd_rejects_bad_kinetics_section(tmp_path, capsys, edit, message):
     path.write_text(json.dumps(raw))
     assert run_cli("roc", "--config", str(path), "--out", str(tmp_path / "k")) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+def test_step_and_drift_limits_are_inclusive():
+    # loading only: a run at the step limit would take minutes
+    load_experiment(small_config(kinetics={"t_g": 1_000_000.0, "dt": 1.0}))
+    raw = small_config()
+    raw["cohort"]["noise"]["drift_rate"] = np.log(1e6) / (4 * 120.0)  # 5 samples 120 s apart
+    load_experiment(raw)
 
 
 def test_kinetics_check_leaves_config_hash_alone():
@@ -663,10 +703,18 @@ def no_integration(*args, **kwargs):
      "digitize: group 0 indexes beyond the 1 channels"),
     (lambda raw: raw["digitize"].update(aggregators=["weighted-sum"], weights=[[1.0, 2.0]]),
      "digitize: group 0: weight count mismatch"),
+    # 13 samples 120 s apart: exp(1440) overflows in cohort.sample_series
+    (lambda raw: raw["cohort"]["schedule"].update(steps=13) or
+     raw["cohort"]["noise"].update(drift_rate=1.0),
+     "cohort.noise.drift_rate: 1.0 scales the last sample by exp(1440), "
+     "beyond the limit of a factor 1e+06 over the schedule"),
+    (lambda raw: raw["cohort"]["noise"].update(drift_rate=-0.5),
+     "cohort.noise.drift_rate: -0.5 scales the last sample by exp(-240), "
+     "beyond the limit of a factor 1e+06 over the schedule"),
 ], ids=["text-n", "negative-n", "missing-seed", "misspelled-demographic", "text-steps",
         "zero-tau", "misspelled-noise", "groups-not-a-list", "missing-digitize-groups",
         "misspelled-filters", "text-k-half", "unknown-aggregator", "group-beyond-channels",
-        "weight-count-mismatch"])
+        "weight-count-mismatch", "overflowing-drift", "vanishing-drift"])
 def test_cmd_rejects_bad_cohort_and_digitize_sections(tmp_path, capsys, monkeypatch, edit,
                                                       message):
     import sweatauth.pipeline
@@ -723,10 +771,10 @@ def _key_paths(node, path=()):
 
 @st.composite
 def mutated_config(draw):
-    """small_config with one key of cohort or digitize dropped, renamed or retyped."""
+    """small_config with one key of one section dropped, renamed or retyped."""
     raw = small_config()
     raw["kinetics"].update(t_g=2.0, dt=0.1)
-    section = draw(st.sampled_from(["cohort", "digitize"]))
+    section = draw(st.sampled_from(["cohort", "digitize", "auth", "kinetics", "channels"]))
     *parents, key = draw(st.sampled_from(sorted(_key_paths(raw[section]), key=repr)))
     node = raw[section]
     for p in parents:
@@ -741,11 +789,11 @@ def mutated_config(draw):
     return raw
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(raw=mutated_config())
-def test_mutated_cohort_or_digitize_ends_in_one_line(raw):
-    # whatever one key of these sections holds, a run ends with exit 0, or
-    # with exit 2, 3 or 4 and one stderr line: never with a traceback
+def test_mutated_config_section_ends_in_one_line(raw):
+    # whatever one key of a section holds, roc ends with exit 0, or with
+    # exit 2, 3 or 4 and one stderr line: never with a traceback
     import contextlib
     import io
     import tempfile
@@ -756,7 +804,7 @@ def test_mutated_cohort_or_digitize_ends_in_one_line(raw):
             json.dump(raw, fh)
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = run_cli("pipeline", "--config", path, "--out", f"{tmp}/out")
+            code = run_cli("roc", "--config", path, "--out", f"{tmp}/out")
     assert code in (0, 2, 3, 4)
     assert (code == 0) == (err.getvalue() == "")
     assert err.getvalue().count("\n") == (code != 0)
