@@ -1,0 +1,31 @@
+"""The two artifact formats: indented JSON, and CSV under a config-hash line.
+
+Every CSV line, the hash line included, ends in a bare ``\\n``.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+
+
+def write_json(path, payload) -> None:
+    """payload as JSON, indented by 2, keys sorted, newline-terminated."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_csv(path, header, rows, config_hash: str = "") -> None:
+    """``# config_hash=<config_hash>`` (when given), the header, then rows.
+
+    Fields go through ``csv.writer`` as they are, so Python floats print as
+    their shortest round-trip ``repr``; pass ``tolist()`` rows, not numpy
+    scalars.
+    """
+    with open(path, "w", newline="") as fh:
+        if config_hash:
+            fh.write(f"# config_hash={config_hash}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

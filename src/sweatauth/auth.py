@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._artifacts import write_json
 from .errors import ConfigurationError, InsufficientDataError
 
 
@@ -159,10 +160,7 @@ def template_from_dict(d: dict) -> Template:
 
 
 def save_templates(path, templates, config_hash: str = "", params_hash: str = "") -> None:
-    payload = [template_to_dict(t, config_hash, params_hash) for t in templates]
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, [template_to_dict(t, config_hash, params_hash) for t in templates])
 
 
 def load_templates(path) -> list:

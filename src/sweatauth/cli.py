@@ -16,8 +16,8 @@ import json
 import os
 import sys
 
-
 from . import metrics, pipeline
+from ._artifacts import write_json
 from .auth import (VerifyPolicy, append_audit, calibrate_drift_offset, load_templates,
                    save_templates, score_step, verify_series)
 from .config import load_experiment
@@ -57,9 +57,7 @@ def cmd_pipeline(args) -> int:
         "n_outputs": result.n_outputs,
     }
     mpath = os.path.join(args.out, "pipeline_manifest.json")
-    with open(mpath, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(mpath, manifest)
     for p in (out_csv, feat_csv, mpath):
         print(f"wrote {p}")
     return EXIT_OK
@@ -80,7 +78,7 @@ def cmd_verify(args) -> int:
     cfg = _load(args)
     result = pipeline.run_pipeline(cfg)
     auth_cfg = cfg.section("auth")
-    k_reg = int(auth_cfg["k_reg"])
+    k_reg = auth_cfg["k_reg"]
     if args.templates:
         loaded = load_templates(args.templates)
         for idx, tpl in enumerate(loaded):
@@ -91,7 +89,7 @@ def cmd_verify(args) -> int:
     else:
         loaded = pipeline.enroll_templates(result, auth_cfg)
     templates = {t.user_id: t for t in loaded}
-    margin = float(auth_cfg.get("drift_margin", 0.5))
+    margin = auth_cfg.get("drift_margin", 0.5)
     audit_rows = []
     for i, profile in enumerate(result.profiles):
         tpl = templates.get(profile.id)
@@ -99,8 +97,8 @@ def cmd_verify(args) -> int:
             raise ConfigurationError(f"no template for {profile.id}")
         reg_scores = [score_step(tpl, y) for y in result.outputs[i, :k_reg]]
         policy = VerifyPolicy(
-            accept_thr=float(auth_cfg.get("accept_thr", 3.0)),
-            reject_thr=float(auth_cfg.get("reject_thr", -9.0)),
+            accept_thr=auth_cfg.get("accept_thr", 3.0),
+            reject_thr=auth_cfg.get("reject_thr", -9.0),
             drift_offset=calibrate_drift_offset(reg_scores, margin))
         decision, series = verify_series(tpl, result.outputs[i, k_reg:], policy)
         last_t = result.timestamps[k_reg + len(series.scores) - 1] if series.scores else 0.0
@@ -128,22 +126,33 @@ def cmd_roc(args) -> int:
     return EXIT_OK
 
 
+def _read_summary(path) -> dict:
+    """A summary.json as roc writes it; anything else is a ConfigurationError."""
+    try:
+        with open(path) as fh:
+            summary = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+    k1 = summary.get("k1") if isinstance(summary, dict) else None
+    if not (isinstance(k1, dict) and all(isinstance(k1.get(key), (int, float))
+                                         for key in ("auc", "eer"))):
+        raise ConfigurationError(f"{path}: not a roc summary: no k1 auc and eer")
+    return summary
+
+
 def cmd_report(args) -> int:
     """Aggregate summary.json files under --out into a single report."""
     found = []
     for root, _, files in os.walk(args.out):
         for name in sorted(files):
             if name == "summary.json":
-                with open(os.path.join(root, name)) as fh:
-                    found.append({"path": os.path.join(root, name),
-                                  "summary": json.load(fh)})
+                path = os.path.join(root, name)
+                found.append({"path": path, "summary": _read_summary(path)})
     if not found:
         raise InsufficientDataError(f"no summary.json files under {args.out}")
     report = {"n_experiments": len(found), "experiments": found}
     path = os.path.join(args.out, "report.json")
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, report)
     for item in found:
         s = item["summary"]
         print(f"{s.get('experiment', '?')}: mode={s.get('mode')} "

@@ -8,12 +8,11 @@ multiplicative shifts on the mean. Everything is a pure function of
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._artifacts import write_csv, write_json
 from .errors import ConfigurationError
 
 # Canonical panel of the 23 amino acids tracked in sweat samples
@@ -27,26 +26,6 @@ N_ACIDS = len(AMINO_ACIDS)
 ACID_INDEX = {name: i for i, name in enumerate(AMINO_ACIDS)}
 
 DEMOGRAPHIC_FIELDS = ("sex", "age_group", "ethnicity", "physiological_state")
-
-
-@dataclass(frozen=True)
-class AminoAcidId:
-    """One entry of the fixed 23-acid panel."""
-
-    index: int
-    name: str
-
-    def __post_init__(self):
-        if not 0 <= self.index < N_ACIDS:
-            raise ConfigurationError(f"acid index {self.index} out of range")
-        if AMINO_ACIDS[self.index] != self.name:
-            raise ConfigurationError(f"acid {self.name!r} does not sit at index {self.index}")
-
-
-def acid_id(name: str) -> AminoAcidId:
-    if name not in ACID_INDEX:
-        raise ConfigurationError(f"unknown amino acid code {name!r}")
-    return AminoAcidId(ACID_INDEX[name], name)
 
 
 @dataclass(frozen=True)
@@ -91,7 +70,6 @@ class GroupDistributionSpec:
 
     acids: dict  # name -> AcidDistribution, must cover all 23
     demographics_vocabulary: dict = field(default_factory=dict)
-    version: int = 1
 
     def validate(self) -> None:
         missing = [a for a in AMINO_ACIDS if a not in self.acids]
@@ -122,14 +100,16 @@ class GroupDistributionSpec:
     def from_dict(cls, raw: dict) -> "GroupDistributionSpec":
         acids = {}
         for name, entry in raw.get("acids", {}).items():
-            acids[name] = AcidDistribution(
-                mean_uM=float(entry["mean_uM"]),
-                cv=float(entry["cv"]),
-                shifts={k: float(v) for k, v in entry.get("shifts", {}).items()},
-            )
-        spec = cls(acids=acids,
-                   demographics_vocabulary=raw.get("demographics", {}),
-                   version=int(raw.get("version", 1)))
+            try:
+                acids[name] = AcidDistribution(
+                    mean_uM=float(entry["mean_uM"]),
+                    cv=float(entry["cv"]),
+                    shifts={k: float(v) for k, v in entry.get("shifts", {}).items()},
+                )
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+                raise ConfigurationError(f"distribution acid {name!r}: {reason}") from None
+        spec = cls(acids=acids, demographics_vocabulary=raw.get("demographics", {}))
         spec.validate()
         return spec
 
@@ -147,9 +127,6 @@ class NoiseSpec:
     def validate(self) -> None:
         if self.cv < 0:
             raise ConfigurationError("noise CV must be >= 0")
-
-    def describe(self) -> str:
-        return f"lognormal(cv={self.cv})+drift({self.drift_rate}/s)"
 
 
 @dataclass
@@ -176,14 +153,6 @@ class SamplingSchedule:
         return self.t0 + self.tau * np.arange(self.steps)
 
 
-@dataclass
-class ConcentrationSeries:
-    profile_id: str
-    schedule: SamplingSchedule
-    values: np.ndarray  # [steps, 23], µM
-    noise_model: str
-
-
 def _lognormal_sigma_mu(mean, cv):
     # Parameterized by the mean and CV of the lognormal itself:
     #   sigma^2 = ln(1 + cv^2),  mu = ln(mean) - sigma^2 / 2
@@ -193,33 +162,9 @@ def _lognormal_sigma_mu(mean, cv):
     return np.sqrt(sigma2), mu
 
 
-def _draw_lognormal(rng, mean, cv, size=None):
-    mean = np.asarray(mean, dtype=float)
-    cv = np.asarray(cv, dtype=float)
+def _draw_lognormal(rng, mean, cv, size):
     sigma, mu = _lognormal_sigma_mu(mean, cv)
-    z = rng.standard_normal(size if size is not None else np.broadcast(mean, cv).shape)
-    return np.exp(mu + sigma * z)
-
-
-def generate_individual(group: GroupDistributionSpec, demo: Demographics,
-                        seed: int) -> IndividualProfile:
-    """Draw one individual's baseline panel, independently per acid.
-
-    Deterministic in seed; CV = 0 collapses to mean * shift exactly.
-    """
-    group.validate()
-    if group.demographics_vocabulary:
-        demo.validate(group.demographics_vocabulary)
-    rng = np.random.default_rng(seed)
-    means = group.mean_vector(demo)
-    cvs = group.cv_vector()
-    baseline = np.where(cvs > 0, _draw_lognormal(rng, means, cvs, size=N_ACIDS), means)
-    return IndividualProfile(
-        id=f"ind-{seed}",
-        demographics=demo,
-        baseline=baseline,
-        rng_seed=int(np.random.SeedSequence(seed).generate_state(1, dtype=np.uint64)[0]),
-    )
+    return np.exp(mu + sigma * rng.standard_normal(size))
 
 
 def mimic_cohort(group: GroupDistributionSpec, demo: Demographics, n: int,
@@ -257,8 +202,8 @@ def mimic_cohort(group: GroupDistributionSpec, demo: Demographics, n: int,
 
 
 def sample_series(profile: IndividualProfile, schedule: SamplingSchedule,
-                  noise: NoiseSpec, seed: int) -> ConcentrationSeries:
-    """Sample the noisy concentration panel at every schedule step.
+                  noise: NoiseSpec, seed: int) -> np.ndarray:
+    """Sample the noisy concentration panel, [steps, 23] µM, at every schedule step.
 
     values[k, a] = baseline[a] * drift(t_k) * eps[k, a] with eps lognormal
     of mean 1 and the configured CV. All outputs are strictly positive.
@@ -272,13 +217,7 @@ def sample_series(profile: IndividualProfile, schedule: SamplingSchedule,
         eps = _draw_lognormal(rng, 1.0, noise.cv, size=(schedule.steps, N_ACIDS))
     else:
         eps = 1.0
-    values = base * drift * eps
-    return ConcentrationSeries(
-        profile_id=profile.id,
-        schedule=schedule,
-        values=values,
-        noise_model=noise.describe(),
-    )
+    return base * drift * eps
 
 
 # ----------------------------------------------------------------------
@@ -287,40 +226,9 @@ def sample_series(profile: IndividualProfile, schedule: SamplingSchedule,
 
 def write_cohort_csv(path, profiles, config_hash: str = "") -> None:
     """One row per individual, columns are the 23 acid codes."""
-    with open(path, "w", newline="") as fh:
-        if config_hash:
-            fh.write(f"# config_hash={config_hash}\n")
-        w = csv.writer(fh)
-        w.writerow(("id",) + AMINO_ACIDS)
-        for p in profiles:
-            w.writerow([p.id] + [repr(float(x)) for x in p.baseline])
-
-
-def read_cohort_csv(path):
-    """Inverse of write_cohort_csv; returns (ids, values[n, 23])."""
-    ids, rows = [], []
-    with open(path, newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    for i, row in enumerate(csv.reader(lines)):
-        if i == 0:
-            continue
-        ids.append(row[0])
-        rows.append([float(x) for x in row[1:]])
-    return ids, np.array(rows) if rows else np.empty((0, N_ACIDS))
-
-
-def write_series_csv(path, series: ConcentrationSeries, config_hash: str = "") -> None:
-    """One row per time step: timestamp followed by the 23 acid columns."""
-    with open(path, "w", newline="") as fh:
-        if config_hash:
-            fh.write(f"# config_hash={config_hash}\n")
-        w = csv.writer(fh)
-        w.writerow(("t_s",) + AMINO_ACIDS)
-        for t, row in zip(series.schedule.timestamps(), series.values):
-            w.writerow([repr(float(t))] + [repr(float(x)) for x in row])
+    write_csv(path, ("id",) + AMINO_ACIDS, ([p.id] + p.baseline.tolist() for p in profiles),
+              config_hash)
 
 
 def write_manifest(path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)

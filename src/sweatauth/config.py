@@ -45,11 +45,14 @@ def canonical_hash(obj) -> str:
 def _read_json(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ConfigurationError(f"invalid JSON in {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{path}: not a JSON object")
+    return raw
 
 
 def _packaged(name) -> dict:
@@ -120,7 +123,7 @@ def load_experiment(source, seed_override: int = None) -> ExperimentConfig:
         _check_auth(raw["auth"])
     if "kinetics" in raw:
         check_keys(raw["kinetics"], "kinetics", ("t_g", "dt"), required=("t_g", "dt"))
-        t_g, dt = (positive_number(raw["kinetics"][key], f"kinetics.{key}")
+        t_g, dt = (_json_number(raw["kinetics"][key], f"kinetics.{key}", low=0, strict=True)
                    for key in ("t_g", "dt"))
         if t_g / dt > MAX_STEPS:
             raise ConfigurationError(f"kinetics: t_g / dt = {t_g / dt:.7g} RK4 steps exceeds "
@@ -132,7 +135,7 @@ def load_experiment(source, seed_override: int = None) -> ExperimentConfig:
 
     distribution = GroupDistributionSpec.from_dict(dist_dict)
     params_hash = canonical_hash(params_dict)
-    params = KineticParams.from_dict(params_dict, source_hash=params_hash)
+    params = KineticParams.from_dict(params_dict)
     config_hash = canonical_hash(
         {"experiment": raw, "distribution": dist_dict, "params": params_dict})
     return ExperimentConfig(raw=raw, distribution=distribution,
@@ -153,23 +156,12 @@ def check_keys(section: dict, where: str, allowed, required=()) -> None:
             raise ConfigurationError(f"{where}.{key}: required key is missing")
 
 
-def positive_number(value, where: str) -> float:
-    """value as a finite float > 0, else a ConfigurationError naming where."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{where}: not a number: {value!r}") from None
-    if not 0.0 < number < np.inf:
-        raise ConfigurationError(f"{where}: must be finite and > 0, got {number}")
-    return number
-
-
 def _json_number(value, where: str, low=-np.inf, integer=False, strict=False):
     """value if it is a JSON number (an integer with ``integer``), finite and >= low
     (> low with ``strict``).
 
-    Numeric strings and booleans are rejected, since the cohort and
-    digitize readers use the values as they are.
+    Numeric strings and booleans are rejected, since the readers of every
+    config section use the values as they are.
     """
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         kind = "an integer" if integer else "a number"
@@ -253,30 +245,27 @@ def check_auth_fits(cfg: ExperimentConfig) -> None:
     that stop at the outputs never read auth, and need not fit it.
     """
     auth, steps = cfg.section("auth"), cfg.section("cohort")["schedule"]["steps"]
-    need = int(auth["k_reg"]) + int(auth.get("accumulate_k", ACCUMULATE_K))
+    need = auth["k_reg"] + auth.get("accumulate_k", ACCUMULATE_K)
     if need > steps:
         raise InsufficientDataError(
             f"auth: k_reg + accumulate_k = {need} exceeds cohort.schedule.steps = {steps}")
     n_outputs = len(cfg.section("digitize")["groups"])
-    if auth.get("mode", "group") == "group" and int(auth.get("score_channel", 0)) >= n_outputs:
-        raise ConfigurationError(f"auth.score_channel: {int(auth['score_channel'])} is out of "
+    if auth.get("mode", "group") == "group" and auth.get("score_channel", 0) >= n_outputs:
+        raise ConfigurationError(f"auth.score_channel: {auth['score_channel']} is out of "
                                  f"range: digitize has {n_outputs} output groups")
 
 
 def _check_auth(auth: dict) -> None:
-    """Reject unknown keys, a missing k_reg and bad values before any work is done."""
+    """Keys, types and ranges of the auth section, as run_auth_eval and verify read it."""
     check_keys(auth, "auth", AUTH_KEYS, required=("k_reg",))
     for key, low in (("k_reg", 1), ("accumulate_k", 1), ("score_channel", 0)):
-        if key not in auth:
-            continue
-        try:
-            value = int(auth[key])
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"auth.{key}: not an integer: {auth[key]!r}") from None
-        if value < low:
-            raise ConfigurationError(f"auth.{key}: must be >= {low}, got {value}")
+        if key in auth:
+            _json_number(auth[key], f"auth.{key}", low=low, integer=True)
     if "lambda" in auth:
-        positive_number(auth["lambda"], "auth.lambda")
+        _json_number(auth["lambda"], "auth.lambda", low=0, strict=True)
+    for key in ("accept_thr", "reject_thr", "drift_margin"):
+        if key in auth:
+            _json_number(auth[key], f"auth.{key}")
 
 
 def _override_seeds(raw: dict, master: int) -> None:

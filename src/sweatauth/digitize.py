@@ -1,9 +1,9 @@
-"""Feature extraction, consolidation, sigmoidal filtering, and banding.
+"""Consolidation, sigmoidal filtering, and banding of gate-time features.
 
-Gate-time features are reduced per channel, grouped per the consolidation
-spec (arithmetic sums, or identity over a channel that is itself a
-multi-input cascade), squeezed through Hill filters toward near-binary
-rails, and classified into labelled bands.
+Per-channel features are grouped per the consolidation spec (arithmetic
+sums, or identity over a channel that is itself a multi-input cascade),
+squeezed through Hill filters toward near-binary rails, and classified into
+labelled bands.
 """
 
 from __future__ import annotations
@@ -13,34 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .transduce import SignalTrace
 
 AGGREGATORS = ("sum", "weighted-sum", "cascade-endpoint")
-FEATURE_MODES = ("endpoint", "slope")
-
-
-def endpoint_feature(signal: SignalTrace, t_g: float, mode: str = "endpoint") -> float:
-    """Scalar feature of a signal over the gate window [0, t_g].
-
-    endpoint: |signal(t_g) - signal(0)|, direction-free magnitude.
-    slope: magnitude of the least-squares slope over the window samples.
-    """
-    if mode not in FEATURE_MODES:
-        raise ConfigurationError(f"unknown feature mode {mode!r}")
-    times = np.asarray(signal.times, dtype=float)
-    if t_g < times[0] or t_g > times[-1] + 1e-12:
-        raise ValueError(f"t_g={t_g} outside trace horizon [{times[0]}, {times[-1]}]")
-    if mode == "endpoint":
-        k = int(np.argmin(np.abs(times - t_g)))
-        return float(abs(signal.values[k] - signal.values[0]))
-    mask = times <= t_g + 1e-12
-    t = times[mask]
-    y = np.asarray(signal.values, dtype=float)[mask]
-    tc = t - t.mean()
-    denom = float(tc @ tc)
-    if denom == 0.0:
-        return 0.0
-    return float(abs(tc @ (y - y.mean()) / denom))
 
 
 @dataclass(frozen=True)

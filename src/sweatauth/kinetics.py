@@ -20,7 +20,6 @@ endpoints and the sums its least-squares slope needs.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -120,18 +119,20 @@ class KineticParams:
     optics: dict = field(default_factory=dict)
     gains: dict = field(default_factory=dict)
     path_length_cm: float = 1.0
-    version: int = 1
-    source_hash: str = ""
 
     @classmethod
-    def from_dict(cls, raw: dict, source_hash: str = "") -> "KineticParams":
+    def from_dict(cls, raw: dict) -> "KineticParams":
         enzymes = {}
         for code, entry in raw.get("enzymes", {}).items():
-            enzymes[code] = EnzymeParams(
-                kcat=float(entry["kcat"]),
-                e_total=float(entry["e_total"]),
-                km={k: float(v) for k, v in entry["km"].items()},
-            )
+            try:
+                enzymes[code] = EnzymeParams(
+                    kcat=float(entry["kcat"]),
+                    e_total=float(entry["e_total"]),
+                    km={k: float(v) for k, v in entry["km"].items()},
+                )
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+                raise ConfigurationError(f"params enzyme {code!r}: {reason}") from None
         return cls(
             enzymes=enzymes,
             reagents={k: float(v) for k, v in raw.get("reagents", {}).items()},
@@ -139,8 +140,6 @@ class KineticParams:
             optics=raw.get("optics", {}),
             gains=raw.get("gains", {}),
             path_length_cm=float(raw.get("path_length_cm", 1.0)),
-            version=int(raw.get("version", 1)),
-            source_hash=source_hash,
         )
 
 
@@ -269,19 +268,6 @@ class CascadeNetwork:
             raise ConfigurationError("initial concentrations must be >= 0")
         return c0
 
-    def step_rates(self, concentrations: np.ndarray) -> np.ndarray:
-        """Per-step rates for a [T, n_species] concentration block."""
-        C = np.atleast_2d(concentrations)
-        names = self.species_names
-        rates = np.empty((C.shape[0], len(self.steps)))
-        for j, st in enumerate(self.steps):
-            v = np.full(C.shape[0], st.vmax)
-            for sp, _ in st.substrates:
-                s = np.maximum(C[:, names.index(sp)], 0.0)
-                v *= s / (st.km[sp] + s)
-            rates[:, j] = v
-        return rates
-
 
 def _stoich_from_steps(names, steps):
     S = np.zeros((len(names), len(steps)))
@@ -359,24 +345,12 @@ def build_cascade(kind, params: KineticParams) -> CascadeNetwork:
 class KineticsTrace:
     times: np.ndarray
     concentrations: np.ndarray  # [n_times, n_species]
-    network_kind: CascadeKind
-    dt: float
     species_names: list
-    network: CascadeNetwork = field(default=None, repr=False, compare=False)
 
     def column(self, species: str) -> np.ndarray:
         if species not in self.species_names:
             raise KeyError(f"species {species!r} not in trace")
         return self.concentrations[:, self.species_names.index(species)]
-
-    def to_csv(self, path, config_hash: str = "") -> None:
-        with open(path, "w", newline="") as fh:
-            if config_hash:
-                fh.write(f"# config_hash={config_hash}\n")
-            w = csv.writer(fh)
-            w.writerow(["t_s"] + self.species_names)
-            for t, row in zip(self.times, self.concentrations):
-                w.writerow([repr(float(t))] + [repr(float(x)) for x in row])
 
 
 def _n_steps(horizon, dt):
@@ -397,14 +371,8 @@ def simulate(network: CascadeNetwork, init: dict, horizon: float, dt: float) -> 
     c0 = network.init_vector(init)
     trace, status, bad = _kernels.rk4_trace(c0, *network.compiled(), n_steps, dt)
     _raise_on_status(status, bad)
-    return KineticsTrace(
-        times=dt * np.arange(n_steps + 1),
-        concentrations=trace,
-        network_kind=network.kind,
-        dt=dt,
-        species_names=network.species_names,
-        network=network,
-    )
+    return KineticsTrace(times=dt * np.arange(n_steps + 1), concentrations=trace,
+                         species_names=network.species_names)
 
 
 @dataclass(frozen=True)

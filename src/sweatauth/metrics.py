@@ -12,11 +12,11 @@ sums are exact multiples of 0.5: results equal the pairwise ones bit for bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._artifacts import write_csv, write_json
 from .errors import InsufficientDataError
 
 
@@ -124,15 +124,9 @@ def eer(pop: ScoredPopulation) -> float:
 
 
 def write_roc_csv(path, curve: RocCurve, config_hash: str = "") -> None:
-    with open(path, "w", newline="") as fh:
-        if config_hash:
-            fh.write(f"# config_hash={config_hash}\n")
-        fh.write("threshold,fpr,tpr\n")
-        fh.writelines(f"{thr!r},{fpr!r},{tpr!r}\n" for thr, (fpr, tpr)
-                      in zip(curve.thresholds.tolist(), curve.points.tolist()))
+    rows = zip(curve.thresholds.tolist(), *curve.points.T.tolist())
+    write_csv(path, ["threshold", "fpr", "tpr"], rows, config_hash)
 
 
 def write_summary_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)

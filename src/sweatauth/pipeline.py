@@ -10,12 +10,12 @@ sums, without full traces.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import metrics
+from ._artifacts import write_csv
 from .auth import enroll, score_step
 from .cohort import (ACID_INDEX, AMINO_ACIDS, N_ACIDS, Demographics, NoiseSpec,
                      SamplingSchedule, mimic_cohort, sample_series,
@@ -177,7 +177,7 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
     n_indiv, steps = len(profiles), schedule.steps
     X = np.empty((n_indiv, steps, N_ACIDS))
     for i, p in enumerate(profiles):
-        X[i] = sample_series(p, schedule, noise, series_seed).values
+        X[i] = sample_series(p, schedule, noise, series_seed)
     X_flat = X.reshape(n_indiv * steps, N_ACIDS)
 
     res = integrate_channels(channels, X_flat, t_g, dt)
@@ -211,7 +211,7 @@ def run_auth_eval(cfg: ExperimentConfig):
     result = run_pipeline(cfg)
     auth_cfg = cfg.section("auth")
     mode = auth_cfg.get("mode", "group")
-    k_reg, k_acc = int(auth_cfg["k_reg"]), int(auth_cfg.get("accumulate_k", ACCUMULATE_K))
+    k_reg, k_acc = auth_cfg["k_reg"], auth_cfg.get("accumulate_k", ACCUMULATE_K)
     if len(result.profiles) < 2:
         raise InsufficientDataError("auth evaluation needs at least 2 individuals")
 
@@ -254,7 +254,7 @@ def _group_mode_scores(result, auth_cfg, k_reg, k_acc):
     if not gen_idx or not imp_idx:
         raise InsufficientDataError(
             f"groups {gen_name!r}/{imp_name!r} must both be non-empty")
-    sc = int(auth_cfg.get("score_channel", 0))  # < S, checked by check_auth_fits
+    sc = auth_cfg.get("score_channel", 0)  # < S, checked by check_auth_fits
     gen = result.outputs[gen_idx, k_reg:k_reg + k_acc]   # [n_gen, k_acc, S]
     imp = result.outputs[imp_idx, k_reg:k_reg + k_acc]
 
@@ -263,7 +263,7 @@ def _group_mode_scores(result, auth_cfg, k_reg, k_acc):
                                    impostor=imp[..., sc].mean(axis=1))
 
     # secondary: pooled template on the genuine registration rows
-    lam = float(auth_cfg.get("lambda", 1e-3))
+    lam = auth_cfg.get("lambda", 1e-3)
     reg_rows = np.concatenate(result.outputs[gen_idx, :k_reg])
     tpl = enroll(reg_rows, k_reg=len(reg_rows), lam=lam, user_id=f"group:{gen_name}",
                  created_at=float(result.schedule.t0 + k_reg * result.schedule.tau))
@@ -282,7 +282,8 @@ def _group_mode_scores(result, auth_cfg, k_reg, k_acc):
 
 def enroll_templates(result: PipelineResult, auth_cfg: dict) -> list:
     """One template per individual, fitted on its first auth.k_reg outputs."""
-    k_reg, lam = int(auth_cfg["k_reg"]), float(auth_cfg.get("lambda", 1e-3))
+    # float: templates.json records lambda as a float even when the config gives an integer
+    k_reg, lam = auth_cfg["k_reg"], float(auth_cfg.get("lambda", 1e-3))
     created = float(result.schedule.t0 + k_reg * result.schedule.tau)
     return [enroll(y[:k_reg], k_reg=k_reg, lam=lam, user_id=p.id, created_at=created)
             for y, p in zip(result.outputs, result.profiles)]
@@ -309,28 +310,26 @@ def _identity_mode_scores(result, auth_cfg, k_reg, k_acc):
 def write_outputs_csv(path, result: PipelineResult) -> None:
     """Digitized output streams: id, group, step, timestamp, S values, S bands."""
     S = result.n_outputs
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# config_hash={result.config.config_hash}\n")
-        w = csv.writer(fh)
-        w.writerow(["id", "group", "k", "timestamp_s"]
-                   + [f"y{s}" for s in range(S)] + [f"band{s}" for s in range(S)])
-        times = result.timestamps.tolist()
-        for i, rows in enumerate(result.outputs.tolist()):
-            for k, values in enumerate(rows):
-                bands = [""] * S if result.bands is None else list(result.bands[i, k])
-                w.writerow([result.profiles[i].id, result.group_of[i], k, repr(times[k])]
-                           + [repr(v) for v in values] + bands)
+    times = result.timestamps.tolist()
+    bands = (result.bands.tolist() if result.bands is not None
+             else [[[""] * S] * len(times)] * len(result.profiles))
+    rows = ([p.id, group, k, times[k]] + values + labels
+            for p, group, value_rows, label_rows
+            in zip(result.profiles, result.group_of, result.outputs.tolist(), bands)
+            for k, (values, labels) in enumerate(zip(value_rows, label_rows)))
+    write_csv(path, ["id", "group", "k", "timestamp_s"]
+              + [f"y{s}" for s in range(S)] + [f"band{s}" for s in range(S)],
+              rows, result.config.config_hash)
 
 
 def write_features_csv(path, result: PipelineResult) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# config_hash={result.config.config_hash}\n")
-        w = csv.writer(fh)
-        w.writerow(["id", "group", "k"] + list(result.channel_names))
-        for i in range(result.features.shape[0]):
-            for k in range(result.features.shape[1]):
-                w.writerow([result.profiles[i].id, result.group_of[i], k]
-                           + [repr(float(x)) for x in result.features[i, k]])
+    """Gate-time features: id, group, step, one value per channel."""
+    rows = ([p.id, group, k] + values
+            for p, group, value_rows
+            in zip(result.profiles, result.group_of, result.features.tolist())
+            for k, values in enumerate(value_rows))
+    write_csv(path, ["id", "group", "k"] + list(result.channel_names), rows,
+              result.config.config_hash)
 
 
 def write_cohort_artifacts(cfg: ExperimentConfig, out_dir) -> list:

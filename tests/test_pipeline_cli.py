@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import amperometric_current, endpoint_feature, luminescence, step_rates
 from sweatauth import cli
 from sweatauth.auth import VerifyPolicy, enroll, verify_series
 from sweatauth.cohort import ACID_INDEX
-from sweatauth.config import builtin_experiment, load_experiment
-from sweatauth.digitize import endpoint_feature
+from sweatauth.config import (builtin_experiment, default_distribution_dict, default_params_dict,
+                              load_experiment)
 from sweatauth.kinetics import simulate, simulate_batch
 from sweatauth.pipeline import (build_channel, channel_features, enroll_templates,
                                 integrate_channels, run_auth_eval, run_pipeline)
-from sweatauth.transduce import absorbance, amperometric_current, builtin_optics, luminescence
+from sweatauth.transduce import absorbance, builtin_optics
 
 
 def small_config(**tweaks):
@@ -125,7 +126,7 @@ def test_rate_channel_feature_route(params, cascade, transduction, readout, feat
     batched = features_of([ch], x, 60.0, 0.05)[:, 0]
     for b in range(2):
         tr = simulate(ch.network, {acid: x[b, ACID_INDEX[acid]]}, 60.0, 0.05)
-        expected = endpoint_feature(readout(tr, ch.scale), 60.0, feature)
+        expected = endpoint_feature(readout(tr, ch.network, ch.scale), 60.0, feature)
         assert expected > 0.0
         assert batched[b] == pytest.approx(expected, rel=1e-9)
 
@@ -136,7 +137,7 @@ def oracle_rate_slope_features(ch, C0, t_g, dt):
     names = ch.network.species_names
     for b in range(C0.shape[0]):
         tr = simulate(ch.network, dict(zip(names, C0[b])), t_g, dt)
-        rates = ch.network.step_rates(tr.concentrations)[:, ch.signal]
+        rates = step_rates(ch.network, tr.concentrations)[:, ch.signal]
         t = tr.times - tr.times.mean()
         out[b] = ch.scale * abs(float(t @ (rates - rates.mean()) / (t @ t)))
     return out
@@ -403,9 +404,70 @@ def test_cmd_bad_config_exit_code(tmp_path):
                    "--out", str(tmp_path / "y")) == 2
 
 
-def test_cmd_numerical_failure_exit_code(tmp_path):
-    from sweatauth.config import default_params_dict
+def json_file(path, obj) -> str:
+    path.write_text(json.dumps(obj))
+    return str(path)
 
+
+def without(tree, *keys):
+    """tree with the key at the end of the path keys deleted."""
+    node = tree
+    for key in keys[:-1]:
+        node = node[key]
+    del node[keys[-1]]
+    return tree
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw, tmp: [raw], "{config}: not a JSON object"),
+    (lambda raw, tmp: dict(raw, distribution=json_file(
+        tmp / "dist.json", without(default_distribution_dict(), "acids", "Ala", "cv"))),
+     "distribution acid 'Ala': missing key 'cv'"),
+    (lambda raw, tmp: dict(raw, params=json_file(
+        tmp / "params.json", without(default_params_dict(), "enzymes", "ALT", "kcat"))),
+     "params enzyme 'ALT': missing key 'kcat'"),
+    (lambda raw, tmp: dict(raw, params=json_file(tmp / "params.json", [])),
+     "{tmp}/params.json: not a JSON object"),
+], ids=["config-is-a-list", "acid-without-cv", "enzyme-without-kcat", "params-is-a-list"])
+def test_cmd_rejects_malformed_config_files(tmp_path, capsys, edit, message):
+    config = json_file(tmp_path / "cfg.json", edit(small_config(), tmp_path))
+    assert run_cli("roc", "--config", config, "--out", str(tmp_path / "m")) == 2
+    message = message.format(config=config, tmp=tmp_path)
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("content, message", [
+    ("{not json", "Expecting property name"),
+    ('{"k2": {"auc": 0.5, "eer": 0.5}}', "not a roc summary: no k1 auc and eer"),
+    ('{"k1": {"eer": 0.5}}', "not a roc summary: no k1 auc and eer"),
+    ("[]", "not a roc summary: no k1 auc and eer"),
+], ids=["not-json", "without-k1", "k1-without-auc", "not-an-object"])
+def test_cmd_report_rejects_malformed_summary(tmp_path, capsys, content, message):
+    path = tmp_path / "exp" / "summary.json"
+    path.parent.mkdir()
+    path.write_text(content)
+    assert run_cli("report", "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {path}: ") and message in err
+    assert len(err.splitlines()) == 1
+
+
+def test_every_csv_starts_with_the_config_hash_and_uses_bare_newlines(tmp_path):
+    raw = small_config()
+    config = json_file(tmp_path / "cfg.json", raw)
+    for command in ("cohort", "pipeline", "roc"):
+        assert run_cli(command, "--config", config, "--out", str(tmp_path / command)) == 0
+    written = sorted(tmp_path.glob("*/*.csv"))
+    assert [p.name for p in written] == ["cohort_female.csv", "cohort_male.csv", "features.csv",
+                                         "outputs.csv", "roc_accumulated.csv", "roc_k1.csv"]
+    head = f"# config_hash={load_experiment(raw).config_hash}\n".encode()
+    for p in written:
+        data = p.read_bytes()
+        assert b"\r" not in data, p.name
+        assert data.startswith(head), p.name
+
+
+def test_cmd_numerical_failure_exit_code(tmp_path):
     params = default_params_dict()
     for entry in params["enzymes"].values():
         entry["kcat"] = 1e160
@@ -435,16 +497,26 @@ def test_cmd_verify_bad_thresholds_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("edit, message", [
     (lambda auth: auth.update(acumulate_k=auth.pop("accumulate_k")),
      "auth.acumulate_k: unknown key"),
-    (lambda auth: auth.update(score_channel=-1), "auth.score_channel: must be >= 0, got -1"),
-    (lambda auth: auth.update(accumulate_k=0), "auth.accumulate_k: must be >= 1, got 0"),
+    (lambda auth: auth.update(score_channel=-1),
+     "auth.score_channel: must be finite and >= 0, got -1"),
+    (lambda auth: auth.update(accumulate_k=0), "auth.accumulate_k: must be finite and >= 1, got 0"),
     (lambda auth: auth.pop("k_reg"), "auth.k_reg: required key is missing"),
     (lambda auth: auth.update(k_reg="x"), "auth.k_reg: not an integer: 'x'"),
-    (lambda auth: auth.update(k_reg=0), "auth.k_reg: must be >= 1, got 0"),
+    (lambda auth: auth.update(k_reg=0), "auth.k_reg: must be finite and >= 1, got 0"),
     (lambda auth: auth.update({"lambda": "x"}), "auth.lambda: not a number: 'x'"),
-    (lambda auth: auth.update({"lambda": -1}), "auth.lambda: must be finite and > 0, got -1.0"),
-    (lambda auth: auth.update({"lambda": 0}), "auth.lambda: must be finite and > 0, got 0.0"),
+    (lambda auth: auth.update({"lambda": -1}), "auth.lambda: must be finite and > 0, got -1"),
+    (lambda auth: auth.update({"lambda": 0}), "auth.lambda: must be finite and > 0, got 0"),
+    # values that int() or float() would once have converted
+    (lambda auth: auth.update(k_reg=2.7), "auth.k_reg: not an integer: 2.7"),
+    (lambda auth: auth.update(accumulate_k="3"), "auth.accumulate_k: not an integer: '3'"),
+    (lambda auth: auth.update(score_channel=0.0), "auth.score_channel: not an integer: 0.0"),
+    (lambda auth: auth.update({"lambda": "0.001"}), "auth.lambda: not a number: '0.001'"),
+    (lambda auth: auth.update(accept_thr="3"), "auth.accept_thr: not a number: '3'"),
+    (lambda auth: auth.update(drift_margin=None), "auth.drift_margin: not a number: None"),
 ], ids=["misspelled-key", "negative-score-channel", "zero-accumulate-k", "missing-k-reg",
-        "text-k-reg", "zero-k-reg", "text-lambda", "negative-lambda", "zero-lambda"])
+        "text-k-reg", "zero-k-reg", "text-lambda", "negative-lambda", "zero-lambda",
+        "fractional-k-reg", "numeric-text-accumulate-k", "float-score-channel",
+        "numeric-text-lambda", "numeric-text-accept-thr", "null-drift-margin"])
 def test_cmd_rejects_bad_auth_section(tmp_path, capsys, edit, message):
     raw = small_config()
     edit(raw["auth"])
@@ -465,7 +537,9 @@ def as_rate_channel(ch, **keys):
     (lambda ch: ch.update(gain=2.0), "channels[0].gain: unknown key"),
     (lambda ch: ch.update(transduction="amperometric"), "channels[0].species: unknown key"),
     (lambda ch: as_rate_channel(ch, gain="x"), "channels[0]: gain: not a number: 'x'"),
-    (lambda ch: as_rate_channel(ch, gain=0), "channels[0]: gain: must be finite and > 0, got 0.0"),
+    (lambda ch: as_rate_channel(ch, gain=0), "channels[0]: gain: must be finite and > 0, got 0"),
+    (lambda ch: as_rate_channel(ch, gain="2.0"), "channels[0]: gain: not a number: '2.0'"),
+    (lambda ch: as_rate_channel(ch, gain=True), "channels[0]: gain: not a number: True"),
     (lambda ch: ch.update(species="NADH"),
      "channels[0]: species 'NADH' is not in the AltPoxHrp cascade"),
     (lambda ch: ch.update(transduction="fluorescence"),
@@ -483,7 +557,8 @@ def as_rate_channel(ch, **keys):
     (lambda ch: ch.update(transduction={}), "channels[0].transduction: not a string: {}"),
     (lambda ch: ch.update(cascade=7), "channels[0].cascade: not a string: 7"),
 ], ids=["misspelled-feature", "misspelled-transduction", "gain-on-absorbance",
-        "species-on-rate-channel", "text-gain", "zero-gain", "species-not-in-cascade",
+        "species-on-rate-channel", "text-gain", "zero-gain", "numeric-text-gain", "true-gain",
+        "species-not-in-cascade",
         "unknown-transduction", "missing-cascade", "unknown-feature", "null-inputs",
         "true-inputs", "negative-inputs", "zero-inputs", "list-input", "object-input",
         "list-transduction", "object-transduction", "number-cascade"])
@@ -513,10 +588,12 @@ def test_cmd_rejects_channels_that_are_not_objects(tmp_path, capsys, channels, m
     (lambda kin: kin.pop("dt"), "kinetics.dt: required key is missing"),
     (lambda kin: kin.update(dt="x"), "kinetics.dt: not a number: 'x'"),
     (lambda kin: kin.update(dtt=kin.pop("dt")), "kinetics.dtt: unknown key"),
-    (lambda kin: kin.update(dt=0), "kinetics.dt: must be finite and > 0, got 0.0"),
+    (lambda kin: kin.update(dt=0), "kinetics.dt: must be finite and > 0, got 0"),
     (lambda kin: kin.update(t_g=-60.0), "kinetics.t_g: must be finite and > 0, got -60.0"),
     (lambda kin: kin.update(t_g=float("inf")), "kinetics.t_g: must be finite and > 0, got inf"),
     (lambda kin: kin.update(t_g=None), "kinetics.t_g: not a number: None"),
+    (lambda kin: kin.update(t_g=True), "kinetics.t_g: not a number: True"),
+    (lambda kin: kin.update(t_g="60"), "kinetics.t_g: not a number: '60'"),
     # finite and > 0, but a run that would never end
     (lambda kin: kin.update(t_g=1e300),
      "kinetics: t_g / dt = 5e+301 RK4 steps exceeds the limit of 1,000,000"),
@@ -525,7 +602,7 @@ def test_cmd_rejects_channels_that_are_not_objects(tmp_path, capsys, channels, m
     (lambda kin: kin.update(t_g=1_000_001.0, dt=1.0),
      "kinetics: t_g / dt = 1000001 RK4 steps exceeds the limit of 1,000,000"),
 ], ids=["missing-dt", "text-dt", "misspelled-dt", "zero-dt", "negative-t-g", "infinite-t-g",
-        "null-t-g", "huge-t-g", "tiny-dt", "one-step-too-many"])
+        "null-t-g", "true-t-g", "numeric-text-t-g", "huge-t-g", "tiny-dt", "one-step-too-many"])
 def test_cmd_rejects_bad_kinetics_section(tmp_path, capsys, edit, message):
     raw = small_config()
     edit(raw["kinetics"])

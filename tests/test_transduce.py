@@ -1,17 +1,22 @@
 import numpy as np
 import pytest
 
+from oracles import amperometric_current, luminescence
 from sweatauth.errors import ConfigurationError
 from sweatauth.kinetics import build_cascade, conserved_moieties, simulate
 from sweatauth.kinetics import CascadeKind
-from sweatauth.transduce import (UM_TO_M, OpticalConfig, absorbance, amperometric_current,
-                                 builtin_optics, luminescence, readout, reporter_step)
+from sweatauth.transduce import (UM_TO_M, OpticalConfig, absorbance, builtin_optics, readout,
+                                 reporter_step)
 
 
 @pytest.fixture(scope="module")
-def altldh_trace(params):
-    net = build_cascade("AltLdh", params)
-    return simulate(net, {"Ala": 80.0, "KTG": 300.0, "NADH": 150.0}, 120.0, 0.01)
+def altldh(params):
+    return build_cascade("AltLdh", params)
+
+
+@pytest.fixture(scope="module")
+def altldh_trace(altldh):
+    return simulate(altldh, {"Ala": 80.0, "KTG": 300.0, "NADH": 150.0}, 120.0, 0.01)
 
 
 def test_absorbance_zero_concentration(params, altldh_trace):
@@ -25,22 +30,21 @@ def test_absorbance_zero_concentration(params, altldh_trace):
 
 
 def test_absorbance_linear_law():
-    from sweatauth.kinetics import KineticsTrace, CascadeKind
+    from sweatauth.kinetics import KineticsTrace
 
     tr = KineticsTrace(times=np.array([0.0]), concentrations=np.array([[100.0]]),
-                       network_kind=CascadeKind.ALT_LDH, dt=1.0,
                        species_names=["NADH"])
     cfg = OpticalConfig(wavelength=340, epsilon=6220.0, path_length=1.0, species="NADH")
     sig = absorbance(tr, cfg)
     assert abs(sig.values[0] - 0.622) < 1e-12
 
 
-def test_absorbance_scale_keeps_its_bits(params, altldh_trace):
+def test_absorbance_scale_keeps_its_bits(params, altldh, altldh_trace):
     # epsilon * path * 1e-6, in that order, as the batch path multiplies it
     cfg = builtin_optics("NADH", params)
     want = cfg.epsilon * cfg.path_length * UM_TO_M * altldh_trace.column("NADH")
     assert absorbance(altldh_trace, cfg).values.tobytes() == want.tobytes()
-    assert readout(altldh_trace.network, {}, params) == ("NADH", cfg.scale)
+    assert readout(altldh, {}, params) == ("NADH", cfg.scale)
 
 
 # step index each rate readout follows, per catalogued cascade (None: no such step)
@@ -86,18 +90,18 @@ def test_builtin_wavelengths(params):
 def test_luminescence_linearity_and_zero(params):
     net = build_cascade("GldhC", params)
     tr = simulate(net, {"Glu": 60.0}, 60.0, 0.01)
-    one = luminescence(tr, gain=1.0)
-    two = luminescence(tr, gain=2.0)
+    one = luminescence(tr, net, gain=1.0)
+    two = luminescence(tr, net, gain=2.0)
     np.testing.assert_allclose(two.values, 2.0 * one.values, rtol=1e-12)
     assert np.all(one.values >= 0.0)
 
     silent = simulate(net, {"Glu": 0.0}, 60.0, 0.01)
-    assert np.max(np.abs(luminescence(silent, gain=1000.0).values)) < 1e-6
+    assert np.max(np.abs(luminescence(silent, net, gain=1000.0).values)) < 1e-6
 
 
-def test_luminescence_requires_branch(params, altldh_trace):
-    with pytest.raises(ConfigurationError):
-        luminescence(altldh_trace, gain=1.0)
+def test_luminescence_requires_branch(params, altldh):
+    with pytest.raises(ConfigurationError, match="lacks the required reporter step"):
+        readout(altldh, {"transduction": "luminescence"}, params)
 
 
 def test_amperometric_charge_bookkeeping(params):
@@ -105,7 +109,7 @@ def test_amperometric_charge_bookkeeping(params):
     # turned over, which the 1:1 reporter stoichiometry pins to ABTSox formed
     net = build_cascade("AltPoxHrp", params)
     tr = simulate(net, {"Ala": 120.0}, 120.0, 0.01)
-    cur = amperometric_current(tr, faradaic_gain=500.0)
+    cur = amperometric_current(tr, net, gain=500.0)
     charge = np.trapezoid(cur.values, cur.times) / 500.0
     produced = tr.column("ABTSox")[-1] - tr.column("ABTSox")[0]
     assert abs(charge - produced) / produced < 0.01
@@ -116,7 +120,7 @@ def test_amperometric_doubling_alanine(params):
 
     def charge(ala):
         tr = simulate(net, {"Ala": ala}, 120.0, 0.01)
-        cur = amperometric_current(tr, faradaic_gain=500.0)
+        cur = amperometric_current(tr, net, gain=500.0)
         return np.trapezoid(cur.values, cur.times) / 500.0
 
     ratio = charge(240.0) / charge(120.0)
@@ -126,46 +130,36 @@ def test_amperometric_doubling_alanine(params):
 def test_amperometric_zero_without_production(params):
     net = build_cascade("AltPoxHrp", params)
     tr = simulate(net, {"Ala": 0.0}, 30.0, 0.01)
-    cur = amperometric_current(tr, faradaic_gain=500.0)
+    cur = amperometric_current(tr, net, gain=500.0)
     assert np.all(cur.values == 0.0)
 
 
-def test_amperometric_requires_h2o2(params, altldh_trace):
-    with pytest.raises(ConfigurationError):
-        amperometric_current(altldh_trace, faradaic_gain=1.0)
+def test_amperometric_requires_h2o2(params, altldh):
+    with pytest.raises(ConfigurationError, match="lacks the required reporter step"):
+        readout(altldh, {"transduction": "amperometric"}, params)
 
 
 def test_gain_homogeneity(params):
     net = build_cascade("AltPoxHrp", params)
     tr = simulate(net, {"Ala": 90.0}, 30.0, 0.01)
-    base = amperometric_current(tr, faradaic_gain=1.0)
+    base = amperometric_current(tr, net, gain=1.0)
     for g in (0.5, 3.0, 250.0):
-        scaled = amperometric_current(tr, faradaic_gain=g)
+        scaled = amperometric_current(tr, net, gain=g)
         np.testing.assert_allclose(scaled.values, g * base.values, rtol=1e-12)
 
 
-def test_nadh_pool_channel_consistency(params, altldh_trace):
+def test_nadh_pool_channel_consistency(params, altldh, altldh_trace):
     # only NADH absorbs, but epsilon*l*(NADH + NADplus) stays constant since
     # the cofactor pool is conserved
     cfg = builtin_optics("NADH", params)
     pool = altldh_trace.column("NADH") + altldh_trace.column("NADplus")
     scaled = cfg.epsilon * cfg.path_length * 1e-6 * pool
     np.testing.assert_allclose(scaled, scaled[0], rtol=1e-9)
-    ws = conserved_moieties(altldh_trace.network)
+    ws = conserved_moieties(altldh)
     names = altldh_trace.species_names
     indicator = np.array([1.0 if n in ("NADH", "NADplus") else 0.0 for n in names])
-    assert any(np.allclose(indicator @ altldh_trace.network.effective_stoichiometry, 0.0)
+    assert any(np.allclose(indicator @ altldh.effective_stoichiometry, 0.0)
                for _ in ws)
-
-
-def test_signal_csv(tmp_path, params, altldh_trace):
-    sig = absorbance(altldh_trace, builtin_optics("NADH", params))
-    path = tmp_path / "signal.csv"
-    sig.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t_s,value,channel"
-    assert len(lines) == 1 + sig.times.size
-    assert lines[1].endswith("A340/NADH")
 
 
 def test_optical_config_validation():
