@@ -1,6 +1,6 @@
 """RK4 integration kernels for enzymatic cascade dynamics.
 
-One numpy implementation with two entry points: ``rk4_trace`` records
+One set of step rules with two entry points: ``rk4_trace`` records
 every grid point of a single simulation, and ``rk4_batch`` advances many
 simulations of one or more independent networks at once, keeping each
 observed signal (a species or a reaction rate) as its endpoints and running
@@ -26,13 +26,14 @@ copies whole rows and each substrate slot is contiguous; BLAS still gets the
 ``[B, n_rxn] @ [n_rxn, n_species]`` product of the rates, so every value
 keeps its bits. It checks the whole batch once per step. Only when that
 check fails are the offending blocks of the offending rows redone, each with
-the guarded scalar advance of ``rk4_trace`` on the block's own arrays, so
-both agree exactly and healthy blocks keep their bits; the batch ends at the
-first failed redo. The off-block zeros of the stacked stoichiometry add
-exact zeros to each derivative, and ``tests/test_kernels.py`` checks that
-every block gets the bits of its own batch. A non-finite rate spreads NaN to
-the other blocks of its row (inf * 0); they are then redone as well, and the
-batch ends at that step, since the failing block's redo fails too.
+the guarded scalar advance ``_advance`` on the block's own arrays, which
+``rk4_trace`` matches bit for bit, so both agree exactly and healthy blocks
+keep their bits; the batch ends at the first failed redo. The off-block
+zeros of the stacked stoichiometry add exact zeros to each derivative, and
+``tests/test_kernels.py`` checks that every block gets the bits of its own
+batch. A non-finite rate spreads NaN to the other blocks of its row
+(inf * 0); they are then redone as well, and the batch ends at that step,
+since the failing block's redo fails too.
 """
 
 import numpy as np
@@ -97,17 +98,56 @@ def _advance(c, dt, st_dense, vmax, sub_idx, sub_km, sub_off):
 def rk4_trace(c0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt):
     """Integrate a single initial state, recording every grid point.
 
+    Each macro step is first tried at full size on Python floats, with the
+    float operations of ``_rk4_step`` in its order and the same BLAS product
+    for the derivative (``st_dense.T @ v``), so an accepted step has the bits
+    of ``_advance``'s first attempt. A step that goes non-finite, below
+    ``-NEG_TOL`` or divides by zero is redone from its start by ``_advance``.
+
     Returns (trace[n_steps+1, n_species], status, bad_step).
     """
     n_sp = c0.shape[0]
     out = np.empty((n_steps + 1, n_sp))
     out[0] = c0
-    c = c0.astype(np.float64).copy()
-    for k in range(n_steps):
-        status = _advance(c, dt, st_dense, vmax, sub_idx, sub_km, sub_off)
-        if status != STATUS_OK:
-            return out[: k + 1], status, k
-        out[k + 1] = c
+    st_t = st_dense.T
+    laws = [(float(vmax[j]), [(int(sub_idx[p]), float(sub_km[p]))
+                              for p in range(sub_off[j], sub_off[j + 1])])
+            for j in range(vmax.shape[0])]
+
+    def deriv(c):  # _deriv on a list of floats
+        rates = []
+        for r, subs in laws:
+            for i, km in subs:
+                s = c[i]
+                if s < 0.0:
+                    s = 0.0
+                r *= s / (km + s)
+            rates.append(r)
+        return (st_t @ np.array(rates)).tolist()
+
+    h2, h6 = 0.5 * dt, dt / 6.0
+    c = out[0].tolist()
+    with np.errstate(invalid="ignore", over="ignore"):  # as in _advance
+        for k in range(n_steps):
+            try:
+                k1 = deriv(c)
+                k2 = deriv([a + h2 * b for a, b in zip(c, k1)])
+                k3 = deriv([a + h2 * b for a, b in zip(c, k2)])
+                k4 = deriv([a + dt * b for a, b in zip(c, k3)])
+                x = [a + h6 * (((p + 2.0 * q) + 2.0 * r) + s)
+                     for a, p, q, r, s in zip(c, k1, k2, k3, k4)]
+                ok = min(x) >= -NEG_TOL and sum(x) < np.inf  # a NaN makes the sum NaN
+            except ZeroDivisionError:
+                ok = False
+            if ok:
+                c = [a if a > 0.0 else 0.0 for a in x]  # np.maximum(x, 0.0), -0.0 included
+            else:
+                cv = np.array(c)
+                status = _advance(cv, dt, st_dense, vmax, sub_idx, sub_km, sub_off)
+                if status != STATUS_OK:
+                    return out[: k + 1], status, k
+                c = cv.tolist()
+            out[k + 1] = c
     return out, STATUS_OK, -1
 
 
