@@ -26,15 +26,17 @@ copies whole rows and each substrate slot is contiguous; BLAS still gets the
 ``[B, n_rxn] @ [n_rxn, n_species]`` product of the rates, so every value
 keeps its bits. It checks the whole batch once per step. Only when that
 check fails are the offending blocks of the offending rows redone, each with
-the guarded scalar advance ``_advance`` on the block's own arrays, which
-``rk4_trace`` matches bit for bit, so both agree exactly and healthy blocks
-keep their bits; the batch ends at the first failed redo. The off-block
-zeros of the stacked stoichiometry add exact zeros to each derivative, and
+``_advance``, the guarded scalar step of ``rk4_trace``, on the block's own
+arrays, so both agree exactly and healthy blocks keep their bits; the batch
+ends at the first failed redo. The off-block zeros of the stacked
+stoichiometry add exact zeros to each derivative, and
 ``tests/test_kernels.py`` checks that every block gets the bits of its own
 batch. A non-finite rate spreads NaN to the other blocks of its row
 (inf * 0); they are then redone as well, and the batch ends at that step,
 since the failing block's redo fails too.
 """
+
+from math import isfinite
 
 import numpy as np
 
@@ -48,106 +50,85 @@ STATUS_NONFINITE = 1
 STATUS_UNDERFLOW = 2
 
 
-def _deriv(c, st_dense, vmax, sub_idx, sub_km, sub_off):
-    """Derivative for a single state vector ``c`` of shape [n_species]."""
-    n_rxn = vmax.shape[0]
-    v = vmax.copy()
-    for j in range(n_rxn):
-        for p in range(sub_off[j], sub_off[j + 1]):
-            s = c[sub_idx[p]]
+def _laws(vmax, sub_idx, sub_km, sub_off):
+    """Per reaction, (vmax, [(substrate index, Km), ...]) as Python numbers."""
+    subs = list(zip(sub_idx.tolist(), sub_km.tolist()))
+    off = sub_off.tolist()
+    return [(v, subs[off[j]:off[j + 1]]) for j, v in enumerate(vmax.tolist())]
+
+
+def _deriv(c, st_t, laws):
+    """Derivative at the state ``c``, a list of floats; st_t is ``st_dense.T``."""
+    rates = []
+    for r, subs in laws:
+        for i, km in subs:
+            s = c[i]
             if s < 0.0:
                 s = 0.0
-            v[j] *= s / (sub_km[p] + s)
-    return st_dense.T @ v
+            r *= s / (km + s)
+        rates.append(r)
+    return (st_t @ np.array(rates)).tolist()
 
 
-def _rk4_step(c, h, st_dense, vmax, sub_idx, sub_km, sub_off):
-    k1 = _deriv(c, st_dense, vmax, sub_idx, sub_km, sub_off)
-    k2 = _deriv(c + (0.5 * h) * k1, st_dense, vmax, sub_idx, sub_km, sub_off)
-    k3 = _deriv(c + (0.5 * h) * k2, st_dense, vmax, sub_idx, sub_km, sub_off)
-    k4 = _deriv(c + h * k3, st_dense, vmax, sub_idx, sub_km, sub_off)
-    return c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(c, h, st_t, laws):
+    h2, h6 = 0.5 * h, h / 6.0
+    k1 = _deriv(c, st_t, laws)
+    k2 = _deriv([a + h2 * b for a, b in zip(c, k1)], st_t, laws)
+    k3 = _deriv([a + h2 * b for a, b in zip(c, k2)], st_t, laws)
+    k4 = _deriv([a + h * b for a, b in zip(c, k3)], st_t, laws)
+    return [a + h6 * (((p + 2.0 * q) + 2.0 * r) + s) for a, p, q, r, s in zip(c, k1, k2, k3, k4)]
 
 
 def _advance(c, dt, st_dense, vmax, sub_idx, sub_km, sub_off):
-    """Advance one macro step of size dt with halving guard. Returns status."""
+    """Advance the array c one macro step of size dt in place, with halving guard.
+
+    The step runs on Python floats with the float operations of the batch
+    kernel in its order and the same BLAS product for the derivative, so a
+    state gets the same bits from either. Returns status.
+    """
+    st_t, laws = st_dense.T, _laws(vmax, sub_idx, sub_km, sub_off)
+    x = c.tolist()
     t_left = dt
     h = dt
     min_h = dt * 2.0 ** -MAX_HALVINGS
-    while t_left > 0.0:
-        if h > t_left:
-            h = t_left
-        # non-finite intermediates are legal here; they surface as a status
-        with np.errstate(invalid="ignore", over="ignore"):
-            c_new = _rk4_step(c, h, st_dense, vmax, sub_idx, sub_km, sub_off)
-        if not np.all(np.isfinite(c_new)):
-            return STATUS_NONFINITE
-        if np.any(c_new < -NEG_TOL):
-            h *= 0.5
-            if h < min_h:
-                return STATUS_UNDERFLOW
-            continue
-        np.maximum(c_new, 0.0, out=c_new)
-        c[:] = c_new
-        t_left -= h
-        if h < dt:
-            h *= 2.0
+    # non-finite intermediates are legal here; they surface as a status
+    with np.errstate(invalid="ignore", over="ignore"):
+        while t_left > 0.0:
+            if h > t_left:
+                h = t_left
+            try:
+                x_new = _rk4_step(x, h, st_t, laws)
+            except ZeroDivisionError:  # in numpy, x / 0 makes the step NaN or inf
+                return STATUS_NONFINITE
+            if not all(map(isfinite, x_new)):
+                return STATUS_NONFINITE
+            if min(x_new) < -NEG_TOL:
+                h *= 0.5
+                if h < min_h:
+                    return STATUS_UNDERFLOW
+                continue
+            x = [a if a > 0.0 else 0.0 for a in x_new]  # as np.maximum(x_new, 0.0): -0.0 -> 0.0
+            c[:] = x
+            t_left -= h
+            if h < dt:
+                h *= 2.0
     return STATUS_OK
 
 
 def rk4_trace(c0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt):
     """Integrate a single initial state, recording every grid point.
 
-    Each macro step is first tried at full size on Python floats, with the
-    float operations of ``_rk4_step`` in its order and the same BLAS product
-    for the derivative (``st_dense.T @ v``), so an accepted step has the bits
-    of ``_advance``'s first attempt. A step that goes non-finite, below
-    ``-NEG_TOL`` or divides by zero is redone from its start by ``_advance``.
-
     Returns (trace[n_steps+1, n_species], status, bad_step).
     """
     n_sp = c0.shape[0]
     out = np.empty((n_steps + 1, n_sp))
     out[0] = c0
-    st_t = st_dense.T
-    laws = [(float(vmax[j]), [(int(sub_idx[p]), float(sub_km[p]))
-                              for p in range(sub_off[j], sub_off[j + 1])])
-            for j in range(vmax.shape[0])]
-
-    def deriv(c):  # _deriv on a list of floats
-        rates = []
-        for r, subs in laws:
-            for i, km in subs:
-                s = c[i]
-                if s < 0.0:
-                    s = 0.0
-                r *= s / (km + s)
-            rates.append(r)
-        return (st_t @ np.array(rates)).tolist()
-
-    h2, h6 = 0.5 * dt, dt / 6.0
-    c = out[0].tolist()
-    with np.errstate(invalid="ignore", over="ignore"):  # as in _advance
-        for k in range(n_steps):
-            try:
-                k1 = deriv(c)
-                k2 = deriv([a + h2 * b for a, b in zip(c, k1)])
-                k3 = deriv([a + h2 * b for a, b in zip(c, k2)])
-                k4 = deriv([a + dt * b for a, b in zip(c, k3)])
-                x = [a + h6 * (((p + 2.0 * q) + 2.0 * r) + s)
-                     for a, p, q, r, s in zip(c, k1, k2, k3, k4)]
-                ok = min(x) >= -NEG_TOL and sum(x) < np.inf  # a NaN makes the sum NaN
-            except ZeroDivisionError:
-                ok = False
-            if ok:
-                c = [a if a > 0.0 else 0.0 for a in x]  # np.maximum(x, 0.0), -0.0 included
-            else:
-                cv = np.array(c)
-                status = _advance(cv, dt, st_dense, vmax, sub_idx, sub_km, sub_off)
-                if status != STATUS_OK:
-                    return out[: k + 1], status, k
-                c = cv.tolist()
-            out[k + 1] = c
+    c = c0.astype(np.float64).copy()
+    for k in range(n_steps):
+        status = _advance(c, dt, st_dense, vmax, sub_idx, sub_km, sub_off)
+        if status != STATUS_OK:
+            return out[: k + 1], status, k
+        out[k + 1] = c
     return out, STATUS_OK, -1
 
 

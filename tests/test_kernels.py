@@ -8,6 +8,9 @@ every reaction rate at once. ``network_batch`` is the kernel as it was
 before networks were integrated as one union: one network and one observed
 signal per call. A union of blocks must give each block the bits that its
 own ``network_batch`` gives it.
+
+``oracle_advance`` is the guarded scalar step in numpy, as it was before it
+moved to Python floats; ``rk4_trace`` must equal a loop of it bit for bit.
 """
 
 import itertools
@@ -33,6 +36,12 @@ MIXED = (np.array([[-1.0, 1.0, 0.0, 0.0], [0.0, -1.0, -1.0, 1.0]]), np.array([1.
          np.array([0, 1, 3], dtype=np.int64))
 MIXED_C0 = np.array([[0.3, 0.0, 1.0, 0.0], [1.0, 0.5, 0.2, 0.0],
                      [2.0, 0.0, 3.0, 0.1], [0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, -5e-10]])
+# species 0 is buffered (zero stoichiometry), so species 1 grows to +inf
+RUNAWAY = (np.array([[0.0, 1.0]]), np.array([1e308]), np.array([0], dtype=np.int64),
+           np.array([1.0]), np.array([0, 1], dtype=np.int64))
+# Km = 0: a zero substrate divides 0 by 0
+ZERO_KM = (np.array([[-1.0, 1.0]]), np.array([1.0]), np.array([0], dtype=np.int64),
+           np.array([0.0]), np.array([0, 1], dtype=np.int64))
 
 
 def oracle_rates_batch(C, vmax, sub_idx, sub_km, sub_off):
@@ -54,6 +63,56 @@ def oracle_rk4_step_batch(C, h, st_dense, vmax, sub_idx, sub_km, sub_off):
     k3 = oracle_deriv_batch(C + (0.5 * h) * k2, st_dense, vmax, sub_idx, sub_km, sub_off)
     k4 = oracle_deriv_batch(C + h * k3, st_dense, vmax, sub_idx, sub_km, sub_off)
     return C + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def oracle_advance(c, dt, st_dense, vmax, sub_idx, sub_km, sub_off):
+    """The guarded scalar step in numpy: advance the state c in place, return status.
+
+    ``_kernels._advance`` takes the same step on Python floats.
+    """
+    def deriv(x):
+        v = vmax.copy()
+        for j in range(vmax.shape[0]):
+            for p in range(sub_off[j], sub_off[j + 1]):
+                s = x[sub_idx[p]]
+                if s < 0.0:
+                    s = 0.0
+                v[j] *= s / (sub_km[p] + s)
+        return st_dense.T @ v
+
+    t_left, h, min_h = dt, dt, dt * 2.0 ** -_kernels.MAX_HALVINGS
+    while t_left > 0.0:
+        h = min(h, t_left)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            k1 = deriv(c)
+            k2 = deriv(c + (0.5 * h) * k1)
+            k3 = deriv(c + (0.5 * h) * k2)
+            k4 = deriv(c + h * k3)
+            c_new = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(c_new)):
+            return _kernels.STATUS_NONFINITE
+        if np.any(c_new < -_kernels.NEG_TOL):
+            h *= 0.5
+            if h < min_h:
+                return _kernels.STATUS_UNDERFLOW
+            continue
+        c[:] = np.maximum(c_new, 0.0)
+        t_left -= h
+        if h < dt:
+            h *= 2.0
+    return _kernels.STATUS_OK
+
+
+def oracle_trace(c0, network, n_steps, dt):
+    """rk4_trace as a loop of oracle_advance: (trace, status, bad_step)."""
+    c = np.array(c0, dtype=np.float64)
+    out = [c.copy()]
+    for k in range(n_steps):
+        status = oracle_advance(c, dt, *network)
+        if status != _kernels.STATUS_OK:
+            return np.array(out), status, k
+        out.append(c.copy())
+    return np.array(out), _kernels.STATUS_OK, -1
 
 
 def oracle_rk4_batch(C0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt):
@@ -83,7 +142,7 @@ def oracle_rk4_batch(C0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt):
         trouble = live & (~finite | neg)
         for i in np.nonzero(trouble)[0]:
             c_i = C[i].copy()
-            st = _kernels._advance(c_i, dt, st_dense, vmax, sub_idx, sub_km, sub_off)
+            st = oracle_advance(c_i, dt, st_dense, vmax, sub_idx, sub_km, sub_off)
             if st != _kernels.STATUS_OK:
                 status[i] = st
                 bad_step[i] = k
@@ -203,12 +262,10 @@ def test_halving_rescue_matches_oracle_bit_for_bit(monkeypatch, network, C0):
 
 
 def test_positive_overflow_alone_is_caught():
-    # species 0 is buffered (zero stoichiometry), so species 1 grows to +inf
-    # with no NaN or negative anywhere; both rows fail at the same step
-    runaway = (np.array([[0.0, 1.0]]), np.array([1e308]), np.array([0], dtype=np.int64),
-               np.array([1.0]), np.array([0, 1], dtype=np.int64))
+    # species 1 grows to +inf with no NaN or negative anywhere; both rows
+    # fail at the same step
     C0 = np.array([[1.0, 0.0], [2.0, 5.0]])
-    *_, status, bad = assert_same_as_oracle(C0, runaway, 10, 1.0)
+    *_, status, bad = assert_same_as_oracle(C0, RUNAWAY, 10, 1.0)
     assert status.tolist() == [_kernels.STATUS_NONFINITE] * 2
     assert bad.tolist() == [bad[0]] * 2 and bad[0] >= 0
 
@@ -237,6 +294,41 @@ def _depleting_gldh(glu):
     C0 = np.tile(net.init_vector({}), (len(glu), 1))
     C0[:, net.index("Glu")] = glu
     return net, C0
+
+
+def assert_trace_is_oracle_loop(c0, network, n_steps, dt):
+    got = _kernels.rk4_trace(np.array(c0, dtype=np.float64), *network, n_steps, dt)
+    want = oracle_trace(c0, network, n_steps, dt)
+    assert got[0].tobytes() == want[0].tobytes()  # -0.0 and 0.0 differ here
+    assert got[1:] == want[1:]
+    return got
+
+
+@pytest.mark.parametrize("kind", list(CascadeKind))
+def test_trace_is_a_loop_of_the_numpy_step_bit_for_bit(params, kind):
+    net = build_cascade(kind, params)
+    c0 = random_inputs(net, 1, list(CascadeKind).index(kind))[0]
+    c0[-1] = -0.0
+    _, status, _ = assert_trace_is_oracle_loop(c0, net.compiled(), 200, 0.05)
+    assert status == _kernels.STATUS_OK
+
+
+@pytest.mark.parametrize("network, c0, n_steps, dt, status", [
+    *[(STIFF, c0, 40, 0.05, _kernels.STATUS_OK) for c0 in [*STIFF_C0, [-0.0, 1.0]]],
+    *[(MIXED, c0, 40, 0.05, _kernels.STATUS_OK) for c0 in MIXED_C0],
+    (RUNAWAY, [1.0, -0.0], 10, 1.0, _kernels.STATUS_NONFINITE),
+    (ZERO_KM, [0.0, 1.0], 10, 0.1, _kernels.STATUS_NONFINITE),
+    (ZERO_KM, [1.0, -0.0], 10, 0.1, _kernels.STATUS_OK),
+], ids=["stiff0", "stiff1", "stiff2", "stiff-neg-zero", "mixed0", "mixed1", "mixed2", "mixed3",
+        "mixed4", "runaway", "zero-km-0/0", "zero-km"])
+def test_trace_matches_numpy_step_through_halving_and_failure(network, c0, n_steps, dt, status):
+    assert assert_trace_is_oracle_loop(c0, network, n_steps, dt)[1] == status
+
+
+def test_underflowing_trace_matches_numpy_step():
+    net, C0 = _depleting_gldh([1.0])
+    assert assert_trace_is_oracle_loop(C0[0], net.compiled(), 100, 0.01)[1] == \
+        _kernels.STATUS_UNDERFLOW
 
 
 def test_one_underflowing_row_raises_like_oracle():
@@ -355,13 +447,11 @@ def test_halving_rescue_runs_per_block(monkeypatch, params, network, C0):
 
 
 def test_overflow_next_to_healthy_block_fails_like_its_own_batch(params):
-    runaway = (np.array([[0.0, 1.0]]), np.array([1e308]), np.array([0], dtype=np.int64),
-               np.array([1.0]), np.array([0, 1], dtype=np.int64))
     healthy = build_cascade("AltPoxHrp", params)
     C0s = [random_inputs(healthy, 2, 0), np.array([[1.0, 0.0], [2.0, 5.0]])]
-    got = _kernels.rk4_batch(np.hstack(C0s), [healthy.compiled(), runaway], 10, 1.0,
+    got = _kernels.rk4_batch(np.hstack(C0s), [healthy.compiled(), RUNAWAY], 10, 1.0,
                              [(0, False), (len(healthy.species) + 1, False)])
-    *_, status, bad = network_batch(C0s[1], *runaway, 10, 1.0, 1)
+    *_, status, bad = network_batch(C0s[1], *RUNAWAY, 10, 1.0, 1)
     assert status.tolist() == [_kernels.STATUS_NONFINITE] * 2
     np.testing.assert_array_equal(got[5], np.stack([np.zeros(2, dtype=np.int64), status], 1))
     np.testing.assert_array_equal(got[6], np.stack([np.full(2, -1), bad], 1))
