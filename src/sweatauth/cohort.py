@@ -98,6 +98,9 @@ class GroupDistributionSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "GroupDistributionSpec":
+        for key in ("acids", "demographics"):
+            if not isinstance(raw.get(key, {}), dict):
+                raise ConfigurationError(f"distribution {key}: not an object: {raw[key]!r}")
         acids = {}
         for name, entry in raw.get("acids", {}).items():
             try:

@@ -48,6 +48,8 @@ def _read_json(path) -> dict:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}") from None
+    except OSError as exc:  # a directory, a permission, a device
+        raise ConfigurationError(f"cannot read config file {path}: {exc.strerror or exc}") from None
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ConfigurationError(f"invalid JSON in {path}: {exc}") from None
     if not isinstance(raw, dict):
@@ -108,11 +110,14 @@ def load_experiment(source, seed_override: int = None) -> ExperimentConfig:
     else:
         raise ConfigurationError(f"unsupported config source {type(source).__name__}")
 
-    dist_dict = (_read_json(raw["distribution"]) if raw.get("distribution")
+    dist_dict = (_read_json(_file_name(raw, "distribution")) if "distribution" in raw
                  else default_distribution_dict())
-    if raw.get("distribution_overrides"):
-        dist_dict = _deep_merge(dist_dict, raw["distribution_overrides"])
-    params_dict = (_read_json(raw["params"]) if raw.get("params")
+    overrides = raw.get("distribution_overrides", {})
+    if not isinstance(overrides, dict):
+        raise ConfigurationError(f"distribution_overrides: not an object: {overrides!r}")
+    if overrides:
+        dist_dict = _deep_merge(dist_dict, overrides)
+    params_dict = (_read_json(_file_name(raw, "params")) if "params" in raw
                    else default_params_dict())
 
     if "cohort" in raw:
@@ -142,6 +147,13 @@ def load_experiment(source, seed_override: int = None) -> ExperimentConfig:
                             distribution_dict=dist_dict, params=params,
                             params_dict=params_dict, config_hash=config_hash,
                             params_hash=params_hash)
+
+
+def _file_name(raw: dict, key: str) -> str:
+    """raw[key] if it is a non-empty string: open() would read an integer as a file descriptor."""
+    if not (isinstance(raw[key], str) and raw[key]):
+        raise ConfigurationError(f"{key}: not a file name: {raw[key]!r}")
+    return raw[key]
 
 
 def check_keys(section: dict, where: str, allowed, required=()) -> None:

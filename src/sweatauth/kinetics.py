@@ -122,6 +122,16 @@ class KineticParams:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "KineticParams":
+        for key in ("enzymes", "reagents", "optics", "gains"):
+            if not isinstance(raw.get(key, {}), dict):
+                raise ConfigurationError(f"params {key}: not an object: {raw[key]!r}")
+        buffered = raw.get("buffered", ["O2"])
+        if not (isinstance(buffered, list) and all(isinstance(sp, str) for sp in buffered)):
+            raise ConfigurationError(f"params buffered: not a list of strings: {buffered!r}")
+        try:
+            path_length_cm = float(raw.get("path_length_cm", 1.0))
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"params path_length_cm: {exc}") from None
         enzymes = {}
         for code, entry in raw.get("enzymes", {}).items():
             try:
@@ -133,13 +143,19 @@ class KineticParams:
             except (KeyError, TypeError, ValueError, AttributeError) as exc:
                 reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
                 raise ConfigurationError(f"params enzyme {code!r}: {reason}") from None
+        reagents = {}
+        for name, value in raw.get("reagents", {}).items():
+            try:
+                reagents[name] = float(value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(f"params reagent {name!r}: {exc}") from None
         return cls(
             enzymes=enzymes,
-            reagents={k: float(v) for k, v in raw.get("reagents", {}).items()},
-            buffered=tuple(raw.get("buffered", ("O2",))),
+            reagents=reagents,
+            buffered=tuple(buffered),
             optics=raw.get("optics", {}),
             gains=raw.get("gains", {}),
-            path_length_cm=float(raw.get("path_length_cm", 1.0)),
+            path_length_cm=path_length_cm,
         )
 
 

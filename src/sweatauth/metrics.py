@@ -19,6 +19,9 @@ import numpy as np
 from ._artifacts import write_csv, write_json
 from .errors import InsufficientDataError
 
+# curve points that write_roc_csv turns into Python floats at a time (about 0.4 MB)
+ROC_CSV_SLICE = 4096
+
 
 @dataclass
 class ScoredPopulation:
@@ -53,29 +56,41 @@ class RocCurve:
     def trapezoid_area(self) -> float:
         return float(np.trapezoid(self.points[:, 1], self.points[:, 0]))
 
+    def eer(self) -> float:
+        """Rate where FAR equals FRR, linearly interpolated along the sweep."""
+        far = self.points[:, 0]
+        frr = 1.0 - self.points[:, 1]
+        diff = frr - far
+        # sweep starts at (FAR 0, FRR 1) and ends at (FAR 1, FRR 0): diff crosses 0
+        k = np.flatnonzero((diff[:-1] >= 0.0) & (diff[1:] <= 0.0))[0]
+        span = diff[k] - diff[k + 1]
+        alpha = diff[k] / span if span > 0 else 0.0
+        return float(far[k] + alpha * (far[k + 1] - far[k]))
 
-def _below(ref: np.ndarray, probes: np.ndarray):
-    """Per probe: `ref` scores strictly below it, and those plus half its ties."""
+
+def _below(ref: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """Per probe: `ref` scores strictly below it plus half its ties."""
     s = np.sort(ref)
     lt = np.searchsorted(s, probes, "left")
-    return lt, lt + 0.5 * (np.searchsorted(s, probes, "right") - lt)
+    return lt + 0.5 * (np.searchsorted(s, probes, "right") - lt)
 
 
 def roc_curve(pop: ScoredPopulation) -> RocCurve:
     """Threshold sweep over all distinct scores, ties crossing together."""
     pop.require(1)
     thresholds = np.unique(np.concatenate([pop.genuine, pop.impostor]))[::-1]
-    n_g, n_i = pop.genuine.size, pop.impostor.size
-    tpr = (n_g - _below(pop.genuine, thresholds)[0]) / n_g
-    fpr = (n_i - _below(pop.impostor, thresholds)[0]) / n_i
-    points = np.vstack([(0.0, 0.0), np.column_stack([fpr, tpr])])
+    points = np.zeros((thresholds.size + 1, 2))
+    for col, scores in ((0, pop.impostor), (1, pop.genuine)):
+        # rate accepted at each threshold: the scores not strictly below it
+        below = np.searchsorted(np.sort(scores), thresholds, "left")
+        points[1:, col] = (scores.size - below) / scores.size
     return RocCurve(points=points, thresholds=np.concatenate([[np.inf], thresholds]))
 
 
 def auc(pop: ScoredPopulation) -> float:
     """Mann-Whitney statistic: P(genuine > impostor) + 0.5 * P(tie)."""
     pop.require(1)
-    wins = _below(pop.impostor, pop.genuine)[1]
+    wins = _below(pop.impostor, pop.genuine)
     return float(wins.sum() / (pop.genuine.size * pop.impostor.size))
 
 
@@ -99,8 +114,8 @@ def delong_variance(pop: ScoredPopulation) -> DelongResult:
     """
     pop.require(2)
     n_g, n_i = pop.genuine.size, pop.impostor.size
-    wins = _below(pop.impostor, pop.genuine)[1]          # row sums of psi
-    beaten = n_g - _below(pop.genuine, pop.impostor)[1]  # column sums of psi
+    wins = _below(pop.impostor, pop.genuine)          # row sums of psi
+    beaten = n_g - _below(pop.genuine, pop.impostor)  # column sums of psi
     v10, v01 = wins / n_i, beaten / n_g
     point = float(wins.sum() / (n_g * n_i))
     var = float(np.var(v10, ddof=1) / v10.size + np.var(v01, ddof=1) / v01.size)
@@ -111,21 +126,19 @@ def delong_variance(pop: ScoredPopulation) -> DelongResult:
 
 
 def eer(pop: ScoredPopulation) -> float:
-    """Rate where FAR equals FRR, linearly interpolated along the sweep."""
-    curve = roc_curve(pop)
-    far = curve.points[:, 0]
-    frr = 1.0 - curve.points[:, 1]
-    diff = frr - far
-    # sweep starts at (FAR 0, FRR 1) and ends at (FAR 1, FRR 0): diff crosses 0
-    k = np.flatnonzero((diff[:-1] >= 0.0) & (diff[1:] <= 0.0))[0]
-    span = diff[k] - diff[k + 1]
-    alpha = diff[k] / span if span > 0 else 0.0
-    return float(far[k] + alpha * (far[k + 1] - far[k]))
+    """Equal error rate of pop's ROC curve (``RocCurve.eer``)."""
+    return roc_curve(pop).eer()
 
 
 def write_roc_csv(path, curve: RocCurve, config_hash: str = "") -> None:
-    rows = zip(curve.thresholds.tolist(), *curve.points.T.tolist())
-    write_csv(path, ["threshold", "fpr", "tpr"], rows, config_hash)
+    """One row per curve point, converted to Python floats a slice at a time."""
+    def rows():
+        for lo in range(0, curve.thresholds.size, ROC_CSV_SLICE):
+            hi = lo + ROC_CSV_SLICE
+            yield from zip(curve.thresholds[lo:hi].tolist(), curve.points[lo:hi, 0].tolist(),
+                           curve.points[lo:hi, 1].tolist())
+
+    write_csv(path, ["threshold", "fpr", "tpr"], rows(), config_hash)
 
 
 def write_summary_json(path, payload: dict) -> None:

@@ -233,15 +233,14 @@ def run_auth_eval(cfg: ExperimentConfig):
     summary.update(extras)
     curves = {}
     for label, pop in pops.items():
-        dl = metrics.delong_variance(pop)
-        entry = dl.as_dict()
-        entry["eer"] = metrics.eer(pop)
+        entry = metrics.delong_variance(pop).as_dict()
+        curves[label] = metrics.roc_curve(pop)
+        entry["eer"] = curves[label].eer()
         entry["n_genuine"] = int(pop.genuine.size)
         entry["n_impostor"] = int(pop.impostor.size)
         if label == "accumulated":
             entry["k"] = k_acc
         summary[label] = entry
-        curves[label] = metrics.roc_curve(pop)
     return summary, curves, result
 
 
@@ -290,17 +289,25 @@ def enroll_templates(result: PipelineResult, auth_cfg: dict) -> list:
 
 
 def _identity_mode_scores(result, auth_cfg, k_reg, k_acc):
+    """Populations of template i scored on the continuation of individual j.
+
+    Genuine scores are the pairs i == j, impostor scores the rest, each in
+    (template, probe individual, step) order. An accumulated score adds the
+    k_acc step scores of one pair from left to right, starting from 0.0.
+    """
     n = len(result.profiles)
     cont = result.outputs[:, k_reg:k_reg + k_acc]
-    gen_steps, imp_steps, gen_acc, imp_acc = [], [], [], []
+    scores = np.empty((n, n, k_acc))  # [template, probe individual, step]
     for i, tpl in enumerate(enroll_templates(result, auth_cfg)):
         for j, probes in enumerate(cont):
-            scores = [score_step(tpl, y) for y in probes]
-            (gen_steps if j == i else imp_steps).extend(scores)
-            (gen_acc if j == i else imp_acc).append(sum(scores))
+            scores[i, j] = [score_step(tpl, y) for y in probes]
+    acc = np.zeros((n, n))
+    for step in range(k_acc):
+        acc += scores[:, :, step]
+    own = np.eye(n, dtype=bool)
     extras = {"n_genuine_users": n, "n_impostor_users": n}
-    return ({"k1": metrics.ScoredPopulation(gen_steps, imp_steps),
-             "accumulated": metrics.ScoredPopulation(gen_acc, imp_acc)}, extras)
+    return ({"k1": metrics.ScoredPopulation(scores[own], scores[~own]),
+             "accumulated": metrics.ScoredPopulation(acc[own], acc[~own])}, extras)
 
 
 # ----------------------------------------------------------------------

@@ -51,11 +51,15 @@ def builtin_optics(species: str, params) -> OpticalConfig:
     if species not in params.optics:
         raise ConfigurationError(f"no optics entry for species {species!r}")
     entry = params.optics[species]
-    wl = float(entry["wavelength"])
+    try:
+        wl, epsilon = float(entry["wavelength"]), float(entry["epsilon"])
+    except (KeyError, TypeError, ValueError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigurationError(f"params optics {species!r}: {reason}") from None
     if species in BUILTIN_WAVELENGTHS and wl != BUILTIN_WAVELENGTHS[species]:
         raise ConfigurationError(
             f"built-in channel {species} reads at {BUILTIN_WAVELENGTHS[species]} nm, got {wl}")
-    return OpticalConfig(wavelength=wl, epsilon=float(entry["epsilon"]),
+    return OpticalConfig(wavelength=wl, epsilon=epsilon,
                          path_length=params.path_length_cm, species=species)
 
 

@@ -1,18 +1,23 @@
-"""Trace-based reference routes for the batch readouts and the cohort CSV.
+"""Reference routes that the library's array code is checked against.
 
 The library computes features from batch summaries only. These functions
 are the explicit routes the batch results are checked against: per-step
 rates of a recorded trace, the luminescence and amperometric signals built
 on them, the gate-time feature of a sampled signal, and the reader of a
-cohort CSV.
+cohort CSV. ``identity_mode_scores`` is the list-building form of the
+identity-mode score populations.
 """
 
 import csv
+import functools
+import operator
 
 import numpy as np
 
+from sweatauth import metrics
 from sweatauth.cohort import N_ACIDS
 from sweatauth.errors import ConfigurationError
+from sweatauth.pipeline import enroll_templates, score_step
 from sweatauth.transduce import SignalTrace, reporter_step
 
 
@@ -81,3 +86,27 @@ def read_cohort_csv(path):
         ids.append(row[0])
         rows.append([float(x) for x in row[1:]])
     return ids, np.array(rows) if rows else np.empty((0, N_ACIDS))
+
+
+def left_sum(scores):
+    """scores added from left to right starting from 0, as Python 3.11's sum() does.
+
+    Python 3.12's sum() compensates its float additions, so it can differ in
+    the last bit: sum([0.1] * 10) is 1.0 on 3.12 and 0.9999999999999999 on 3.11.
+    """
+    return functools.reduce(operator.add, scores, 0)
+
+
+def identity_mode_scores(result, auth_cfg, k_reg, k_acc):
+    """pipeline._identity_mode_scores as Python lists grown one probe individual at a time."""
+    n = len(result.profiles)
+    cont = result.outputs[:, k_reg:k_reg + k_acc]
+    gen_steps, imp_steps, gen_acc, imp_acc = [], [], [], []
+    for i, tpl in enumerate(enroll_templates(result, auth_cfg)):
+        for j, probes in enumerate(cont):
+            scores = [score_step(tpl, y) for y in probes]
+            (gen_steps if j == i else imp_steps).extend(scores)
+            (gen_acc if j == i else imp_acc).append(left_sum(scores))
+    extras = {"n_genuine_users": n, "n_impostor_users": n}
+    return ({"k1": metrics.ScoredPopulation(gen_steps, imp_steps),
+             "accumulated": metrics.ScoredPopulation(gen_acc, imp_acc)}, extras)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sweatauth.errors import InsufficientDataError
-from sweatauth.metrics import (DelongResult, RocCurve, ScoredPopulation, auc,
+from sweatauth.metrics import (ROC_CSV_SLICE, DelongResult, RocCurve, ScoredPopulation, auc,
                                delong_variance, eer, roc_curve, write_roc_csv)
 
 
@@ -91,7 +91,7 @@ def assert_matches_oracles(genuine, impostor):
     assert curve.points.tobytes() == want.points.tobytes()
     assert curve.thresholds.tobytes() == want.thresholds.tobytes()
     assert auc(pop) == pairwise_auc(pop)
-    assert eer(pop) == loop_eer(pop)
+    assert eer(pop) == curve.eer() == loop_eer(pop)
     if min(pop.genuine.size, pop.impostor.size) >= 2:
         got, ref = delong_variance(pop), pairwise_delong_variance(pop)
         assert got.auc == ref.auc
@@ -331,6 +331,40 @@ def test_roc_csv_bytes_match_per_row_writer(tmp_path, config_hash):
     write_roc_csv(tmp_path / "new.csv", curve, config_hash=config_hash)
     per_row_roc_csv(tmp_path / "old.csv", curve, config_hash=config_hash)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def curve_of(n_points, seed=0):
+    """ROC curve with exactly n_points points: n_points - 1 distinct scores."""
+    scores = np.random.default_rng(seed).permutation(np.arange(n_points - 1) / 7.0 - 1.0)
+    if n_points == 2:
+        return roc_curve(ScoredPopulation(scores, scores))
+    half = (n_points - 1) // 2
+    return roc_curve(ScoredPopulation(scores[:half], scores[half:]))
+
+
+@pytest.mark.parametrize("n_points", [2, ROC_CSV_SLICE, ROC_CSV_SLICE + 1,
+                                      3 * ROC_CSV_SLICE + 5])
+def test_roc_csv_slices_match_per_row_writer(tmp_path, n_points):
+    curve = curve_of(n_points)
+    assert len(curve.points) == n_points
+    write_roc_csv(tmp_path / "new.csv", curve, config_hash="beef")
+    per_row_roc_csv(tmp_path / "old.csv", curve, config_hash="beef")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_roc_csv_write_memory_does_not_grow_with_the_curve(tmp_path):
+    # all rows converted at once held three Python floats per point, about
+    # 29 MB for this curve
+    rng = np.random.default_rng(300)
+    curve = roc_curve(ScoredPopulation(rng.normal(1, 1, 3_000), rng.normal(0, 1, 297_000)))
+    assert len(curve.points) > 299_000
+    tracemalloc.start()
+    try:
+        write_roc_csv(tmp_path / "roc.csv", curve, config_hash="beef")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_roc_curve_validation():

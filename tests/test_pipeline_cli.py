@@ -7,16 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import amperometric_current, endpoint_feature, luminescence, step_rates
-from sweatauth import cli
+from oracles import (amperometric_current, endpoint_feature, identity_mode_scores, left_sum,
+                     luminescence, step_rates)
+from sweatauth import cli, metrics, pipeline
 from sweatauth.auth import VerifyPolicy, enroll, verify_series
 from sweatauth.cohort import ACID_INDEX
 from sweatauth.config import (builtin_experiment, default_distribution_dict, default_params_dict,
                               load_experiment)
 from sweatauth.kinetics import simulate, simulate_batch
-from sweatauth.pipeline import (build_channel, channel_features, enroll_templates,
-                                integrate_channels, run_auth_eval, run_pipeline)
+from sweatauth.pipeline import (_identity_mode_scores, build_channel, channel_features,
+                                enroll_templates, integrate_channels, run_auth_eval, run_pipeline)
 from sweatauth.transduce import absorbance, builtin_optics
+from test_metrics import loop_eer
 
 
 def small_config(**tweaks):
@@ -289,17 +291,72 @@ def test_group_eval_summary_contents():
     assert summary["accumulated"]["k"] == 3
 
 
-def test_identity_eval_runs():
+def trimmed_identity(seed_override=None):
+    """The builtin identity experiment trimmed for fast tests: 6 individuals, 7 steps."""
     raw = builtin_experiment("identity")
     raw["cohort"]["groups"][0]["n"] = 6
     raw["cohort"]["schedule"]["steps"] = 7
     raw["auth"]["k_reg"] = 3
     raw["auth"]["accumulate_k"] = 4
     raw["kinetics"]["dt"] = 0.02
-    summary, _, _ = run_auth_eval(load_experiment(raw))
+    return load_experiment(raw, seed_override=seed_override)
+
+
+def test_identity_eval_runs():
+    summary, _, _ = run_auth_eval(trimmed_identity())
     assert summary["mode"] == "identity"
     assert summary["k1"]["n_genuine"] == 6 * 4
     assert summary["k1"]["n_impostor"] == 6 * 5 * 4
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_identity_scores_match_list_building_oracle(seed):
+    cfg = trimmed_identity(seed)
+    result, auth_cfg = run_pipeline(cfg), cfg.section("auth")
+    got, extras = _identity_mode_scores(result, auth_cfg, 3, 4)
+    want, want_extras = identity_mode_scores(result, auth_cfg, 3, 4)
+    assert extras == want_extras
+    for label in ("k1", "accumulated"):
+        assert got[label].genuine.tobytes() == want[label].genuine.tobytes()
+        assert got[label].impostor.tobytes() == want[label].impostor.tobytes()
+    assert got["k1"].impostor.size == 6 * 5 * 4
+
+
+def test_accumulated_scores_add_steps_left_to_right(monkeypatch, small_result):
+    # pair (0, 1) has large terms that cancel: a compensated sum (Python
+    # 3.12's sum()) keeps the 1.0 that adding from the left loses; pair
+    # (0, 2) sums to +0.0 from a start of 0, and to -0.0 from -0.0
+    k_acc = 3
+    n = len(small_result.profiles)
+    values = np.random.default_rng(5).choice([0.1, 0.7, 1e16, -1e16, 1.0, -0.0],
+                                             n * n * k_acc).tolist()
+    values[:3 * k_acc] = [0.1, 0.1, 0.1, 1e16, 1.0, -1e16, -0.0, -0.0, -0.0]
+    calls = iter(values)
+    monkeypatch.setattr(pipeline, "score_step", lambda tpl, y: next(calls))
+    pops, _ = _identity_mode_scores(small_result, {"k_reg": 2}, 2, k_acc)
+    rows = np.array(values).reshape(n, n, k_acc)
+    for i in range(n):
+        for j in range(n):
+            want = left_sum(rows[i, j].tolist())
+            got = (pops["accumulated"].genuine[i] if i == j else
+                   pops["accumulated"].impostor[i * (n - 1) + j - (j > i)])
+            assert got == want and np.signbit(got) == np.signbit(want), (i, j)
+    assert pops["k1"].genuine.tolist() == [s for i in range(n) for s in rows[i, i]]
+    assert pops["accumulated"].genuine[0] == 0.30000000000000004
+    assert pops["accumulated"].impostor[0] == 0.0
+    assert not np.signbit(pops["accumulated"].impostor[1])
+
+
+def test_auth_eval_builds_one_roc_curve_per_label(monkeypatch):
+    built = []
+    roc_curve = metrics.roc_curve
+    monkeypatch.setattr(metrics, "roc_curve", lambda pop: built.append(pop) or roc_curve(pop))
+    for cfg in (load_experiment(small_config()), trimmed_identity()):
+        built.clear()
+        summary, curves, _ = run_auth_eval(cfg)
+        assert len(built) == 2
+        for pop, label in zip(built, ("k1", "accumulated")):
+            assert summary[label]["eer"] == curves[label].eer() == loop_eer(pop)
 
 
 def test_eval_insufficient_steps():
@@ -428,7 +485,51 @@ def without(tree, *keys):
      "params enzyme 'ALT': missing key 'kcat'"),
     (lambda raw, tmp: dict(raw, params=json_file(tmp / "params.json", [])),
      "{tmp}/params.json: not a JSON object"),
-], ids=["config-is-a-list", "acid-without-cv", "enzyme-without-kcat", "params-is-a-list"])
+    # open() reads an integer, True included, as a file descriptor
+    (lambda raw, tmp: dict(raw, params=5), "params: not a file name: 5"),
+    (lambda raw, tmp: dict(raw, params=True), "params: not a file name: True"),
+    (lambda raw, tmp: dict(raw, distribution=""), "distribution: not a file name: ''"),
+    (lambda raw, tmp: dict(raw, distribution="."), "cannot read config file .: Is a directory"),
+    (lambda raw, tmp: dict(raw, distribution_overrides=[1]),
+     "distribution_overrides: not an object: [1]"),
+    (lambda raw, tmp: dict(raw, distribution=json_file(
+        tmp / "dist.json", dict(default_distribution_dict(), acids=["Ala"]))),
+     "distribution acids: not an object: ['Ala']"),
+    (lambda raw, tmp: dict(raw, distribution_overrides={"acids": 1}),
+     "distribution acids: not an object: 1"),
+    (lambda raw, tmp: dict(raw, params=json_file(
+        tmp / "params.json", dict(default_params_dict(), reagents=["KTG"]))),
+     "params reagents: not an object: ['KTG']"),
+    (lambda raw, tmp: dict(raw, params=json_file(
+        tmp / "params.json", dict(default_params_dict(), enzymes=[]))),
+     "params enzymes: not an object: []"),
+    (lambda raw, tmp: dict(raw, params=json_file(
+        tmp / "params.json", dict(default_params_dict(), buffered=5))),
+     "params buffered: not a list of strings: 5"),
+    (lambda raw, tmp: dict(raw, params=json_file(
+        tmp / "params.json", dict(default_params_dict(), buffered="O2"))),
+     "params buffered: not a list of strings: 'O2'"),
+    (lambda raw, tmp: dict(raw, params=json_file(
+        tmp / "params.json", dict(default_params_dict(), gains=[]))),
+     "params gains: not an object: []"),
+    (lambda raw, tmp: dict(raw, params=json_file(
+        tmp / "params.json", dict(default_params_dict(), reagents={"KTG": [500.0]}))),
+     "params reagent 'KTG': float() argument must be a string or a real number, not 'list'"),
+    (lambda raw, tmp: dict(raw, distribution_overrides={"demographics": ["sex"]}),
+     "distribution demographics: not an object: ['sex']"),
+    (lambda raw, tmp: dict(raw, params=json_file(
+        tmp / "params.json", dict(default_params_dict(), path_length_cm="x"))),
+     "params path_length_cm: could not convert string to float: 'x'"),
+    (lambda raw, tmp: dict(raw, params=json_file(
+        tmp / "params.json", without(default_params_dict(), "optics", "ABTSox", "epsilon"))),
+     "channels[0]: params optics 'ABTSox': missing key 'epsilon'"),
+], ids=["config-is-a-list", "acid-without-cv", "enzyme-without-kcat", "params-is-a-list",
+        "params-is-a-number", "params-is-true", "distribution-is-empty",
+        "distribution-is-a-directory", "overrides-is-a-list", "acids-is-a-list",
+        "acids-overridden-by-a-number", "reagents-is-a-list", "enzymes-is-a-list",
+        "buffered-is-a-number", "buffered-is-a-string", "gains-is-a-list",
+        "reagent-is-a-list", "demographics-is-a-list",
+        "path-length-is-a-string", "optics-entry-without-epsilon"])
 def test_cmd_rejects_malformed_config_files(tmp_path, capsys, edit, message):
     config = json_file(tmp_path / "cfg.json", edit(small_config(), tmp_path))
     assert run_cli("roc", "--config", config, "--out", str(tmp_path / "m")) == 2
