@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._artifacts import write_json
+from .config import TEMPLATES, _walk
 from .errors import ConfigurationError, InsufficientDataError
 
 
@@ -170,15 +171,13 @@ def load_templates(path) -> list:
             entries = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
-    if not isinstance(entries, list):
-        raise ConfigurationError(f"{path}: expected a list of templates")
+    _walk(entries, TEMPLATES, str(path))
     templates = []
     for idx, d in enumerate(entries):
         try:
             templates.append(template_from_dict(d))
-        except (KeyError, TypeError, ValueError) as exc:  # LinAlgError is a ValueError
-            reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-            raise ConfigurationError(f"{path}: entry {idx}: {reason}") from None
+        except ValueError as exc:  # a shape or, as LinAlgError, a definiteness failure
+            raise ConfigurationError(f"{path}[{idx}]: {exc}") from None
     return templates
 
 

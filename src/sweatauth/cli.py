@@ -20,7 +20,7 @@ from . import metrics, pipeline
 from ._artifacts import write_json
 from .auth import (VerifyPolicy, append_audit, calibrate_drift_offset, load_templates,
                    save_templates, score_step, verify_series)
-from .config import load_experiment
+from .config import auth_setting, load_experiment
 from .errors import ConfigurationError, InsufficientDataError, IntegrationError
 
 EXIT_OK = 0
@@ -83,23 +83,21 @@ def cmd_verify(args) -> int:
         loaded = load_templates(args.templates)
         for idx, tpl in enumerate(loaded):
             if tpl.dim != result.n_outputs:
-                raise ConfigurationError(
-                    f"{args.templates}: entry {idx}: template dimension {tpl.dim} "
-                    f"!= {result.n_outputs} outputs")
+                raise ConfigurationError(f"{args.templates}[{idx}]: template dimension "
+                                         f"{tpl.dim} != {result.n_outputs} outputs")
     else:
         loaded = pipeline.enroll_templates(result, auth_cfg)
     templates = {t.user_id: t for t in loaded}
-    margin = auth_cfg.get("drift_margin", 0.5)
+    accept, reject, margin = (auth_setting(auth_cfg, key)
+                              for key in ("accept_thr", "reject_thr", "drift_margin"))
     audit_rows = []
     for i, profile in enumerate(result.profiles):
         tpl = templates.get(profile.id)
         if tpl is None:
             raise ConfigurationError(f"no template for {profile.id}")
         reg_scores = [score_step(tpl, y) for y in result.outputs[i, :k_reg]]
-        policy = VerifyPolicy(
-            accept_thr=auth_cfg.get("accept_thr", 3.0),
-            reject_thr=auth_cfg.get("reject_thr", -9.0),
-            drift_offset=calibrate_drift_offset(reg_scores, margin))
+        policy = VerifyPolicy(accept_thr=accept, reject_thr=reject,
+                              drift_offset=calibrate_drift_offset(reg_scores, margin))
         decision, series = verify_series(tpl, result.outputs[i, k_reg:], policy)
         last_t = result.timestamps[k_reg + len(series.scores) - 1] if series.scores else 0.0
         audit_rows.append((last_t, profile.id, decision.statistic, decision.verdict))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._artifacts import write_csv, write_json
+from ._artifacts import write_csv
 from .errors import ConfigurationError
 
 # Canonical panel of the 23 amino acids tracked in sweat samples
@@ -98,20 +98,11 @@ class GroupDistributionSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "GroupDistributionSpec":
-        for key in ("acids", "demographics"):
-            if not isinstance(raw.get(key, {}), dict):
-                raise ConfigurationError(f"distribution {key}: not an object: {raw[key]!r}")
-        acids = {}
-        for name, entry in raw.get("acids", {}).items():
-            try:
-                acids[name] = AcidDistribution(
-                    mean_uM=float(entry["mean_uM"]),
-                    cv=float(entry["cv"]),
-                    shifts={k: float(v) for k, v in entry.get("shifts", {}).items()},
-                )
-            except (KeyError, TypeError, ValueError, AttributeError) as exc:
-                reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-                raise ConfigurationError(f"distribution acid {name!r}: {reason}") from None
+        """Spec of a distribution file, which config.load_experiment checks first."""
+        acids = {name: AcidDistribution(
+                     mean_uM=float(entry["mean_uM"]), cv=float(entry["cv"]),
+                     shifts={k: float(v) for k, v in entry.get("shifts", {}).items()})
+                 for name, entry in raw.get("acids", {}).items()}
         spec = cls(acids=acids, demographics_vocabulary=raw.get("demographics", {}))
         spec.validate()
         return spec
@@ -231,7 +222,3 @@ def write_cohort_csv(path, profiles, config_hash: str = "") -> None:
     """One row per individual, columns are the 23 acid codes."""
     write_csv(path, ("id",) + AMINO_ACIDS, ([p.id] + p.baseline.tolist() for p in profiles),
               config_hash)
-
-
-def write_manifest(path, payload: dict) -> None:
-    write_json(path, payload)

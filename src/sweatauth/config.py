@@ -11,22 +11,20 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
 from .cohort import DEMOGRAPHIC_FIELDS, GroupDistributionSpec
 from .errors import ConfigurationError, InsufficientDataError
-from .kinetics import KineticParams
+from .kinetics import WIRED_SPECIES, KineticParams
+from .transduce import REPORTER_STEPS
 
 
-# every key that pipeline.run_auth_eval and the cli commands read from "auth"
-AUTH_KEYS = frozenset({
-    "mode", "k_reg", "accumulate_k", "lambda", "score_channel", "genuine_group",
-    "impostor_group", "accept_thr", "reject_thr", "drift_margin",
-})
-ACCUMULATE_K = 10  # auth.accumulate_k when not given
 # Largest kinetics.t_g / kinetics.dt. The builtin runs take 12,000 RK4 steps
 # (t_g = 120 s at dt = 0.01); this allows about 80 times that, minutes on the
 # builtin cohorts, and refuses the step counts that would run for days.
@@ -80,13 +78,203 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+# ----------------------------------------------------------------------
+# the schema: one table of keys per config section and data file
+# ----------------------------------------------------------------------
+
+class _Rule(NamedTuple):
+    """What one JSON value must be; ``_walk`` checks a value against it."""
+
+    kind: str               # "number", "integer", "string", "list", "object"; others go unchecked
+    of: object = None       # list: its items' rule; object: its key table, or all values' rule
+    low: float = -np.inf    # number: its bound (> low with strict); string: its least length
+    strict: bool = False
+    required: bool = False
+    default: object = None  # what readers take for a missing key; never written into raw
+    then: object = None     # cross-field rule then(value, where), run once value is checked
+
+
+_number, _integer, _string, _list, _object = (
+    partial(_Rule, kind) for kind in ("number", "integer", "string", "list", "object"))
+_positive = partial(_number, low=0, strict=True)
+
+
+def _at(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key  # the top level's where is empty
+
+
+def check_keys(section: dict, where: str, allowed, required=()) -> None:
+    """Reject keys of a config section outside allowed, and missing required ones."""
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"{where}: not an object: {section!r}")
+    for key in section:
+        if key not in allowed:
+            raise ConfigurationError(f"{_at(where, key)}: unknown key")
+    for key in required:
+        if key not in section:
+            raise ConfigurationError(f"{_at(where, key)}: required key is missing")
+
+
+def _json_number(value, where: str, low=-np.inf, integer=False, strict=False):
+    """value if it is a JSON number (an integer with ``integer``), finite and >= low
+    (> low with ``strict``). Numeric strings and booleans are refused, since the
+    readers use values as they are, and so are integers beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ConfigurationError(f"{where}: not {kind}: {value!r}")
+    if not (low < value if strict else low <= value) or not abs(value) <= sys.float_info.max:
+        bound = "" if low == -np.inf else f" and {'>' if strict else '>='} {low}"
+        raise ConfigurationError(f"{where}: must be finite{bound}, got {value}")
+    return value
+
+
+def _walk(value, rule: _Rule, where: str) -> None:
+    """Check value against rule, depth first: the first violation is a ConfigurationError
+    whose one line starts with its path, such as ``params.enzymes.ALT.km.Ala``."""
+    if rule.kind in ("number", "integer"):
+        _json_number(value, where, rule.low, rule.kind == "integer", rule.strict)
+    elif rule.kind == "string" and not (isinstance(value, str) and len(value) >= rule.low):
+        raise ConfigurationError(
+            f"{where}: not a {'non-empty ' if rule.low > 0 else ''}string: {value!r}")
+    elif rule.kind == "list":
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{where}: not a list: {value!r}")
+        for i, item in enumerate(value):
+            _walk(item, rule.of, f"{where}[{i}]")
+    elif rule.kind == "object":
+        table = rule.of if isinstance(rule.of, dict) else None
+        check_keys(value, where, value if table is None else table,
+                   [key for key, r in (table or {}).items() if r.required])
+        for key, item in value.items():
+            _walk(item, rule.of if table is None else table[key], _at(where, key))
+    if rule.then:
+        rule.then(value, where)
+
+
+def _drift_bound(cohort: dict, where: str) -> None:
+    rate, schedule = cohort.get("noise", {}).get("drift_rate", 0.0), cohort["schedule"]
+    exponent = rate * (schedule["steps"] - 1) * schedule["tau"]
+    if abs(exponent) > np.log(MAX_DRIFT):
+        raise ConfigurationError(
+            f"{where}.noise.drift_rate: {rate} scales the last sample by exp({exponent:g}), "
+            f"beyond the limit of a factor {MAX_DRIFT:g} over the schedule")
+
+
+def _step_limit(kinetics: dict, where: str) -> None:
+    steps = kinetics["t_g"] / kinetics["dt"]
+    if steps > MAX_STEPS:
+        raise ConfigurationError(
+            f"{where}: t_g / dt = {steps:.7g} RK4 steps exceeds the limit of {MAX_STEPS:,}")
+
+
+def _readout_key(channel: dict, where: str) -> None:
+    """A rate transduction reads with a gain, absorbance reads a species; neither takes both."""
+    other = "species" if channel.get("transduction") in REPORTER_STEPS else "gain"
+    if other in channel:
+        raise ConfigurationError(f"{where}.{other}: unknown key")
+
+
+def _wired(species: str, where: str) -> None:
+    if species not in WIRED_SPECIES:
+        raise ConfigurationError(f"{where}: {species!r} is not a species of any cascade")
+
+
+# every key that pipeline.run_auth_eval and the cli commands read from "auth";
+# check_auth_fits holds its rules against the schedule and the outputs
+AUTH = _object({
+    "mode": _string(default="group"),
+    "k_reg": _integer(low=1, required=True),
+    "accumulate_k": _integer(low=1, default=10),
+    "lambda": _positive(default=1e-3),
+    "score_channel": _integer(low=0, default=0),
+    "genuine_group": _string(),   # default: the first cohort group
+    "impostor_group": _string(),  # default: the last cohort group
+    "accept_thr": _number(default=3.0),
+    "reject_thr": _number(default=-9.0),
+    "drift_margin": _number(default=0.5),
+})
+
+EXPERIMENT = _object({
+    "name": _string(),
+    # file names: open() would read an integer, True included, as a file descriptor
+    "distribution": _string(low=1),
+    "params": _string(low=1),
+    "distribution_overrides": _object(_Rule("any")),  # checked merged into the distribution
+    "cohort": _object({
+        "groups": _list(_object({
+            "name": _string(required=True),
+            "demographics": _object(dict.fromkeys(DEMOGRAPHIC_FIELDS, _string())),
+            "n": _integer(low=0, required=True),
+            "seed": _integer(low=0, required=True),
+        }), required=True),
+        "schedule": _object({"t0": _number(required=True), "tau": _positive(required=True),
+                             "steps": _integer(low=1, required=True)}, required=True),
+        "noise": _object({"cv": _number(low=0), "drift_rate": _number()}),
+        "series_seed": _integer(low=0),
+    }, then=_drift_bound),
+    "kinetics": _object({"t_g": _positive(required=True),
+                         "dt": _positive(required=True)}, then=_step_limit),
+    "channels": _list(_object({
+        **dict.fromkeys(("name", "transduction", "feature", "species"), _string()),
+        "cascade": _string(required=True),
+        "inputs": _list(_string()),
+        "gain": _positive(),
+    }, then=_readout_key)),
+    # digitize.GroupingSpec checks the weight count of each weighted-sum group
+    "digitize": _object({
+        "groups": _list(_list(_integer(low=0)), required=True),
+        "aggregators": _list(_string(), required=True),
+        "weights": _list(_list(_number())),
+        "filters": _list(_object({"k_half": _number(required=True), "kind": _string(),
+                                  **dict.fromkeys(("hill_n", "out_lo", "out_hi"), _number())}),
+                         required=True),
+        "bands": _object({"boundaries": _list(_number(), required=True),
+                          "labels": _list(_string(), required=True),
+                          "out_lo": _number(), "out_hi": _number()}),
+    }),
+    "auth": AUTH,
+})
+
+DISTRIBUTION = _object({
+    "comment": _string(),
+    "version": _integer(),
+    "demographics": _object(dict.fromkeys(DEMOGRAPHIC_FIELDS, _list(_string()))),
+    "acids": _object(_object({"mean_uM": _positive(required=True),
+                              "cv": _number(low=0, required=True),
+                              "shifts": _object(_positive())})),
+})
+
+PARAMS = _object({
+    "comment": _string(),
+    "version": _integer(),
+    "enzymes": _object(_object({"kcat": _positive(required=True),
+                                "e_total": _number(low=0, required=True),
+                                "km": _object(_positive(), required=True)})),
+    "reagents": _object(_number(low=0)),
+    "buffered": _list(_string(then=_wired)),
+    "optics": _object(_object(dict.fromkeys(("wavelength", "epsilon"),
+                                            _positive(required=True)))),
+    "gains": _object(dict.fromkeys(REPORTER_STEPS, _positive())),
+    "path_length_cm": _positive(),
+})
+
+# templates.json, as auth.save_templates writes it
+TEMPLATES = _list(_object({
+    "user_id": _string(required=True),
+    "k_reg": _integer(low=1, required=True),
+    "lambda": _positive(required=True),
+    "created_at": _number(),
+    "mean": _list(_number(), required=True),
+    "covariance": _list(_list(_number()), required=True),
+    **dict.fromkeys(("config_hash", "params_hash"), _string()),
+}))
+
+
 @dataclass
 class ExperimentConfig:
     raw: dict                     # the experiment section as given
     distribution: GroupDistributionSpec
-    distribution_dict: dict
     params: KineticParams
-    params_dict: dict
     config_hash: str
     params_hash: str
 
@@ -100,8 +288,10 @@ def load_experiment(source, seed_override: int = None) -> ExperimentConfig:
     """Resolve an experiment config from a path, builtin name, or dict.
 
     Strings starting with "builtin:" select a packaged experiment. The
-    optional seed override deterministically rewrites every seed in the
-    cohort section from the single given integer.
+    experiment, its distribution (overrides merged) and its params are
+    checked against their tables before anything reads them. The optional
+    seed override deterministically rewrites every seed in the cohort
+    section from the single given integer.
     """
     if isinstance(source, str):
         raw = builtin_experiment(source[8:]) if source.startswith("builtin:") else _read_json(source)
@@ -109,145 +299,29 @@ def load_experiment(source, seed_override: int = None) -> ExperimentConfig:
         raw = copy.deepcopy(source)
     else:
         raise ConfigurationError(f"unsupported config source {type(source).__name__}")
+    _walk(raw, EXPERIMENT, "")
 
-    dist_dict = (_read_json(_file_name(raw, "distribution")) if "distribution" in raw
+    dist_dict = (_read_json(raw["distribution"]) if "distribution" in raw
                  else default_distribution_dict())
-    overrides = raw.get("distribution_overrides", {})
-    if not isinstance(overrides, dict):
-        raise ConfigurationError(f"distribution_overrides: not an object: {overrides!r}")
-    if overrides:
-        dist_dict = _deep_merge(dist_dict, overrides)
-    params_dict = (_read_json(_file_name(raw, "params")) if "params" in raw
-                   else default_params_dict())
-
-    if "cohort" in raw:
-        _check_cohort(raw["cohort"])
+    if raw.get("distribution_overrides"):
+        dist_dict = _deep_merge(dist_dict, raw["distribution_overrides"])
+    _walk(dist_dict, DISTRIBUTION, "distribution")
+    params_dict = _read_json(raw["params"]) if "params" in raw else default_params_dict()
+    _walk(params_dict, PARAMS, "params")
     if seed_override is not None:
         _override_seeds(raw, seed_override)
-    if "auth" in raw:
-        _check_auth(raw["auth"])
-    if "kinetics" in raw:
-        check_keys(raw["kinetics"], "kinetics", ("t_g", "dt"), required=("t_g", "dt"))
-        t_g, dt = (_json_number(raw["kinetics"][key], f"kinetics.{key}", low=0, strict=True)
-                   for key in ("t_g", "dt"))
-        if t_g / dt > MAX_STEPS:
-            raise ConfigurationError(f"kinetics: t_g / dt = {t_g / dt:.7g} RK4 steps exceeds "
-                                     f"the limit of {MAX_STEPS:,}")
-    if "channels" in raw:
-        _json_list(raw["channels"], "channels")
-    if "digitize" in raw:
-        _check_digitize(raw["digitize"])
 
     distribution = GroupDistributionSpec.from_dict(dist_dict)
-    params_hash = canonical_hash(params_dict)
-    params = KineticParams.from_dict(params_dict)
     config_hash = canonical_hash(
         {"experiment": raw, "distribution": dist_dict, "params": params_dict})
     return ExperimentConfig(raw=raw, distribution=distribution,
-                            distribution_dict=dist_dict, params=params,
-                            params_dict=params_dict, config_hash=config_hash,
-                            params_hash=params_hash)
+                            params=KineticParams.from_dict(params_dict),
+                            config_hash=config_hash, params_hash=canonical_hash(params_dict))
 
 
-def _file_name(raw: dict, key: str) -> str:
-    """raw[key] if it is a non-empty string: open() would read an integer as a file descriptor."""
-    if not (isinstance(raw[key], str) and raw[key]):
-        raise ConfigurationError(f"{key}: not a file name: {raw[key]!r}")
-    return raw[key]
-
-
-def check_keys(section: dict, where: str, allowed, required=()) -> None:
-    """Reject keys of a config section outside allowed, and missing required ones."""
-    if not isinstance(section, dict):
-        raise ConfigurationError(f"{where}: not an object: {section!r}")
-    for key in section:
-        if key not in allowed:
-            raise ConfigurationError(f"{where}.{key}: unknown key")
-    for key in required:
-        if key not in section:
-            raise ConfigurationError(f"{where}.{key}: required key is missing")
-
-
-def _json_number(value, where: str, low=-np.inf, integer=False, strict=False):
-    """value if it is a JSON number (an integer with ``integer``), finite and >= low
-    (> low with ``strict``).
-
-    Numeric strings and booleans are rejected, since the readers of every
-    config section use the values as they are.
-    """
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        kind = "an integer" if integer else "a number"
-        raise ConfigurationError(f"{where}: not {kind}: {value!r}")
-    if not (low < value if strict else low <= value) or not value < np.inf:
-        bound = "" if low == -np.inf else f" and {'>' if strict else '>='} {low}"
-        raise ConfigurationError(f"{where}: must be finite{bound}, got {value}")
-    return value
-
-
-def _json_list(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigurationError(f"{where}: not a list: {value!r}")
-    return value
-
-
-def _check_cohort(cohort: dict) -> None:
-    """Keys, types and ranges of the cohort section, as run_pipeline reads it."""
-    check_keys(cohort, "cohort", ("groups", "schedule", "noise", "series_seed"),
-               required=("groups", "schedule"))
-    for i, g in enumerate(_json_list(cohort["groups"], "cohort.groups")):
-        where = f"cohort.groups[{i}]"
-        check_keys(g, where, ("name", "demographics", "n", "seed"), required=("name", "n", "seed"))
-        if not isinstance(g["name"], str):
-            raise ConfigurationError(f"{where}.name: not a string: {g['name']!r}")
-        check_keys(g.get("demographics", {}), f"{where}.demographics", DEMOGRAPHIC_FIELDS)
-        _json_number(g["n"], f"{where}.n", low=0, integer=True)
-        _json_number(g["seed"], f"{where}.seed", low=0, integer=True)
-    schedule = cohort["schedule"]
-    check_keys(schedule, "cohort.schedule", ("t0", "tau", "steps"), required=("t0", "tau", "steps"))
-    _json_number(schedule["t0"], "cohort.schedule.t0")
-    _json_number(schedule["tau"], "cohort.schedule.tau", low=0, strict=True)
-    _json_number(schedule["steps"], "cohort.schedule.steps", low=1, integer=True)
-    noise = cohort.get("noise", {})
-    check_keys(noise, "cohort.noise", ("cv", "drift_rate"))
-    if "cv" in noise:
-        _json_number(noise["cv"], "cohort.noise.cv", low=0)
-    if "drift_rate" in noise:
-        rate = _json_number(noise["drift_rate"], "cohort.noise.drift_rate")
-        exponent = rate * (schedule["steps"] - 1) * schedule["tau"]
-        if abs(exponent) > np.log(MAX_DRIFT):
-            raise ConfigurationError(
-                f"cohort.noise.drift_rate: {rate} scales the last sample by exp({exponent:g}), "
-                f"beyond the limit of a factor {MAX_DRIFT:g} over the schedule")
-    if "series_seed" in cohort:
-        _json_number(cohort["series_seed"], "cohort.series_seed", low=0, integer=True)
-
-
-def _check_digitize(dig: dict) -> None:
-    """Keys and types of the digitize section; pipeline._digitize_specs checks the rest."""
-    check_keys(dig, "digitize", ("groups", "aggregators", "weights", "filters", "bands"),
-               required=("groups", "aggregators", "filters"))
-    for i, group in enumerate(_json_list(dig["groups"], "digitize.groups")):
-        for j, channel in enumerate(_json_list(group, f"digitize.groups[{i}]")):
-            _json_number(channel, f"digitize.groups[{i}][{j}]", low=0, integer=True)
-    _json_list(dig["aggregators"], "digitize.aggregators")
-    for i, weights in enumerate(_json_list(dig.get("weights", []), "digitize.weights")):
-        for j, w in enumerate(_json_list(weights, f"digitize.weights[{i}]")):
-            _json_number(w, f"digitize.weights[{i}][{j}]")
-    numbers = ("k_half", "hill_n", "out_lo", "out_hi")
-    for i, f in enumerate(_json_list(dig["filters"], "digitize.filters")):
-        check_keys(f, f"digitize.filters[{i}]", numbers + ("kind",), required=("k_half",))
-        for key in numbers:
-            if key in f:
-                _json_number(f[key], f"digitize.filters[{i}].{key}")
-    if dig.get("bands"):
-        check_keys(dig["bands"], "digitize.bands", ("boundaries", "labels", "out_lo", "out_hi"),
-                   required=("boundaries", "labels"))
-        for j, b in enumerate(_json_list(dig["bands"]["boundaries"], "digitize.bands.boundaries")):
-            _json_number(b, f"digitize.bands.boundaries[{j}]")
-        _json_list(dig["bands"]["labels"], "digitize.bands.labels")
-        for key in ("out_lo", "out_hi"):
-            if key in dig["bands"]:
-                _json_number(dig["bands"][key], f"digitize.bands.{key}")
+def auth_setting(auth: dict, key: str):
+    """auth[key], or the auth table's default for it."""
+    return auth.get(key, AUTH.of[key].default)
 
 
 def check_auth_fits(cfg: ExperimentConfig) -> None:
@@ -257,27 +331,14 @@ def check_auth_fits(cfg: ExperimentConfig) -> None:
     that stop at the outputs never read auth, and need not fit it.
     """
     auth, steps = cfg.section("auth"), cfg.section("cohort")["schedule"]["steps"]
-    need = auth["k_reg"] + auth.get("accumulate_k", ACCUMULATE_K)
+    need = auth["k_reg"] + auth_setting(auth, "accumulate_k")
     if need > steps:
         raise InsufficientDataError(
             f"auth: k_reg + accumulate_k = {need} exceeds cohort.schedule.steps = {steps}")
-    n_outputs = len(cfg.section("digitize")["groups"])
-    if auth.get("mode", "group") == "group" and auth.get("score_channel", 0) >= n_outputs:
-        raise ConfigurationError(f"auth.score_channel: {auth['score_channel']} is out of "
-                                 f"range: digitize has {n_outputs} output groups")
-
-
-def _check_auth(auth: dict) -> None:
-    """Keys, types and ranges of the auth section, as run_auth_eval and verify read it."""
-    check_keys(auth, "auth", AUTH_KEYS, required=("k_reg",))
-    for key, low in (("k_reg", 1), ("accumulate_k", 1), ("score_channel", 0)):
-        if key in auth:
-            _json_number(auth[key], f"auth.{key}", low=low, integer=True)
-    if "lambda" in auth:
-        _json_number(auth["lambda"], "auth.lambda", low=0, strict=True)
-    for key in ("accept_thr", "reject_thr", "drift_margin"):
-        if key in auth:
-            _json_number(auth[key], f"auth.{key}")
+    channel, n_outputs = auth_setting(auth, "score_channel"), len(cfg.section("digitize")["groups"])
+    if auth_setting(auth, "mode") == "group" and channel >= n_outputs:
+        raise ConfigurationError(f"auth.score_channel: {channel} is out of range: "
+                                 f"digitize has {n_outputs} output groups")
 
 
 def _override_seeds(raw: dict, master: int) -> None:

@@ -30,12 +30,6 @@ import numpy as np
 from . import _kernels
 from .errors import ConfigurationError, IntegrationError
 
-SPECIES_CODES = (
-    "Ala", "Glu", "Asp", "Phe", "Pyr", "KTG", "OAC", "PhPyr", "Lac",
-    "NADH", "NADplus", "NH3", "H2O2", "O2", "ABTS", "ABTSox", "NBT",
-    "Formazan", "PMS", "Luminol", "LuminolOx",
-)
-
 ROLES = ("substrate", "intermediate", "product", "cofactor", "chromophore")
 
 
@@ -122,41 +116,14 @@ class KineticParams:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "KineticParams":
-        for key in ("enzymes", "reagents", "optics", "gains"):
-            if not isinstance(raw.get(key, {}), dict):
-                raise ConfigurationError(f"params {key}: not an object: {raw[key]!r}")
-        buffered = raw.get("buffered", ["O2"])
-        if not (isinstance(buffered, list) and all(isinstance(sp, str) for sp in buffered)):
-            raise ConfigurationError(f"params buffered: not a list of strings: {buffered!r}")
-        try:
-            path_length_cm = float(raw.get("path_length_cm", 1.0))
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"params path_length_cm: {exc}") from None
-        enzymes = {}
-        for code, entry in raw.get("enzymes", {}).items():
-            try:
-                enzymes[code] = EnzymeParams(
-                    kcat=float(entry["kcat"]),
-                    e_total=float(entry["e_total"]),
-                    km={k: float(v) for k, v in entry["km"].items()},
-                )
-            except (KeyError, TypeError, ValueError, AttributeError) as exc:
-                reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-                raise ConfigurationError(f"params enzyme {code!r}: {reason}") from None
-        reagents = {}
-        for name, value in raw.get("reagents", {}).items():
-            try:
-                reagents[name] = float(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigurationError(f"params reagent {name!r}: {exc}") from None
-        return cls(
-            enzymes=enzymes,
-            reagents=reagents,
-            buffered=tuple(buffered),
-            optics=raw.get("optics", {}),
-            gains=raw.get("gains", {}),
-            path_length_cm=path_length_cm,
-        )
+        """Parameters of a params file, which config.load_experiment checks first."""
+        enzymes = {code: EnzymeParams(kcat=float(entry["kcat"]), e_total=float(entry["e_total"]),
+                                      km={k: float(v) for k, v in entry["km"].items()})
+                   for code, entry in raw.get("enzymes", {}).items()}
+        return cls(enzymes=enzymes, buffered=tuple(raw.get("buffered", ["O2"])),
+                   reagents={name: float(value) for name, value in raw.get("reagents", {}).items()},
+                   optics=raw.get("optics", {}), gains=raw.get("gains", {}),
+                   path_length_cm=float(raw.get("path_length_cm", 1.0)))
 
 
 # Wiring catalogue: (enzyme, substrates, products) per step, plus which
@@ -205,6 +172,9 @@ _WIRING = {
         reagents=["KTG", "O2", "ABTS"],
     ),
 }
+# every species that some catalogued cascade wires
+WIRED_SPECIES = frozenset(species for wiring in _WIRING.values()
+                          for _, subs, prods in wiring["steps"] for species, _ in subs + prods)
 
 
 @dataclass

@@ -15,16 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from ._artifacts import write_csv
+from ._artifacts import write_csv, write_json
 from .auth import enroll, score_step
 from .cohort import (ACID_INDEX, AMINO_ACIDS, N_ACIDS, Demographics, NoiseSpec,
                      SamplingSchedule, mimic_cohort, sample_series,
-                     write_cohort_csv, write_manifest)
-from .config import ACCUMULATE_K, ExperimentConfig, check_auth_fits, check_keys, collect_seeds
+                     write_cohort_csv)
+from .config import ExperimentConfig, auth_setting, check_auth_fits, collect_seeds
 from .digitize import BandSpec, FilterParams, GroupingSpec, consolidate
 from .errors import ConfigurationError, InsufficientDataError
 from .kinetics import BatchResult, CascadeUnion, build_cascade, simulate_batch
-from .transduce import REPORTER_STEPS, readout
+from .transduce import readout
 
 
 @dataclass
@@ -40,19 +40,7 @@ class Channel:
 
 
 def build_channel(entry: dict, params, where: str = "channel") -> Channel:
-    """Channel for one config entry; errors are prefixed with ``where``."""
-    if not isinstance(entry, dict):
-        raise ConfigurationError(f"{where}: not an object: {entry!r}")
-    for key, value in entry.items():
-        if key == "inputs" and not (isinstance(value, list)
-                                    and all(isinstance(acid, str) for acid in value)):
-            raise ConfigurationError(f"{where}.inputs: not a list of strings: {value!r}")
-        if (key in ("name", "cascade", "transduction", "feature", "species")
-                and not isinstance(value, str)):
-            raise ConfigurationError(f"{where}.{key}: not a string: {value!r}")
-    own = "gain" if entry.get("transduction") in REPORTER_STEPS else "species"
-    check_keys(entry, where, {"name", "cascade", "inputs", "transduction", "feature", own},
-               required=("cascade",))
+    """Channel for one entry of the config's channel table; errors are prefixed with ``where``."""
     try:
         network = build_cascade(entry["cascade"], params)
         inputs = list(entry.get("inputs", network.input_species))
@@ -210,8 +198,8 @@ def run_auth_eval(cfg: ExperimentConfig):
     check_auth_fits(cfg)
     result = run_pipeline(cfg)
     auth_cfg = cfg.section("auth")
-    mode = auth_cfg.get("mode", "group")
-    k_reg, k_acc = auth_cfg["k_reg"], auth_cfg.get("accumulate_k", ACCUMULATE_K)
+    mode = auth_setting(auth_cfg, "mode")
+    k_reg, k_acc = auth_cfg["k_reg"], auth_setting(auth_cfg, "accumulate_k")
     if len(result.profiles) < 2:
         raise InsufficientDataError("auth evaluation needs at least 2 individuals")
 
@@ -253,7 +241,7 @@ def _group_mode_scores(result, auth_cfg, k_reg, k_acc):
     if not gen_idx or not imp_idx:
         raise InsufficientDataError(
             f"groups {gen_name!r}/{imp_name!r} must both be non-empty")
-    sc = auth_cfg.get("score_channel", 0)  # < S, checked by check_auth_fits
+    sc = auth_setting(auth_cfg, "score_channel")  # < S, checked by check_auth_fits
     gen = result.outputs[gen_idx, k_reg:k_reg + k_acc]   # [n_gen, k_acc, S]
     imp = result.outputs[imp_idx, k_reg:k_reg + k_acc]
 
@@ -262,7 +250,7 @@ def _group_mode_scores(result, auth_cfg, k_reg, k_acc):
                                    impostor=imp[..., sc].mean(axis=1))
 
     # secondary: pooled template on the genuine registration rows
-    lam = auth_cfg.get("lambda", 1e-3)
+    lam = auth_setting(auth_cfg, "lambda")
     reg_rows = np.concatenate(result.outputs[gen_idx, :k_reg])
     tpl = enroll(reg_rows, k_reg=len(reg_rows), lam=lam, user_id=f"group:{gen_name}",
                  created_at=float(result.schedule.t0 + k_reg * result.schedule.tau))
@@ -282,7 +270,7 @@ def _group_mode_scores(result, auth_cfg, k_reg, k_acc):
 def enroll_templates(result: PipelineResult, auth_cfg: dict) -> list:
     """One template per individual, fitted on its first auth.k_reg outputs."""
     # float: templates.json records lambda as a float even when the config gives an integer
-    k_reg, lam = auth_cfg["k_reg"], float(auth_cfg.get("lambda", 1e-3))
+    k_reg, lam = auth_cfg["k_reg"], float(auth_setting(auth_cfg, "lambda"))
     created = float(result.schedule.t0 + k_reg * result.schedule.tau)
     return [enroll(y[:k_reg], k_reg=k_reg, lam=lam, user_id=p.id, created_at=created)
             for y, p in zip(result.outputs, result.profiles)]
@@ -359,6 +347,6 @@ def write_cohort_artifacts(cfg: ExperimentConfig, out_dir) -> list:
         "acids": list(AMINO_ACIDS),
     }
     mpath = os.path.join(out_dir, "manifest.json")
-    write_manifest(mpath, manifest)
+    write_json(mpath, manifest)
     paths.append(mpath)
     return paths

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _json_number
 from .errors import ConfigurationError
 from .kinetics import KineticsTrace
 
@@ -51,11 +50,7 @@ def builtin_optics(species: str, params) -> OpticalConfig:
     if species not in params.optics:
         raise ConfigurationError(f"no optics entry for species {species!r}")
     entry = params.optics[species]
-    try:
-        wl, epsilon = float(entry["wavelength"]), float(entry["epsilon"])
-    except (KeyError, TypeError, ValueError) as exc:
-        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise ConfigurationError(f"params optics {species!r}: {reason}") from None
+    wl, epsilon = float(entry["wavelength"]), float(entry["epsilon"])
     if species in BUILTIN_WAVELENGTHS and wl != BUILTIN_WAVELENGTHS[species]:
         raise ConfigurationError(
             f"built-in channel {species} reads at {BUILTIN_WAVELENGTHS[species]} nm, got {wl}")
@@ -102,6 +97,5 @@ def readout(network, entry: dict, params) -> tuple:
         return species, builtin_optics(species, params).scale
     if transduction not in REPORTER_STEPS:
         raise ConfigurationError(f"unknown transduction {transduction!r}")
-    gain = _json_number(entry.get("gain", params.gains.get(transduction, 1.0)), "gain",
-                        low=0, strict=True)
+    gain = entry.get("gain", params.gains.get(transduction, 1.0))
     return reporter_step(network, transduction), gain

@@ -2,6 +2,7 @@ import copy
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -461,9 +462,22 @@ def test_cmd_bad_config_exit_code(tmp_path):
                    "--out", str(tmp_path / "y")) == 2
 
 
-def json_file(path, obj) -> str:
-    path.write_text(json.dumps(obj))
+def text_file(path, text) -> str:
+    path.write_text(text)
     return str(path)
+
+
+def json_file(path, obj) -> str:
+    return text_file(path, json.dumps(obj))
+
+
+def edited(tree, *keys, value):
+    """tree with the key at the end of the path keys set to value."""
+    node = tree
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return tree
 
 
 def without(tree, *keys):
@@ -479,57 +493,94 @@ def without(tree, *keys):
     (lambda raw, tmp: [raw], "{config}: not a JSON object"),
     (lambda raw, tmp: dict(raw, distribution=json_file(
         tmp / "dist.json", without(default_distribution_dict(), "acids", "Ala", "cv"))),
-     "distribution acid 'Ala': missing key 'cv'"),
+     "distribution.acids.Ala.cv: required key is missing"),
     (lambda raw, tmp: dict(raw, params=json_file(
         tmp / "params.json", without(default_params_dict(), "enzymes", "ALT", "kcat"))),
-     "params enzyme 'ALT': missing key 'kcat'"),
+     "params.enzymes.ALT.kcat: required key is missing"),
     (lambda raw, tmp: dict(raw, params=json_file(tmp / "params.json", [])),
      "{tmp}/params.json: not a JSON object"),
     # open() reads an integer, True included, as a file descriptor
-    (lambda raw, tmp: dict(raw, params=5), "params: not a file name: 5"),
-    (lambda raw, tmp: dict(raw, params=True), "params: not a file name: True"),
-    (lambda raw, tmp: dict(raw, distribution=""), "distribution: not a file name: ''"),
+    (lambda raw, tmp: dict(raw, params=5), "params: not a non-empty string: 5"),
+    (lambda raw, tmp: dict(raw, params=True), "params: not a non-empty string: True"),
+    (lambda raw, tmp: dict(raw, distribution=""), "distribution: not a non-empty string: ''"),
     (lambda raw, tmp: dict(raw, distribution="."), "cannot read config file .: Is a directory"),
     (lambda raw, tmp: dict(raw, distribution_overrides=[1]),
      "distribution_overrides: not an object: [1]"),
     (lambda raw, tmp: dict(raw, distribution=json_file(
         tmp / "dist.json", dict(default_distribution_dict(), acids=["Ala"]))),
-     "distribution acids: not an object: ['Ala']"),
+     "distribution.acids: not an object: ['Ala']"),
     (lambda raw, tmp: dict(raw, distribution_overrides={"acids": 1}),
-     "distribution acids: not an object: 1"),
+     "distribution.acids: not an object: 1"),
     (lambda raw, tmp: dict(raw, params=json_file(
         tmp / "params.json", dict(default_params_dict(), reagents=["KTG"]))),
-     "params reagents: not an object: ['KTG']"),
+     "params.reagents: not an object: ['KTG']"),
     (lambda raw, tmp: dict(raw, params=json_file(
         tmp / "params.json", dict(default_params_dict(), enzymes=[]))),
-     "params enzymes: not an object: []"),
+     "params.enzymes: not an object: []"),
     (lambda raw, tmp: dict(raw, params=json_file(
         tmp / "params.json", dict(default_params_dict(), buffered=5))),
-     "params buffered: not a list of strings: 5"),
+     "params.buffered: not a list: 5"),
     (lambda raw, tmp: dict(raw, params=json_file(
         tmp / "params.json", dict(default_params_dict(), buffered="O2"))),
-     "params buffered: not a list of strings: 'O2'"),
+     "params.buffered: not a list: 'O2'"),
     (lambda raw, tmp: dict(raw, params=json_file(
         tmp / "params.json", dict(default_params_dict(), gains=[]))),
-     "params gains: not an object: []"),
+     "params.gains: not an object: []"),
     (lambda raw, tmp: dict(raw, params=json_file(
         tmp / "params.json", dict(default_params_dict(), reagents={"KTG": [500.0]}))),
-     "params reagent 'KTG': float() argument must be a string or a real number, not 'list'"),
+     "params.reagents.KTG: not a number: [500.0]"),
     (lambda raw, tmp: dict(raw, distribution_overrides={"demographics": ["sex"]}),
-     "distribution demographics: not an object: ['sex']"),
+     "distribution.demographics: not an object: ['sex']"),
     (lambda raw, tmp: dict(raw, params=json_file(
         tmp / "params.json", dict(default_params_dict(), path_length_cm="x"))),
-     "params path_length_cm: could not convert string to float: 'x'"),
+     "params.path_length_cm: not a number: 'x'"),
     (lambda raw, tmp: dict(raw, params=json_file(
         tmp / "params.json", without(default_params_dict(), "optics", "ABTSox", "epsilon"))),
-     "channels[0]: params optics 'ABTSox': missing key 'epsilon'"),
+     "params.optics.ABTSox.epsilon: required key is missing"),
+    # the distribution's demographic vocabulary: a list of strings per field
+    (lambda raw, tmp: dict(raw, distribution_overrides={"demographics": {"sex": 5}}),
+     "distribution.demographics.sex: not a list: 5"),
+    (lambda raw, tmp: dict(raw, distribution_overrides={"demographics": {"sex": "female"}}),
+     "distribution.demographics.sex: not a list: 'female'"),
+    # the top level of the experiment
+    (lambda raw, tmp: dict(raw, distribution_overides={"acids": {"Ala": {"mean_uM": 999.0}}}),
+     "distribution_overides: unknown key"),
+    (lambda raw, tmp: dict(raw, name=[]), "name: not a string: []"),
+    # numbers and keys of the data files
+    (lambda raw, tmp: dict(raw, params=json_file(
+        tmp / "params.json", edited(default_params_dict(), "reagents", "KTG", value=True))),
+     "params.reagents.KTG: not a number: True"),
+    (lambda raw, tmp: dict(raw, params=json_file(
+        tmp / "params.json", edited(default_params_dict(), "enzymes", "ALT", "kcat", value="80"))),
+     "params.enzymes.ALT.kcat: not a number: '80'"),
+    (lambda raw, tmp: dict(raw, distribution=json_file(
+        tmp / "dist.json", edited(default_distribution_dict(), "acids", "Ala", "cv", value="0.1"))),
+     "distribution.acids.Ala.cv: not a number: '0.1'"),
+    (lambda raw, tmp: dict(raw, params=json_file(
+        tmp / "params.json", edited(default_params_dict(), "bufered", value=["O2"]))),
+     "params.bufered: unknown key"),
+    (lambda raw, tmp: dict(raw, params=json_file(
+        tmp / "params.json", edited(default_params_dict(), "enzymes", "ALT", "kcatt", value=80.0))),
+     "params.enzymes.ALT.kcatt: unknown key"),
+    (lambda raw, tmp: dict(raw, distribution_overrides={"acids": {"Ala": {"shift": {}}}}),
+     "distribution.acids.Ala.shift: unknown key"),
+    # ALT is the first enzyme; json.load reads 1e400 as inf
+    (lambda raw, tmp: dict(raw, params=text_file(tmp / "params.json", json.dumps(
+        default_params_dict()).replace('"e_total": 1.0', '"e_total": 1e400', 1))),
+     "params.enzymes.ALT.e_total: must be finite and >= 0, got inf"),
+    (lambda raw, tmp: dict(raw, params=json_file(
+        tmp / "params.json", edited(default_params_dict(), "buffered", value=["Nope"]))),
+     "params.buffered[0]: 'Nope' is not a species of any cascade"),
 ], ids=["config-is-a-list", "acid-without-cv", "enzyme-without-kcat", "params-is-a-list",
         "params-is-a-number", "params-is-true", "distribution-is-empty",
         "distribution-is-a-directory", "overrides-is-a-list", "acids-is-a-list",
         "acids-overridden-by-a-number", "reagents-is-a-list", "enzymes-is-a-list",
         "buffered-is-a-number", "buffered-is-a-string", "gains-is-a-list",
         "reagent-is-a-list", "demographics-is-a-list",
-        "path-length-is-a-string", "optics-entry-without-epsilon"])
+        "path-length-is-a-string", "optics-entry-without-epsilon", "number-vocabulary",
+        "string-vocabulary", "misspelled-overrides", "list-name", "true-reagent", "text-kcat",
+        "text-cv", "misspelled-buffered", "misspelled-kcat", "misspelled-shifts",
+        "overflowing-e-total", "buffered-species-not-wired"])
 def test_cmd_rejects_malformed_config_files(tmp_path, capsys, edit, message):
     config = json_file(tmp_path / "cfg.json", edit(small_config(), tmp_path))
     assert run_cli("roc", "--config", config, "--out", str(tmp_path / "m")) == 2
@@ -637,23 +688,23 @@ def as_rate_channel(ch, **keys):
     (lambda ch: ch.update(trasduction="amperometric"), "channels[0].trasduction: unknown key"),
     (lambda ch: ch.update(gain=2.0), "channels[0].gain: unknown key"),
     (lambda ch: ch.update(transduction="amperometric"), "channels[0].species: unknown key"),
-    (lambda ch: as_rate_channel(ch, gain="x"), "channels[0]: gain: not a number: 'x'"),
-    (lambda ch: as_rate_channel(ch, gain=0), "channels[0]: gain: must be finite and > 0, got 0"),
-    (lambda ch: as_rate_channel(ch, gain="2.0"), "channels[0]: gain: not a number: '2.0'"),
-    (lambda ch: as_rate_channel(ch, gain=True), "channels[0]: gain: not a number: True"),
+    (lambda ch: as_rate_channel(ch, gain="x"), "channels[0].gain: not a number: 'x'"),
+    (lambda ch: as_rate_channel(ch, gain=0), "channels[0].gain: must be finite and > 0, got 0"),
+    (lambda ch: as_rate_channel(ch, gain="2.0"), "channels[0].gain: not a number: '2.0'"),
+    (lambda ch: as_rate_channel(ch, gain=True), "channels[0].gain: not a number: True"),
     (lambda ch: ch.update(species="NADH"),
      "channels[0]: species 'NADH' is not in the AltPoxHrp cascade"),
     (lambda ch: ch.update(transduction="fluorescence"),
      "channels[0]: unknown transduction 'fluorescence'"),
     (lambda ch: ch.pop("cascade"), "channels[0].cascade: required key is missing"),
     (lambda ch: ch.update(feature="peak"), "channels[0]: unknown feature mode 'peak'"),
-    (lambda ch: ch.update(inputs=None), "channels[0].inputs: not a list of strings: None"),
-    (lambda ch: ch.update(inputs=True), "channels[0].inputs: not a list of strings: True"),
-    (lambda ch: ch.update(inputs=-1), "channels[0].inputs: not a list of strings: -1"),
-    (lambda ch: ch.update(inputs=0), "channels[0].inputs: not a list of strings: 0"),
-    (lambda ch: ch.update(inputs=[[]]), "channels[0].inputs: not a list of strings: [[]]"),
+    (lambda ch: ch.update(inputs=None), "channels[0].inputs: not a list: None"),
+    (lambda ch: ch.update(inputs=True), "channels[0].inputs: not a list: True"),
+    (lambda ch: ch.update(inputs=-1), "channels[0].inputs: not a list: -1"),
+    (lambda ch: ch.update(inputs=0), "channels[0].inputs: not a list: 0"),
+    (lambda ch: ch.update(inputs=[[]]), "channels[0].inputs[0]: not a string: []"),
     (lambda ch: ch.update(inputs=["Ala", {}]),
-     "channels[0].inputs: not a list of strings: ['Ala', {}]"),
+     "channels[0].inputs[1]: not a string: {}"),
     (lambda ch: ch.update(transduction=[]), "channels[0].transduction: not a string: []"),
     (lambda ch: ch.update(transduction={}), "channels[0].transduction: not a string: {}"),
     (lambda ch: ch.update(cascade=7), "channels[0].cascade: not a string: 7"),
@@ -757,10 +808,21 @@ def test_cmd_rejects_bad_digitize_section(tmp_path, capsys, digitize, message):
 
 @pytest.mark.parametrize("edit, message", [
     (lambda t: t.update(mean=[0.5, 0.5], covariance=[[1.0, 0.0], [0.0, 1.0]]),
-     "entry 1: template dimension 2 != 1 outputs"),
-    (lambda t: t.update(covariance=[[-1.0]]), "entry 1: Matrix is not positive definite"),
-    (lambda t: t.pop("k_reg"), "entry 1: missing key 'k_reg'"),
-], ids=["wrong-dimension", "not-positive-definite", "missing-k-reg"])
+     "[1]: template dimension 2 != 1 outputs"),
+    (lambda t: t.update(covariance=[[-1.0]]), "[1]: Matrix is not positive definite"),
+    (lambda t: t.pop("k_reg"), "[1].k_reg: required key is missing"),
+    (lambda t: t.update(user_id=["a"]), "[1].user_id: not a string: ['a']"),
+    (lambda t: t.update(covariance=[[float("nan")]]),
+     "[1].covariance[0][0]: must be finite, got nan"),
+    (lambda t: t.update(mean=[float("nan")]), "[1].mean[0]: must be finite, got nan"),
+    (lambda t: t.update(created_at=float("inf")), "[1].created_at: must be finite, got inf"),
+    (lambda t: t.update(k_reg=0), "[1].k_reg: must be finite and >= 1, got 0"),
+    (lambda t: t.update(k_reg=2.0), "[1].k_reg: not an integer: 2.0"),
+    (lambda t: t.update({"lambda": 0.0}), "[1].lambda: must be finite and > 0, got 0.0"),
+    (lambda t: t.update(created=0.0), "[1].created: unknown key"),
+], ids=["wrong-dimension", "not-positive-definite", "missing-k-reg", "list-user-id",
+        "nan-covariance", "nan-mean", "infinite-created-at", "zero-k-reg", "float-k-reg",
+        "zero-lambda", "misspelled-created-at"])
 def test_cmd_verify_rejects_bad_templates(tmp_path, capsys, edit, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(small_config()))
@@ -771,13 +833,13 @@ def test_cmd_verify_rejects_bad_templates(tmp_path, capsys, edit, message):
     tpath.write_text(json.dumps(entries))
     assert run_cli("verify", "--config", str(path), "--out", str(tmp_path / "v"),
                    "--templates", str(tpath)) == 2
-    assert capsys.readouterr().err == f"configuration error: {tpath}: {message}\n"
+    assert capsys.readouterr().err == f"configuration error: {tpath}{message}\n"
 
 
 @pytest.mark.parametrize("content, message", [
     (None, "No such file or directory"),
     ("{not json", "Expecting property name"),
-    ('{"user_id": "female-000"}', "expected a list of templates"),
+    ('{"user_id": "female-000"}', "not a list: {'user_id': 'female-000'}"),
 ], ids=["missing-file", "not-json", "not-a-list"])
 def test_cmd_verify_rejects_unreadable_templates(tmp_path, capsys, content, message):
     path = tmp_path / "cfg.json"
@@ -889,10 +951,18 @@ def no_integration(*args, **kwargs):
     (lambda raw: raw["cohort"]["noise"].update(drift_rate=-0.5),
      "cohort.noise.drift_rate: -0.5 scales the last sample by exp(-240), "
      "beyond the limit of a factor 1e+06 over the schedule"),
+    (lambda raw: raw["cohort"]["groups"][0].update(demographics={"sex": 5}),
+     "cohort.groups[0].demographics.sex: not a string: 5"),
+    (lambda raw: raw["cohort"]["schedule"].update(t0=float("-inf")),
+     "cohort.schedule.t0: must be finite, got -inf"),
+    # float(10**400) overflows
+    (lambda raw: raw["cohort"]["schedule"].update(tau=10**400),
+     f"cohort.schedule.tau: must be finite and > 0, got {10**400}"),
 ], ids=["text-n", "negative-n", "missing-seed", "misspelled-demographic", "text-steps",
         "zero-tau", "misspelled-noise", "groups-not-a-list", "missing-digitize-groups",
         "misspelled-filters", "text-k-half", "unknown-aggregator", "group-beyond-channels",
-        "weight-count-mismatch", "overflowing-drift", "vanishing-drift"])
+        "weight-count-mismatch", "overflowing-drift", "vanishing-drift", "number-demographic",
+        "minus-infinite-t0", "integer-tau-beyond-floats"])
 def test_cmd_rejects_bad_cohort_and_digitize_sections(tmp_path, capsys, monkeypatch, edit,
                                                       message):
     import sweatauth.pipeline
@@ -949,12 +1019,23 @@ def _key_paths(node, path=()):
 
 @st.composite
 def mutated_config(draw):
-    """small_config with one key of one section dropped, renamed or retyped."""
+    """(small_config, its data files) with one key dropped, renamed or retyped: a key
+    of the experiment's top level, anywhere in one of its sections, or anywhere in the
+    params or the distribution file. The data files are named "{tmp}/<file>.json"."""
     raw = small_config()
     raw["kinetics"].update(t_g=2.0, dt=0.1)
-    section = draw(st.sampled_from(["cohort", "digitize", "auth", "kinetics", "channels"]))
-    *parents, key = draw(st.sampled_from(sorted(_key_paths(raw[section]), key=repr)))
-    node = raw[section]
+    files = {"params": default_params_dict(), "distribution": default_distribution_dict()}
+    for name in files:
+        raw[name] = f"{{tmp}}/{name}.json"
+    target = draw(st.sampled_from(["experiment", "cohort", "digitize", "auth", "kinetics",
+                                   "channels", "params", "distribution"]))
+    if target == "experiment":
+        tree, paths = raw, [(key,) for key in raw]
+    else:
+        tree = files.get(target, raw.get(target))
+        paths = list(_key_paths(tree))
+    *parents, key = draw(st.sampled_from(sorted(paths, key=repr)))
+    node = tree
     for p in parents:
         node = node[p]
     action = draw(st.sampled_from(["drop", "rename", "retype"]))
@@ -964,19 +1045,25 @@ def mutated_config(draw):
         node[f"{key}x"] = node.pop(key)
     else:
         node[key] = draw(st.sampled_from(["x", None, [], {}, True, -1, 0]))
-    return raw
+    return raw, files
 
 
 @settings(max_examples=100, deadline=None)
-@given(raw=mutated_config())
-def test_mutated_config_section_ends_in_one_line(raw):
-    # whatever one key of a section holds, roc ends with exit 0, or with
-    # exit 2, 3 or 4 and one stderr line: never with a traceback
+@given(case=mutated_config())
+def test_mutated_config_section_ends_in_one_line(case):
+    # whatever one key of the experiment, a section or a data file holds, roc
+    # ends with exit 0, or with exit 2, 3 or 4 and one stderr line: never
+    # with a traceback
     import contextlib
     import io
     import tempfile
 
+    raw, files = case
     with tempfile.TemporaryDirectory() as tmp:
+        for name, tree in files.items():
+            json_file(Path(tmp) / f"{name}.json", tree)
+            if isinstance(raw.get(name), str):
+                raw[name] = raw[name].format(tmp=tmp)
         path = f"{tmp}/cfg.json"
         with open(path, "w") as fh:
             json.dump(raw, fh)
