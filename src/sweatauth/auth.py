@@ -11,13 +11,12 @@ pair, sequential-test style.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._artifacts import write_json
-from .config import TEMPLATES, _walk
+from .config import TEMPLATES, _read_json
 from .errors import ConfigurationError, InsufficientDataError
 
 
@@ -166,12 +165,7 @@ def save_templates(path, templates, config_hash: str = "", params_hash: str = ""
 
 def load_templates(path) -> list:
     """Templates saved by save_templates; a malformed file is a ConfigurationError."""
-    try:
-        with open(path) as fh:
-            entries = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
-    _walk(entries, TEMPLATES, str(path))
+    entries = _read_json(path, TEMPLATES)
     templates = []
     for idx, d in enumerate(entries):
         try:

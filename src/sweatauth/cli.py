@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 configuration error, 3 insufficient data,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -20,7 +19,7 @@ from . import metrics, pipeline
 from ._artifacts import write_json
 from .auth import (VerifyPolicy, append_audit, calibrate_drift_offset, load_templates,
                    save_templates, score_step, verify_series)
-from .config import auth_setting, load_experiment
+from .config import SUMMARY, _read_json, auth_setting, load_experiment
 from .errors import ConfigurationError, InsufficientDataError, IntegrationError
 
 EXIT_OK = 0
@@ -124,20 +123,6 @@ def cmd_roc(args) -> int:
     return EXIT_OK
 
 
-def _read_summary(path) -> dict:
-    """A summary.json as roc writes it; anything else is a ConfigurationError."""
-    try:
-        with open(path) as fh:
-            summary = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
-    k1 = summary.get("k1") if isinstance(summary, dict) else None
-    if not (isinstance(k1, dict) and all(isinstance(k1.get(key), (int, float))
-                                         for key in ("auc", "eer"))):
-        raise ConfigurationError(f"{path}: not a roc summary: no k1 auc and eer")
-    return summary
-
-
 def cmd_report(args) -> int:
     """Aggregate summary.json files under --out into a single report."""
     found = []
@@ -145,7 +130,7 @@ def cmd_report(args) -> int:
         for name in sorted(files):
             if name == "summary.json":
                 path = os.path.join(root, name)
-                found.append({"path": path, "summary": _read_summary(path)})
+                found.append({"path": path, "summary": _read_json(path, SUMMARY)})
     if not found:
         raise InsufficientDataError(f"no summary.json files under {args.out}")
     report = {"n_experiments": len(found), "experiments": found}

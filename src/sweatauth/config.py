@@ -40,17 +40,22 @@ def canonical_hash(obj) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _read_json(path) -> dict:
+def _read_json(path, rule=None):
+    """The JSON value in the file at path, checked against rule with the path as its root.
+
+    Without a rule the value must be an object. Every failure is a one-line
+    ConfigurationError that starts with the path.
+    """
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigurationError(f"config file not found: {path}") from None
-    except OSError as exc:  # a directory, a permission, a device
-        raise ConfigurationError(f"cannot read config file {path}: {exc.strerror or exc}") from None
+    except OSError as exc:  # missing, a directory, a permission, a device
+        raise ConfigurationError(f"{path}: cannot read: {exc.strerror or exc}") from None
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise ConfigurationError(f"invalid JSON in {path}: {exc}") from None
-    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
+    if rule is not None:
+        _walk(raw, rule, str(path))
+    elif not isinstance(raw, dict):
         raise ConfigurationError(f"{path}: not a JSON object")
     return raw
 
@@ -86,7 +91,8 @@ class _Rule(NamedTuple):
     """What one JSON value must be; ``_walk`` checks a value against it."""
 
     kind: str               # "number", "integer", "string", "list", "object"; others go unchecked
-    of: object = None       # list: its items' rule; object: its key table, or all values' rule
+    of: object = None       # list: its items' rule; object: its key table, or all values' rule;
+    #                         string: the values it may take, if only some
     low: float = -np.inf    # number: its bound (> low with strict); string: its least length
     strict: bool = False
     required: bool = False
@@ -133,9 +139,12 @@ def _walk(value, rule: _Rule, where: str) -> None:
     whose one line starts with its path, such as ``params.enzymes.ALT.km.Ala``."""
     if rule.kind in ("number", "integer"):
         _json_number(value, where, rule.low, rule.kind == "integer", rule.strict)
-    elif rule.kind == "string" and not (isinstance(value, str) and len(value) >= rule.low):
-        raise ConfigurationError(
-            f"{where}: not a {'non-empty ' if rule.low > 0 else ''}string: {value!r}")
+    elif rule.kind == "string":
+        if not (isinstance(value, str) and len(value) >= rule.low):
+            raise ConfigurationError(
+                f"{where}: not a {'non-empty ' if rule.low > 0 else ''}string: {value!r}")
+        if rule.of and value not in rule.of:
+            raise ConfigurationError(f"{where}: {value!r} is not one of {', '.join(rule.of)}")
     elif rule.kind == "list":
         if not isinstance(value, list):
             raise ConfigurationError(f"{where}: not a list: {value!r}")
@@ -182,7 +191,7 @@ def _wired(species: str, where: str) -> None:
 # every key that pipeline.run_auth_eval and the cli commands read from "auth";
 # check_auth_fits holds its rules against the schedule and the outputs
 AUTH = _object({
-    "mode": _string(default="group"),
+    "mode": _string(("group", "identity"), default="group"),
     "k_reg": _integer(low=1, required=True),
     "accumulate_k": _integer(low=1, default=10),
     "lambda": _positive(default=1e-3),
@@ -268,6 +277,21 @@ TEMPLATES = _list(_object({
     "covariance": _list(_list(_number()), required=True),
     **dict.fromkeys(("config_hash", "params_hash"), _string()),
 }))
+
+_CURVE = {"auc": _number(required=True), "eer": _number(required=True), "variance": _number(),
+          "ci95": _list(_number()), "ci95_unclipped": _list(_number()),
+          "n_genuine": _integer(low=0), "n_impostor": _integer(low=0), "k": _integer(low=1)}
+# summary.json, as cli.cmd_roc writes it; cmd_report reads experiment, mode and k1
+SUMMARY = _object({
+    **dict.fromkeys(("experiment", "config_hash", "params_hash", "genuine_group",
+                     "impostor_group"), _string()),
+    "mode": AUTH.of["mode"],
+    "seeds": _Rule("any"),
+    **dict.fromkeys(("k_reg", "n_genuine_users", "n_impostor_users"), _integer(low=0)),
+    "template_k1_auc": _number(),
+    "k1": _object(_CURVE, required=True),
+    "accumulated": _object(_CURVE),
+})
 
 
 @dataclass

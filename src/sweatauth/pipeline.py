@@ -205,10 +205,8 @@ def run_auth_eval(cfg: ExperimentConfig):
 
     if mode == "group":
         pops, extras = _group_mode_scores(result, auth_cfg, k_reg, k_acc)
-    elif mode == "identity":
+    else:  # "identity", the one other mode the AUTH table allows
         pops, extras = _identity_mode_scores(result, auth_cfg, k_reg, k_acc)
-    else:
-        raise ConfigurationError(f"unknown auth mode {mode!r}")
 
     summary = {
         "experiment": cfg.raw.get("name", ""),
@@ -285,17 +283,19 @@ def _identity_mode_scores(result, auth_cfg, k_reg, k_acc):
     """
     n = len(result.profiles)
     cont = result.outputs[:, k_reg:k_reg + k_acc]
-    scores = np.empty((n, n, k_acc))  # [template, probe individual, step]
+    gen = np.empty((n, k_acc))         # [template, step]
+    imp = np.empty((n, n - 1, k_acc))  # [template, other probe individual, step]
     for i, tpl in enumerate(enroll_templates(result, auth_cfg)):
         for j, probes in enumerate(cont):
-            scores[i, j] = [score_step(tpl, y) for y in probes]
-    acc = np.zeros((n, n))
+            row = gen[i] if j == i else imp[i, j - (j > i)]
+            row[:] = [score_step(tpl, y) for y in probes]
+    acc_gen, acc_imp = np.zeros(n), np.zeros((n, n - 1))
     for step in range(k_acc):
-        acc += scores[:, :, step]
-    own = np.eye(n, dtype=bool)
+        acc_gen += gen[:, step]
+        acc_imp += imp[:, :, step]
     extras = {"n_genuine_users": n, "n_impostor_users": n}
-    return ({"k1": metrics.ScoredPopulation(scores[own], scores[~own]),
-             "accumulated": metrics.ScoredPopulation(acc[own], acc[~own])}, extras)
+    return ({"k1": metrics.ScoredPopulation(gen, imp),
+             "accumulated": metrics.ScoredPopulation(acc_gen, acc_imp)}, extras)
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sweatauth.errors import InsufficientDataError
-from sweatauth.metrics import (ROC_CSV_SLICE, DelongResult, RocCurve, ScoredPopulation, auc,
+from sweatauth.metrics import (SLICE, DelongResult, RocCurve, ScoredPopulation, auc,
                                delong_variance, eer, roc_curve, write_roc_csv)
 
 
@@ -62,7 +62,10 @@ def pairwise_delong_variance(pop):
 
 
 def loop_eer(pop):
-    curve = pairwise_roc_curve(pop)
+    return loop_curve_eer(pairwise_roc_curve(pop))
+
+
+def loop_curve_eer(curve):
     far = curve.points[:, 0]
     frr = 1.0 - curve.points[:, 1]
     diff = frr - far
@@ -135,20 +138,76 @@ def test_sorted_counts_match_pairwise_oracles_on_any_finite_scores(genuine, impo
     assert_matches_oracles(genuine, impostor)
 
 
+@pytest.mark.parametrize("n", [1, SLICE - 1, SLICE, SLICE + 1, 3 * SLICE + 5])
+@pytest.mark.parametrize("count", ["probes", "points"])
+@pytest.mark.parametrize("big", ["genuine", "impostor"])
+def test_sorted_counts_match_pairwise_oracles_at_slice_boundaries(n, count, big):
+    # the big class holds n probes, or n - 1 distinct scores and so n curve
+    # points (two for n = 1); the six scores of the other class tie with it
+    rng = np.random.default_rng(n)
+    scores = rng.permutation(np.arange(n if count == "probes" else max(n - 1, 1))) / 8.0 - 1.0
+    others = rng.choice(scores, 6)
+    genuine, impostor = (scores, others) if big == "genuine" else (others, scores)
+    assert_matches_oracles(genuine, impostor)
+    if count == "points":
+        assert len(roc_curve(ScoredPopulation(genuine, impostor)).points) == max(n, 2)
+
+
+def sweep(n_points, row, exact):
+    """Curve of n_points on FAR = TPR whose FRR - FAR first reaches 0 at row,
+    or first changes sign between row - 1 and row."""
+    x = np.empty(n_points)
+    x[:row + 1] = np.arange(row + 1) * ((0.5 if exact else 0.5 + 2**-20) / row)
+    x[row + 1:] = 0.5 + 0.5 * np.arange(1, n_points - row) / (n_points - row - 1)
+    return RocCurve(points=np.column_stack([x, x]), thresholds=np.arange(n_points, 0.0, -1))
+
+
+@pytest.mark.parametrize("row", [SLICE - 1, SLICE, SLICE + 1, 2 * SLICE])
+@pytest.mark.parametrize("exact", [True, False], ids=["on-a-point", "between-points"])
+def test_eer_crossing_at_a_slice_boundary_matches_the_full_sweep(row, exact):
+    curve = sweep(3 * SLICE + 5, row, exact)
+    diff = 1.0 - 2.0 * curve.points[:, 0]
+    assert diff[row - 1] > 0.0 and (diff[row] == 0.0) == exact and diff[row] <= 0.0
+    assert curve.eer() == loop_curve_eer(curve)
+
+
+@pytest.mark.parametrize("row", [2, SLICE - 1, SLICE, SLICE + 1, 3 * SLICE + 4])
+def test_roc_curve_checks_every_row_across_slices(row):
+    points = sweep(3 * SLICE + 5, SLICE, True).points
+    above = points.copy()
+    above[row, 1] = 1.5
+    with pytest.raises(ValueError, match=r"ROC rates must lie in \[0, 1\]"):
+        RocCurve(points=above, thresholds=np.zeros(len(points)))
+    falling = points.copy()
+    falling[row, 0] = points[row - 1, 0] - 1e-6  # one step back, against row - 1
+    with pytest.raises(ValueError, match="ROC sweep must be monotone"):
+        RocCurve(points=falling, thresholds=np.zeros(len(points)))
+
+
 def test_identity_cohort_shape_fits_in_bounded_memory():
     # 1,000 genuine x 99,000 impostor scores (identity at n = 100): the pair
-    # matrix alone would be 99e6 float64 values, about 0.8 GB
+    # matrix alone would be 99e6 float64 values, about 0.8 GB. Beyond the
+    # arrays it returns, a call holds at most two arrays of one float per
+    # score (delong_variance: the column counts and np.var's deviations) or
+    # one (roc_curve: a sorted class), plus slices.
     rng = np.random.default_rng(100)
     pop = ScoredPopulation(rng.normal(1, 1, 1_000), rng.normal(0, 1, 99_000))
-    tracemalloc.start()
-    try:
-        delong_variance(pop)
-        roc_curve(pop)
-        eer(pop)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20
+    eer(pop), delong_variance(pop)  # the first calls import lazily
+    per_score, margin = 8 * 100_000, 2**18
+    curve = roc_curve(pop)
+    returned = curve.points.nbytes + curve.thresholds.nbytes
+    for name, call, bound in [
+            ("delong_variance", lambda: delong_variance(pop), 2 * per_score + margin),
+            ("roc_curve", lambda: roc_curve(pop), returned + per_score + margin),
+            ("eer", lambda: eer(pop), returned + per_score + margin),
+            ("RocCurve.eer", curve.eer, margin)]:
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (name, peak)
 
 
 # ------------------------------------------------------------- roc
@@ -342,8 +401,7 @@ def curve_of(n_points, seed=0):
     return roc_curve(ScoredPopulation(scores[:half], scores[half:]))
 
 
-@pytest.mark.parametrize("n_points", [2, ROC_CSV_SLICE, ROC_CSV_SLICE + 1,
-                                      3 * ROC_CSV_SLICE + 5])
+@pytest.mark.parametrize("n_points", [2, SLICE, SLICE + 1, 3 * SLICE + 5])
 def test_roc_csv_slices_match_per_row_writer(tmp_path, n_points):
     curve = curve_of(n_points)
     assert len(curve.points) == n_points

@@ -2,7 +2,9 @@ import copy
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -323,6 +325,27 @@ def test_identity_scores_match_list_building_oracle(seed):
     assert got["k1"].impostor.size == 6 * 5 * 4
 
 
+def test_identity_scores_hold_no_copy_of_the_populations(monkeypatch):
+    # 100 individuals, 10 steps: the four returned arrays hold 110,000
+    # scores (0.88 MB); one [template, probe individual, step] array split by
+    # a mask held about 0.8 MB more
+    n, k_reg, k_acc = 100, 2, 10
+    result = SimpleNamespace(
+        outputs=np.random.default_rng(9).uniform(0, 1, (n, k_reg + k_acc, 3)),
+        profiles=[SimpleNamespace(id=f"u{i:03d}") for i in range(n)],
+        schedule=SimpleNamespace(t0=0.0, tau=1.0))
+    monkeypatch.setattr(pipeline, "score_step", lambda tpl, y: float(y[0] - tpl.mean[0]))
+    tracemalloc.start()
+    try:
+        pops, _ = _identity_mode_scores(result, {"k_reg": k_reg}, k_reg, k_acc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for pop in pops.values() for a in (pop.genuine, pop.impostor))
+    assert returned == 8 * (n * n * k_acc + n * n)
+    assert peak < returned + 2**16, peak - returned
+
+
 def test_accumulated_scores_add_steps_left_to_right(monkeypatch, small_result):
     # pair (0, 1) has large terms that cancel: a compensated sum (Python
     # 3.12's sum()) keeps the 1.0 that adding from the left loses; pair
@@ -503,7 +526,9 @@ def without(tree, *keys):
     (lambda raw, tmp: dict(raw, params=5), "params: not a non-empty string: 5"),
     (lambda raw, tmp: dict(raw, params=True), "params: not a non-empty string: True"),
     (lambda raw, tmp: dict(raw, distribution=""), "distribution: not a non-empty string: ''"),
-    (lambda raw, tmp: dict(raw, distribution="."), "cannot read config file .: Is a directory"),
+    (lambda raw, tmp: dict(raw, distribution="."), ".: cannot read: Is a directory"),
+    (lambda raw, tmp: dict(raw, params=str(tmp / "missing.json")),
+     "{tmp}/missing.json: cannot read: No such file or directory"),
     (lambda raw, tmp: dict(raw, distribution_overrides=[1]),
      "distribution_overrides: not an object: [1]"),
     (lambda raw, tmp: dict(raw, distribution=json_file(
@@ -573,7 +598,7 @@ def without(tree, *keys):
      "params.buffered[0]: 'Nope' is not a species of any cascade"),
 ], ids=["config-is-a-list", "acid-without-cv", "enzyme-without-kcat", "params-is-a-list",
         "params-is-a-number", "params-is-true", "distribution-is-empty",
-        "distribution-is-a-directory", "overrides-is-a-list", "acids-is-a-list",
+        "distribution-is-a-directory", "params-file-missing", "overrides-is-a-list", "acids-is-a-list",
         "acids-overridden-by-a-number", "reagents-is-a-list", "enzymes-is-a-list",
         "buffered-is-a-number", "buffered-is-a-string", "gains-is-a-list",
         "reagent-is-a-list", "demographics-is-a-list",
@@ -589,19 +614,27 @@ def test_cmd_rejects_malformed_config_files(tmp_path, capsys, edit, message):
 
 
 @pytest.mark.parametrize("content, message", [
-    ("{not json", "Expecting property name"),
-    ('{"k2": {"auc": 0.5, "eer": 0.5}}', "not a roc summary: no k1 auc and eer"),
-    ('{"k1": {"eer": 0.5}}', "not a roc summary: no k1 auc and eer"),
-    ("[]", "not a roc summary: no k1 auc and eer"),
-], ids=["not-json", "without-k1", "k1-without-auc", "not-an-object"])
+    ("{not json", ": invalid JSON: Expecting property name enclosed in double quotes: "
+                  "line 1 column 2 (char 1)"),
+    ('{"k2": {"auc": 0.5, "eer": 0.5}}', ".k2: unknown key"),
+    ('{"k1": {"eer": 0.5}}', ".k1.auc: required key is missing"),
+    ("[]", ": not an object: []"),
+    ('{"mode": "group"}', ".k1: required key is missing"),
+    ('{"k1": {"auc": 0.5, "eer": true}}', ".k1.eer: not a number: True"),
+    ('{"k1": {"auc": 0.5, "eer": NaN}}', ".k1.eer: must be finite, got nan"),
+    ('[{"k1": {"auc": 0.5, "eer": 0.5}}]', ": not an object: [{'k1': {'auc': 0.5, 'eer': 0.5}}]"),
+    (None, ": cannot read: No such file or directory"),
+], ids=["not-json", "without-k1", "k1-without-auc", "not-an-object", "only-k1-missing",
+        "boolean-eer", "nan-eer", "list-of-summaries", "missing-file"])
 def test_cmd_report_rejects_malformed_summary(tmp_path, capsys, content, message):
     path = tmp_path / "exp" / "summary.json"
     path.parent.mkdir()
-    path.write_text(content)
+    if content is None:  # a dangling link: os.walk lists it, open() finds no file
+        path.symlink_to(tmp_path / "gone.json")
+    else:
+        path.write_text(content)
     assert run_cli("report", "--out", str(tmp_path)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"configuration error: {path}: ") and message in err
-    assert len(err.splitlines()) == 1
+    assert capsys.readouterr().err == f"configuration error: {path}{message}\n"
 
 
 def test_every_csv_starts_with_the_config_hash_and_uses_bare_newlines(tmp_path):
@@ -665,17 +698,23 @@ def test_cmd_verify_bad_thresholds_exit_code(tmp_path, capsys):
     (lambda auth: auth.update({"lambda": "0.001"}), "auth.lambda: not a number: '0.001'"),
     (lambda auth: auth.update(accept_thr="3"), "auth.accept_thr: not a number: '3'"),
     (lambda auth: auth.update(drift_margin=None), "auth.drift_margin: not a number: None"),
+    (lambda auth: auth.update(mode="identiy"), "auth.mode: 'identiy' is not one of group, identity"),
+    (lambda auth: auth.update(mode=""), "auth.mode: '' is not one of group, identity"),
 ], ids=["misspelled-key", "negative-score-channel", "zero-accumulate-k", "missing-k-reg",
         "text-k-reg", "zero-k-reg", "text-lambda", "negative-lambda", "zero-lambda",
         "fractional-k-reg", "numeric-text-accumulate-k", "float-score-channel",
-        "numeric-text-lambda", "numeric-text-accept-thr", "null-drift-margin"])
-def test_cmd_rejects_bad_auth_section(tmp_path, capsys, edit, message):
+        "numeric-text-lambda", "numeric-text-accept-thr", "null-drift-margin",
+        "misspelled-mode", "empty-mode"])
+def test_cmd_rejects_bad_auth_section(tmp_path, capsys, monkeypatch, edit, message):
     raw = small_config()
     edit(raw["auth"])
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
+    calls = []
+    monkeypatch.setattr(pipeline, "simulate_batch", lambda *args: calls.append(args))
     assert run_cli("roc", "--config", str(path), "--out", str(tmp_path / "a")) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert calls == []  # refused at load, before any integration
 
 
 def as_rate_channel(ch, **keys):
