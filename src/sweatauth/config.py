@@ -21,7 +21,7 @@ import numpy as np
 
 from .cohort import DEMOGRAPHIC_FIELDS, GroupDistributionSpec
 from .errors import ConfigurationError, InsufficientDataError
-from .kinetics import WIRED_SPECIES, KineticParams
+from .kinetics import WIRED_SPECIES, KineticParams, step_count
 from .transduce import REPORTER_STEPS
 
 
@@ -33,6 +33,10 @@ MAX_STEPS = 1_000_000
 # schedule, up or down: far beyond any drift of sweat concentrations, and far
 # from overflowing baseline * drift * noise.
 MAX_DRIFT = 1e6
+# Largest coefficient of variation of a lognormal draw (cohort.noise.cv and each
+# distribution acid's cv): far above any sweat CV (the packaged ones are
+# 0.15-0.45), and far below the 1.3e154 at which cohort squares it to infinity.
+MAX_CV = 100.0
 
 
 def canonical_hash(obj) -> str:
@@ -169,11 +173,20 @@ def _drift_bound(cohort: dict, where: str) -> None:
             f"beyond the limit of a factor {MAX_DRIFT:g} over the schedule")
 
 
+def _cv_limit(cv, where: str) -> None:
+    if cv > MAX_CV:
+        raise ConfigurationError(f"{where}: {cv:g} exceeds the limit of {MAX_CV:g}")
+
+
 def _step_limit(kinetics: dict, where: str) -> None:
     steps = kinetics["t_g"] / kinetics["dt"]
     if steps > MAX_STEPS:
         raise ConfigurationError(
             f"{where}: t_g / dt = {steps:.7g} RK4 steps exceeds the limit of {MAX_STEPS:,}")
+    try:
+        step_count(kinetics["t_g"], kinetics["dt"])
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
 
 
 def _readout_key(channel: dict, where: str) -> None:
@@ -189,7 +202,7 @@ def _wired(species: str, where: str) -> None:
 
 
 # every key that pipeline.run_auth_eval and the cli commands read from "auth";
-# check_auth_fits holds its rules against the schedule and the outputs
+# check_auth_fits holds its rules against the schedule, the outputs and the cohort groups
 AUTH = _object({
     "mode": _string(("group", "identity"), default="group"),
     "k_reg": _integer(low=1, required=True),
@@ -218,7 +231,7 @@ EXPERIMENT = _object({
         }), required=True),
         "schedule": _object({"t0": _number(required=True), "tau": _positive(required=True),
                              "steps": _integer(low=1, required=True)}, required=True),
-        "noise": _object({"cv": _number(low=0), "drift_rate": _number()}),
+        "noise": _object({"cv": _number(low=0, then=_cv_limit), "drift_rate": _number()}),
         "series_seed": _integer(low=0),
     }, then=_drift_bound),
     "kinetics": _object({"t_g": _positive(required=True),
@@ -249,7 +262,7 @@ DISTRIBUTION = _object({
     "version": _integer(),
     "demographics": _object(dict.fromkeys(DEMOGRAPHIC_FIELDS, _list(_string()))),
     "acids": _object(_object({"mean_uM": _positive(required=True),
-                              "cv": _number(low=0, required=True),
+                              "cv": _number(low=0, required=True, then=_cv_limit),
                               "shifts": _object(_positive())})),
 })
 
@@ -348,8 +361,16 @@ def auth_setting(auth: dict, key: str):
     return auth.get(key, AUTH.of[key].default)
 
 
+def auth_groups(cfg: ExperimentConfig) -> tuple:
+    """(genuine, impostor) group names of group mode: auth's, else the first and last cohort groups."""
+    auth, names = cfg.section("auth"), [g["name"] for g in cfg.section("cohort")["groups"]]
+    return (auth.get("genuine_group", names[0] if names else None),
+            auth.get("impostor_group", names[-1] if names else None))
+
+
 def check_auth_fits(cfg: ExperimentConfig) -> None:
-    """The auth window fits the schedule, and in group mode score_channel names an output.
+    """The auth window fits the schedule; in group mode score_channel names an output and
+    the genuine and impostor groups are two different cohort groups.
 
     Checked where auth is evaluated rather than in load_experiment: runs
     that stop at the outputs never read auth, and need not fit it.
@@ -359,10 +380,21 @@ def check_auth_fits(cfg: ExperimentConfig) -> None:
     if need > steps:
         raise InsufficientDataError(
             f"auth: k_reg + accumulate_k = {need} exceeds cohort.schedule.steps = {steps}")
+    if auth_setting(auth, "mode") != "group":
+        return
     channel, n_outputs = auth_setting(auth, "score_channel"), len(cfg.section("digitize")["groups"])
-    if auth_setting(auth, "mode") == "group" and channel >= n_outputs:
+    if channel >= n_outputs:
         raise ConfigurationError(f"auth.score_channel: {channel} is out of range: "
                                  f"digitize has {n_outputs} output groups")
+    names = [g["name"] for g in cfg.section("cohort")["groups"]]
+    genuine, impostor = auth_groups(cfg)
+    for key, name in (("genuine_group", genuine), ("impostor_group", impostor)):
+        if name not in names:
+            raise ConfigurationError(f"auth.{key}: {name!r} is not a cohort group "
+                                     f"(groups: {', '.join(names) or 'none'})")
+    if genuine == impostor:
+        raise ConfigurationError(f"auth.impostor_group: {impostor!r} is also the genuine group; "
+                                 "group mode compares two cohort groups")
 
 
 def _override_seeds(raw: dict, master: int) -> None:

@@ -30,9 +30,6 @@ import numpy as np
 from . import _kernels
 from .errors import ConfigurationError, IntegrationError
 
-ROLES = ("substrate", "intermediate", "product", "cofactor", "chromophore")
-
-
 class CascadeKind(str, Enum):
     ALT_LDH = "AltLdh"
     ALT_POX_HRP = "AltPoxHrp"
@@ -42,16 +39,6 @@ class CascadeKind(str, Enum):
     ALA_GLU = "AlaGlu"
     ASP_GLU = "AspGlu"
     ALA_ASP_GLU = "AlaAspGlu"
-
-
-@dataclass(frozen=True)
-class Species:
-    name: str
-    role: str = "intermediate"
-
-    def __post_init__(self):
-        if self.role not in ROLES:
-            raise ConfigurationError(f"unknown species role {self.role!r}")
 
 
 @dataclass
@@ -179,56 +166,65 @@ WIRED_SPECIES = frozenset(species for wiring in _WIRING.values()
 
 @dataclass
 class CascadeNetwork:
+    """A cascade's steps and the facts that follow from them.
+
+    ``species`` lists the inputs, then each species in the order a step
+    first uses it (substrates before products); ``stoichiometry`` is
+    computed from the steps, and ``buffered`` keeps only species of the
+    network.
+    """
+
     kind: CascadeKind
-    species: list            # list[Species], fixed order
     steps: list              # list[EnzymaticStep]
-    stoichiometry: np.ndarray  # [n_species, n_steps], raw (+products, -substrates)
     input_species: list
     reporter_species: list
     buffered: frozenset = frozenset()
     assay_mix: dict = field(default_factory=dict)  # species -> µM initial reagents
-    _compiled: tuple = field(default=None, repr=False, compare=False)
+    species: list = field(init=False)  # names, fixed order
+    _compiled: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = [s.name for s in self.species]
-        if len(set(names)) != len(names):
-            raise ConfigurationError("duplicate species in network")
-        for sp in self.input_species + self.reporter_species:
-            if sp not in names:
+        self.species = list(dict.fromkeys(
+            self.input_species + [sp for st in self.steps for sp, _ in st.substrates + st.products]))
+        self.buffered = frozenset(self.buffered).intersection(self.species)
+        for sp in self.reporter_species:
+            if sp not in self.species:
                 raise ConfigurationError(f"{sp} not among network species")
-        expected = _stoich_from_steps(names, self.steps)
-        if not np.array_equal(expected, self.stoichiometry):
-            raise ConfigurationError("stoichiometry does not match step definitions")
-
-    @property
-    def species_names(self) -> list:
-        return [s.name for s in self.species]
 
     def index(self, name: str) -> int:
         try:
-            return self.species_names.index(name)
+            return self.species.index(name)
         except ValueError:
             raise KeyError(f"species {name!r} not in {self.kind.value} network") from None
 
     @property
+    def stoichiometry(self) -> np.ndarray:
+        """[n_species, n_steps]: +coefficient of each product, -coefficient of each substrate."""
+        S = np.zeros((len(self.species), len(self.steps)))
+        for j, st in enumerate(self.steps):
+            for sp, coef in st.substrates:
+                S[self.index(sp), j] -= coef
+            for sp, coef in st.products:
+                S[self.index(sp), j] += coef
+        return S
+
+    @property
     def effective_stoichiometry(self) -> np.ndarray:
         """Stoichiometry with buffered species rows zeroed (what is integrated)."""
-        eff = self.stoichiometry.astype(float).copy()
+        eff = self.stoichiometry
         for sp in self.buffered:
-            if sp in self.species_names:
-                eff[self.index(sp), :] = 0.0
+            eff[self.index(sp), :] = 0.0
         return eff
 
     def compiled(self):
         """Flat-array encoding consumed by the integration kernels."""
         if self._compiled is None:
-            names = self.species_names
             st_dense = self.effective_stoichiometry.T.copy()  # [n_rxn, n_species]
             vmax = np.array([st.vmax for st in self.steps])
             sub_idx, sub_km, sub_off = [], [], [0]
             for st in self.steps:
                 for sp, _ in st.substrates:
-                    sub_idx.append(names.index(sp))
+                    sub_idx.append(self.index(sp))
                     sub_km.append(st.km[sp])
                 sub_off.append(len(sub_idx))
             self._compiled = (
@@ -242,43 +238,16 @@ class CascadeNetwork:
 
     def init_vector(self, init: dict) -> np.ndarray:
         """Assay mix plus caller overrides, as a dense state vector."""
-        names = self.species_names
-        c0 = np.zeros(len(names))
+        c0 = np.zeros(len(self.species))
         for sp, v in self.assay_mix.items():
-            c0[names.index(sp)] = v
+            c0[self.index(sp)] = v
         for sp, v in init.items():
-            if sp not in names:
+            if sp not in self.species:
                 raise ConfigurationError(f"init species {sp!r} not in {self.kind.value} network")
-            c0[names.index(sp)] = float(v)
+            c0[self.index(sp)] = float(v)
         if np.any(c0 < 0):
             raise ConfigurationError("initial concentrations must be >= 0")
         return c0
-
-
-def _stoich_from_steps(names, steps):
-    S = np.zeros((len(names), len(steps)))
-    for j, st in enumerate(steps):
-        for sp, coef in st.substrates:
-            S[names.index(sp), j] -= coef
-        for sp, coef in st.products:
-            S[names.index(sp), j] += coef
-    return S
-
-
-def _assign_roles(order, wiring, terminal_products):
-    roles = {}
-    for name in order:
-        if name in wiring["reporters"]:
-            roles[name] = "chromophore"
-        elif name in wiring["inputs"]:
-            roles[name] = "substrate"
-        elif name in wiring["reagents"]:
-            roles[name] = "cofactor"
-        elif name in terminal_products:
-            roles[name] = "product"
-        else:
-            roles[name] = "intermediate"
-    return roles
 
 
 def build_cascade(kind, params: KineticParams) -> CascadeNetwork:
@@ -298,33 +267,12 @@ def build_cascade(kind, params: KineticParams) -> CascadeNetwork:
         if enzyme not in params.enzymes:
             raise ConfigurationError(f"no kinetic parameters for enzyme {enzyme!r}")
         ep = params.enzymes[enzyme]
-        km = {}
-        for sp, _ in subs:
-            if sp not in ep.km:
-                raise ConfigurationError(f"enzyme {enzyme!r} lacks Km for substrate {sp!r}")
-            km[sp] = ep.km[sp]
-        steps.append(EnzymaticStep(enzyme=enzyme, substrates=list(subs),
-                                   products=list(prods), kcat=ep.kcat, km=km,
-                                   e_total=ep.e_total))
-
-    order = list(wiring["inputs"])
-    for st in steps:
-        for sp, _ in st.substrates + st.products:
-            if sp not in order:
-                order.append(sp)
-    consumed = {sp for st in steps for sp, _ in st.substrates}
-    produced = {sp for st in steps for sp, _ in st.products}
-    roles = _assign_roles(order, wiring, produced - consumed)
-    species = [Species(name, roles[name]) for name in order]
-    stoich = _stoich_from_steps(order, steps)
-    buffered = frozenset(sp for sp in params.buffered if sp in order)
-    assay_mix = {sp: params.reagents[sp] for sp in wiring["reagents"]
-                 if sp in params.reagents}
-    return CascadeNetwork(
-        kind=kind, species=species, steps=steps, stoichiometry=stoich,
-        input_species=list(wiring["inputs"]), reporter_species=list(wiring["reporters"]),
-        buffered=buffered, assay_mix=assay_mix,
-    )
+        steps.append(EnzymaticStep(enzyme=enzyme, substrates=list(subs), products=list(prods),
+                                   kcat=ep.kcat, km=dict(ep.km), e_total=ep.e_total))
+    assay_mix = {sp: params.reagents[sp] for sp in wiring["reagents"] if sp in params.reagents}
+    return CascadeNetwork(kind=kind, steps=steps, input_species=list(wiring["inputs"]),
+                          reporter_species=list(wiring["reporters"]),
+                          buffered=frozenset(params.buffered), assay_mix=assay_mix)
 
 
 @dataclass
@@ -339,12 +287,21 @@ class KineticsTrace:
         return self.concentrations[:, self.species_names.index(species)]
 
 
-def _n_steps(horizon, dt):
+def step_count(t_g, dt) -> int:
+    """RK4 steps of dt from 0 to the gate time t_g.
+
+    t_g / dt must lie within 1e-9 (relative) of a whole number of at least
+    one: any other step count would read the features at a time other than
+    t_g. (120 / 0.01 and 120 / 0.2 are whole numbers in floats.)
+    """
     if not dt > 0:
         raise ConfigurationError("dt must be > 0")
-    if horizon < dt:
-        raise ConfigurationError("horizon must be >= dt")
-    return int(round(horizon / dt))
+    ratio = t_g / dt
+    steps = round(ratio) if math.isfinite(ratio) else 0
+    if steps < 1 or abs(ratio - steps) > 1e-9 * ratio:
+        raise ConfigurationError(f"t_g / dt = {ratio:.7g} is not a whole number of RK4 steps, "
+                                 "at least 1")
+    return int(steps)
 
 
 def simulate(network: CascadeNetwork, init: dict, horizon: float, dt: float) -> KineticsTrace:
@@ -353,12 +310,12 @@ def simulate(network: CascadeNetwork, init: dict, horizon: float, dt: float) -> 
     init maps species to initial µM on top of the network's assay mix
     (unlisted species start at zero).
     """
-    n_steps = _n_steps(horizon, dt)
+    n_steps = step_count(horizon, dt)
     c0 = network.init_vector(init)
     trace, status, bad = _kernels.rk4_trace(c0, *network.compiled(), n_steps, dt)
     _raise_on_status(status, bad)
     return KineticsTrace(times=dt * np.arange(n_steps + 1), concentrations=trace,
-                         species_names=network.species_names)
+                         species_names=list(network.species))
 
 
 @dataclass(frozen=True)
@@ -438,7 +395,7 @@ def simulate_batch(network, init_matrix: np.ndarray, horizon: float, dt: float,
     failing in it and that row's first failing cascade.
     """
     union = network if isinstance(network, CascadeUnion) else CascadeUnion([network])
-    n_steps = _n_steps(horizon, dt)
+    n_steps = step_count(horizon, dt)
     if signals is None:
         signals = [(b, net.reporter_species[0]) for b, net in enumerate(union.blocks)]
     columns = [union.column(b, signal) for b, signal in signals]

@@ -20,7 +20,8 @@ from .auth import enroll, score_step
 from .cohort import (ACID_INDEX, AMINO_ACIDS, N_ACIDS, Demographics, NoiseSpec,
                      SamplingSchedule, mimic_cohort, sample_series,
                      write_cohort_csv)
-from .config import ExperimentConfig, auth_setting, check_auth_fits, collect_seeds
+from .config import (ExperimentConfig, auth_groups, auth_setting, check_auth_fits,
+                     collect_seeds)
 from .digitize import BandSpec, FilterParams, GroupingSpec, consolidate
 from .errors import ConfigurationError, InsufficientDataError
 from .kinetics import BatchResult, CascadeUnion, build_cascade, simulate_batch
@@ -231,9 +232,7 @@ def run_auth_eval(cfg: ExperimentConfig):
 
 
 def _group_mode_scores(result, auth_cfg, k_reg, k_acc):
-    names = [g for g in dict.fromkeys(result.group_of)]
-    gen_name = auth_cfg.get("genuine_group", names[0])
-    imp_name = auth_cfg.get("impostor_group", names[-1])
+    gen_name, imp_name = auth_groups(result.config)  # two cohort groups, checked by check_auth_fits
     gen_idx = [i for i, g in enumerate(result.group_of) if g == gen_name]
     imp_idx = [i for i, g in enumerate(result.group_of) if g == imp_name]
     if not gen_idx or not imp_idx:

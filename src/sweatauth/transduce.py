@@ -92,7 +92,7 @@ def readout(network, entry: dict, params) -> tuple:
     transduction = entry.get("transduction", "absorbance")
     if transduction == "absorbance":
         species = entry.get("species", network.reporter_species[0])
-        if species not in network.species_names:
+        if species not in network.species:
             raise ConfigurationError(f"species {species!r} is not in the {network.kind.value} cascade")
         return species, builtin_optics(species, params).scale
     if transduction not in REPORTER_STEPS:

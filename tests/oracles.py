@@ -24,7 +24,7 @@ from sweatauth.transduce import SignalTrace, reporter_step
 def step_rates(network, concentrations) -> np.ndarray:
     """Per-step rates for a [T, n_species] concentration block."""
     C = np.atleast_2d(concentrations)
-    names = network.species_names
+    names = network.species
     rates = np.empty((C.shape[0], len(network.steps)))
     for j, st in enumerate(network.steps):
         v = np.full(C.shape[0], st.vmax)

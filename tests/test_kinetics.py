@@ -4,9 +4,9 @@ import pytest
 from oracles import step_rates
 from sweatauth.errors import ConfigurationError, IntegrationError
 from sweatauth.kinetics import (CascadeKind, CascadeNetwork, CascadeUnion, EnzymaticStep,
-                                EnzymeParams, KineticParams, Species,
+                                EnzymeParams, KineticParams,
                                 build_cascade, conserved_moieties, mm_rate,
-                                simulate, simulate_batch)
+                                simulate, simulate_batch, step_count)
 
 ALL_KINDS = list(CascadeKind)
 
@@ -41,16 +41,16 @@ def test_mm_rate_monotone_in_substrate():
 
 def test_altldh_species_set(params):
     net = build_cascade("AltLdh", params)
-    assert {"Ala", "KTG", "Pyr", "Glu", "NADH", "NADplus", "Lac"} <= set(net.species_names)
+    assert {"Ala", "KTG", "Pyr", "Glu", "NADH", "NADplus", "Lac"} <= set(net.species)
     assert net.input_species == ["Ala"]
     assert net.reporter_species == ["NADH"]
 
 
 def test_gldhc_reporter_branch(params):
     net = build_cascade("GldhC", params)
-    assert "H2O2" in net.species_names
-    assert "Luminol" in net.species_names
-    assert "LuminolOx" in net.species_names
+    assert "H2O2" in net.species
+    assert "Luminol" in net.species
+    assert "LuminolOx" in net.species
 
 
 def test_alaaspglu_inputs_and_enzymes(params):
@@ -63,10 +63,42 @@ def test_alaaspglu_inputs_and_enzymes(params):
 def test_every_kind_builds_and_validates(params, kind):
     net = build_cascade(kind, params)
     assert net.stoichiometry.shape == (len(net.species), len(net.steps))
-    names = [s.name for s in net.species]
-    assert len(set(names)) == len(names)
+    assert len(set(net.species)) == len(net.species)
     for sp in net.reporter_species:
-        assert sp in names
+        assert sp in net.species
+
+
+# species order of every kind: the inputs, then each species as a step first uses it
+SPECIES = {
+    "AltLdh": ["Ala", "KTG", "Pyr", "Glu", "NADH", "Lac", "NADplus"],
+    "AltPoxHrp": ["Ala", "KTG", "Pyr", "Glu", "O2", "H2O2", "ABTS", "ABTSox"],
+    "GldhA": ["Glu", "NADplus", "KTG", "NH3", "NADH"],
+    "GldhB": ["Glu", "NADplus", "KTG", "NH3", "NADH", "NBT", "Formazan"],
+    "GldhC": ["Glu", "NADplus", "KTG", "NH3", "NADH", "O2", "H2O2", "Luminol", "LuminolOx"],
+    "AlaGlu": ["Ala", "Glu", "KTG", "Pyr", "O2", "H2O2", "ABTS", "ABTSox"],
+    "AspGlu": ["Asp", "Glu", "KTG", "OAC", "O2", "H2O2", "ABTS", "ABTSox"],
+    "AlaAspGlu": ["Ala", "Asp", "Glu", "KTG", "Pyr", "OAC", "O2", "H2O2", "ABTS", "ABTSox"],
+}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_species_order_is_pinned(params, kind):
+    assert build_cascade(kind, params).species == SPECIES[kind.value]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_stoichiometry_follows_from_the_steps(params, kind):
+    net = build_cascade(kind, params)
+    want = np.zeros((len(net.species), len(net.steps)))
+    for j, st in enumerate(net.steps):
+        for sp, coef in st.substrates:
+            want[SPECIES[kind.value].index(sp), j] -= coef
+        for sp, coef in st.products:
+            want[SPECIES[kind.value].index(sp), j] += coef
+    np.testing.assert_array_equal(net.stoichiometry, want)
+    buffered = [SPECIES[kind.value].index(sp) for sp in net.buffered]
+    want[buffered] = 0.0
+    np.testing.assert_array_equal(net.effective_stoichiometry, want)
 
 
 def test_missing_enzyme_parameter(params):
@@ -154,17 +186,20 @@ def test_invalid_grid():
     net = _single_step_network(vmax=1.0, km=10.0)
     with pytest.raises(ConfigurationError):
         simulate(net, {"A": 1.0}, 1.0, 0.0)
-    with pytest.raises(ConfigurationError):
-        simulate(net, {"A": 1.0}, 0.005, 0.01)
+    # the gate time must be a whole number of steps, at least one
+    for t_g, dt in ((0.005, 0.01), (1.0, 0.3), (float("inf"), 1.0), (float("nan"), 1.0)):
+        with pytest.raises(ConfigurationError, match="is not a whole number of RK4 steps"):
+            simulate(net, {"A": 1.0}, t_g, dt)
+        with pytest.raises(ConfigurationError, match="is not a whole number of RK4 steps"):
+            simulate_batch(net, net.init_vector({"A": 1.0})[None], t_g, dt)
+    assert [step_count(t_g, dt) for t_g, dt in ((120.0, 0.01), (120.0, 0.2), (60.0, 0.02))] == [
+        12000, 600, 3000]
 
 
 def _single_step_network(vmax, km, e_total=1.0):
     step = EnzymaticStep(enzyme="ALT", substrates=[("A", 1)], products=[("B", 1)],
                          kcat=vmax / e_total, km={"A": km}, e_total=e_total)
-    species = [Species("A", "substrate"), Species("B", "product")]
-    stoich = np.array([[-1.0], [1.0]])
-    return CascadeNetwork(kind=CascadeKind.ALT_LDH, species=species, steps=[step],
-                          stoichiometry=stoich, input_species=["A"],
+    return CascadeNetwork(kind=CascadeKind.ALT_LDH, steps=[step], input_species=["A"],
                           reporter_species=["B"])
 
 
@@ -195,7 +230,7 @@ def test_batch_matches_single_runs(params):
     alas = [40.0, 120.0, 333.0]
     C0 = np.stack([net.init_vector({"Ala": a}) for a in alas])
     traces = [simulate(net, {"Ala": a}, 30.0, 0.01).concentrations for a in alas]
-    signals = net.species_names + list(range(len(net.steps)))
+    signals = net.species + list(range(len(net.steps)))
     res = simulate_batch(net, C0, 30.0, 0.01, [(0, signal) for signal in signals])
     for b, tr in enumerate(traces):
         np.testing.assert_allclose(res.c_final[b], tr[-1], rtol=1e-12)
@@ -250,7 +285,7 @@ def test_altldh_expected_pools(params):
     S = net.effective_stoichiometry
     basis = np.stack(conserved_moieties(net))
     for members in ({"NADH", "NADplus"}, {"Ala", "Pyr", "Lac"}):
-        w = np.array([1.0 if s in members else 0.0 for s in net.species_names])
+        w = np.array([1.0 if s in members else 0.0 for s in net.species])
         np.testing.assert_allclose(w @ S, 0.0, atol=1e-12)
         coeffs, residual, *_ = np.linalg.lstsq(basis.T, w, rcond=None)
         recon = basis.T @ coeffs
@@ -258,24 +293,27 @@ def test_altldh_expected_pools(params):
 
 
 def test_empty_network_full_basis():
-    species = [Species(n) for n in ("A", "B", "C")]
-    net = CascadeNetwork(kind=CascadeKind.ALT_LDH, species=species, steps=[],
-                         stoichiometry=np.zeros((3, 0)), input_species=["A"],
+    net = CascadeNetwork(kind=CascadeKind.ALT_LDH, steps=[], input_species=["A", "B", "C"],
                          reporter_species=["A"])
     basis = conserved_moieties(net)
     assert len(basis) == 3
     np.testing.assert_array_equal(np.stack(basis), np.eye(3))
 
 
-def test_network_rejects_mismatched_stoichiometry():
+def test_network_rejects_unwired_reporter():
     step = EnzymaticStep(enzyme="ALT", substrates=[("A", 1)], products=[("B", 1)],
                          kcat=1.0, km={"A": 10.0}, e_total=1.0)
-    species = [Species("A"), Species("B")]
-    wrong = np.array([[-2.0], [1.0]])
-    with pytest.raises(ConfigurationError):
-        CascadeNetwork(kind=CascadeKind.ALT_LDH, species=species, steps=[step],
-                       stoichiometry=wrong, input_species=["A"],
-                       reporter_species=["B"])
+    with pytest.raises(ConfigurationError, match="^C not among network species$"):
+        CascadeNetwork(kind=CascadeKind.ALT_LDH, steps=[step], input_species=["A"],
+                       reporter_species=["C"])
+
+
+def test_network_keeps_only_its_own_buffered_species():
+    step = _single_step_network(vmax=1.0, km=10.0).steps[0]
+    net = CascadeNetwork(kind=CascadeKind.ALT_LDH, steps=[step], input_species=["A"],
+                         reporter_species=["B"], buffered=frozenset({"B", "O2"}))
+    assert net.buffered == frozenset({"B"})
+    np.testing.assert_array_equal(net.effective_stoichiometry, [[-1.0], [0.0]])
 
 
 # ---------------------------------------------------------------- invariants
@@ -299,7 +337,7 @@ def test_terminal_species_monotone(params, kind):
     init = {sp: 60.0 for sp in net.input_species}
     tr = simulate(net, init, 120.0, 0.02)
     S = net.effective_stoichiometry
-    for i, name in enumerate(net.species_names):
+    for i, name in enumerate(net.species):
         col = tr.concentrations[:, i]
         if np.all(S[i] >= 0) and np.any(S[i] > 0):
             assert np.all(np.diff(col) >= -1e-9), name

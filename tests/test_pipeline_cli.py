@@ -139,7 +139,7 @@ def test_rate_channel_feature_route(params, cascade, transduction, readout, feat
 def oracle_rate_slope_features(ch, C0, t_g, dt):
     """The former per-row route: one recorded trace per row, centred least squares."""
     out = np.empty(C0.shape[0])
-    names = ch.network.species_names
+    names = ch.network.species
     for b in range(C0.shape[0]):
         tr = simulate(ch.network, dict(zip(names, C0[b])), t_g, dt)
         rates = step_rates(ch.network, tr.concentrations)[:, ch.signal]
@@ -792,13 +792,20 @@ def test_cmd_rejects_channels_that_are_not_objects(tmp_path, capsys, channels, m
      "kinetics: t_g / dt = 6e+301 RK4 steps exceeds the limit of 1,000,000"),
     (lambda kin: kin.update(t_g=1_000_001.0, dt=1.0),
      "kinetics: t_g / dt = 1000001 RK4 steps exceeds the limit of 1,000,000"),
+    # 3 steps would read the features at 0.9 s, not at t_g
+    (lambda kin: kin.update(t_g=1.0, dt=0.3),
+     "kinetics: t_g / dt = 3.333333 is not a whole number of RK4 steps, at least 1"),
+    (lambda kin: kin.update(t_g=0.005, dt=0.01),
+     "kinetics: t_g / dt = 0.5 is not a whole number of RK4 steps, at least 1"),
 ], ids=["missing-dt", "text-dt", "misspelled-dt", "zero-dt", "negative-t-g", "infinite-t-g",
-        "null-t-g", "true-t-g", "numeric-text-t-g", "huge-t-g", "tiny-dt", "one-step-too-many"])
-def test_cmd_rejects_bad_kinetics_section(tmp_path, capsys, edit, message):
+        "null-t-g", "true-t-g", "numeric-text-t-g", "huge-t-g", "tiny-dt", "one-step-too-many",
+        "t-g-between-steps", "t-g-below-one-step"])
+def test_cmd_rejects_bad_kinetics_section(tmp_path, capsys, monkeypatch, edit, message):
     raw = small_config()
     edit(raw["kinetics"])
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
+    monkeypatch.setattr(pipeline, "simulate_batch", no_integration)
     assert run_cli("roc", "--config", str(path), "--out", str(tmp_path / "k")) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
 
@@ -997,11 +1004,16 @@ def no_integration(*args, **kwargs):
     # float(10**400) overflows
     (lambda raw: raw["cohort"]["schedule"].update(tau=10**400),
      f"cohort.schedule.tau: must be finite and > 0, got {10**400}"),
+    # cohort sampling squares a CV of 1.3e154 or more to infinity
+    (lambda raw: raw["cohort"]["noise"].update(cv=1e200),
+     "cohort.noise.cv: 1e+200 exceeds the limit of 100"),
+    (lambda raw: raw.update(distribution_overrides={"acids": {"Ala": {"cv": 1e200}}}),
+     "distribution.acids.Ala.cv: 1e+200 exceeds the limit of 100"),
 ], ids=["text-n", "negative-n", "missing-seed", "misspelled-demographic", "text-steps",
         "zero-tau", "misspelled-noise", "groups-not-a-list", "missing-digitize-groups",
         "misspelled-filters", "text-k-half", "unknown-aggregator", "group-beyond-channels",
         "weight-count-mismatch", "overflowing-drift", "vanishing-drift", "number-demographic",
-        "minus-infinite-t0", "integer-tau-beyond-floats"])
+        "minus-infinite-t0", "integer-tau-beyond-floats", "huge-noise-cv", "huge-acid-cv"])
 def test_cmd_rejects_bad_cohort_and_digitize_sections(tmp_path, capsys, monkeypatch, edit,
                                                       message):
     import sweatauth.pipeline
@@ -1020,7 +1032,14 @@ def test_cmd_rejects_bad_cohort_and_digitize_sections(tmp_path, capsys, monkeypa
      "insufficient data: auth: k_reg + accumulate_k = 12 exceeds cohort.schedule.steps = 5"),
     ({"score_channel": 1}, 2, "configuration error: auth.score_channel: 1 is out of range: "
                               "digitize has 1 output groups"),
-], ids=["window-beyond-schedule", "score-channel-beyond-outputs"])
+    ({"genuine_group": "nobody"}, 2, "configuration error: auth.genuine_group: 'nobody' is not "
+                                     "a cohort group (groups: female, male)"),
+    # scored against itself, the group would read AUC 0.5
+    ({"impostor_group": "female"}, 2, "configuration error: auth.impostor_group: 'female' is "
+                                      "also the genuine group; group mode compares two cohort "
+                                      "groups"),
+], ids=["window-beyond-schedule", "score-channel-beyond-outputs", "unknown-genuine-group",
+        "impostors-are-the-genuine-group"])
 def test_cmd_roc_checks_auth_against_schedule_and_outputs_first(tmp_path, capsys, monkeypatch,
                                                                 edit, code, message):
     import sweatauth.pipeline
@@ -1032,6 +1051,27 @@ def test_cmd_roc_checks_auth_against_schedule_and_outputs_first(tmp_path, capsys
     monkeypatch.setattr(sweatauth.pipeline, "simulate_batch", no_integration)
     assert run_cli("roc", "--config", str(path), "--out", str(tmp_path / "r")) == code
     assert capsys.readouterr().err == f"{message}\n"
+
+
+def test_cmd_roc_group_mode_needs_two_configured_groups(tmp_path, capsys, monkeypatch):
+    raw = small_config()
+    raw["cohort"]["groups"].pop()  # both defaults name the one group left
+    del raw["auth"]["genuine_group"], raw["auth"]["impostor_group"]
+    monkeypatch.setattr(pipeline, "simulate_batch", no_integration)
+    assert run_cli("roc", "--config", json_file(tmp_path / "cfg.json", raw),
+                   "--out", str(tmp_path / "r")) == 2
+    assert capsys.readouterr().err == ("configuration error: auth.impostor_group: 'female' is "
+                                       "also the genuine group; group mode compares two cohort "
+                                       "groups\n")
+
+
+def test_cmd_roc_configured_group_without_members_exit_code(tmp_path, capsys):
+    raw = small_config()
+    raw["cohort"]["groups"][1]["n"] = 0
+    assert run_cli("roc", "--config", json_file(tmp_path / "cfg.json", raw),
+                   "--out", str(tmp_path / "r")) == 3
+    assert capsys.readouterr().err == ("insufficient data: groups 'female'/'male' "
+                                       "must both be non-empty\n")
 
 
 def test_cmd_roc_identity_mode_ignores_score_channel(tmp_path, capsys):
