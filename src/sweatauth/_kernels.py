@@ -137,10 +137,8 @@ def block_diagonal(blocks):
 
     The stoichiometry is block-diagonal, vmax and the substrate Km are
     concatenated, and substrate indices are offset by each block's first
-    species. One block is returned as it is.
+    species.
     """
-    if len(blocks) == 1:
-        return blocks[0]
     st_dense = np.zeros((sum(b[0].shape[0] for b in blocks), sum(b[0].shape[1] for b in blocks)))
     sub_idx, sub_off, r0, s0 = [], [np.zeros(1, dtype=np.int64)], 0, 0
     for st, _, idx, _, off in blocks:

@@ -43,12 +43,6 @@ class Template:
 
 
 @dataclass
-class ScoreSeries:
-    scores: list
-    accumulated: list  # running sum: accumulated[k] = accumulated[k-1] + scores[k]
-
-
-@dataclass
 class VerifyPolicy:
     accept_thr: float
     reject_thr: float
@@ -61,11 +55,9 @@ class VerifyPolicy:
 
 @dataclass
 class AuthDecision:
-    verdict: str            # accept | reject | continue
+    verdict: str     # accept | reject | continue
     statistic: float
-    accept_thr: float
-    reject_thr: float
-    decided_at_step: int = None  # None while still continuing
+    steps_read: int  # probes scored; the verdict came on the last, unless continue
 
 
 def enroll(series, k_reg: int, lam: float, user_id: str = "user",
@@ -101,32 +93,22 @@ def score_step(tpl: Template, y) -> float:
     return float(-0.5 * d @ np.linalg.solve(tpl.covariance, d))
 
 
-def verify_series(tpl: Template, stream, policy: VerifyPolicy):
+def verify_series(tpl: Template, stream, policy: VerifyPolicy) -> AuthDecision:
     """Sequentially accumulate drift-compensated scores until a verdict.
 
     statistic_k = sum_{i<=k} (score_i - drift_offset); accept when the
     statistic reaches accept_thr, reject at reject_thr, else continue.
-    Returns (AuthDecision, ScoreSeries) covering the steps actually read.
     """
-    scores, accumulated = [], []
-    stat = 0.0
-    verdict, decided_at = "continue", None
-    for k, y in enumerate(stream):
-        s = score_step(tpl, y)
-        scores.append(s)
-        stat += s - policy.drift_offset
-        accumulated.append(stat)
+    stat, verdict, steps_read = 0.0, "continue", 0
+    for steps_read, y in enumerate(stream, 1):
+        stat += score_step(tpl, y) - policy.drift_offset
         if stat >= policy.accept_thr:
-            verdict, decided_at = "accept", k
+            verdict = "accept"
             break
         if stat <= policy.reject_thr:
-            verdict, decided_at = "reject", k
+            verdict = "reject"
             break
-    decision = AuthDecision(verdict=verdict, statistic=stat,
-                            accept_thr=policy.accept_thr,
-                            reject_thr=policy.reject_thr,
-                            decided_at_step=decided_at)
-    return decision, ScoreSeries(scores=scores, accumulated=accumulated)
+    return AuthDecision(verdict=verdict, statistic=stat, steps_read=steps_read)
 
 
 def calibrate_drift_offset(genuine_scores, margin: float) -> float:
@@ -177,18 +159,9 @@ def load_templates(path) -> list:
 
 def append_audit(path, rows) -> None:
     """Append (timestamp, user, statistic, verdict) rows to the audit CSV."""
-    new = not _file_has_content(path)
     with open(path, "a", newline="") as fh:
         w = csv.writer(fh)
-        if new:
+        if fh.tell() == 0:  # a new or empty file
             w.writerow(["timestamp_s", "user_id", "statistic", "verdict"])
         for t, user, stat, verdict in rows:
             w.writerow([repr(float(t)), user, repr(float(stat)), verdict])
-
-
-def _file_has_content(path) -> bool:
-    try:
-        with open(path) as fh:
-            return bool(fh.readline())
-    except FileNotFoundError:
-        return False

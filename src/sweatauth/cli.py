@@ -19,7 +19,8 @@ from . import metrics, pipeline
 from ._artifacts import write_json
 from .auth import (VerifyPolicy, append_audit, calibrate_drift_offset, load_templates,
                    save_templates, score_step, verify_series)
-from .config import SUMMARY, _read_json, auth_setting, load_experiment
+from .config import (SUMMARY, _read_json, auth_setting, check_registration_fits,
+                     load_experiment)
 from .errors import ConfigurationError, InsufficientDataError, IntegrationError
 
 EXIT_OK = 0
@@ -64,6 +65,7 @@ def cmd_pipeline(args) -> int:
 
 def cmd_enroll(args) -> int:
     cfg = _load(args)
+    check_registration_fits(cfg)
     result = pipeline.run_pipeline(cfg)
     templates = pipeline.enroll_templates(result, cfg.section("auth"))
     path = os.path.join(args.out, "templates.json")
@@ -75,17 +77,17 @@ def cmd_enroll(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load(args)
+    check_registration_fits(cfg)
+    loaded = load_templates(args.templates) if args.templates else None
     result = pipeline.run_pipeline(cfg)
     auth_cfg = cfg.section("auth")
     k_reg = auth_cfg["k_reg"]
-    if args.templates:
-        loaded = load_templates(args.templates)
-        for idx, tpl in enumerate(loaded):
-            if tpl.dim != result.n_outputs:
-                raise ConfigurationError(f"{args.templates}[{idx}]: template dimension "
-                                         f"{tpl.dim} != {result.n_outputs} outputs")
-    else:
+    if loaded is None:
         loaded = pipeline.enroll_templates(result, auth_cfg)
+    for idx, tpl in enumerate(loaded):  # enrolled templates always fit
+        if tpl.dim != result.n_outputs:
+            raise ConfigurationError(f"{args.templates}[{idx}]: template dimension "
+                                     f"{tpl.dim} != {result.n_outputs} outputs")
     templates = {t.user_id: t for t in loaded}
     accept, reject, margin = (auth_setting(auth_cfg, key)
                               for key in ("accept_thr", "reject_thr", "drift_margin"))
@@ -97,8 +99,8 @@ def cmd_verify(args) -> int:
         reg_scores = [score_step(tpl, y) for y in result.outputs[i, :k_reg]]
         policy = VerifyPolicy(accept_thr=accept, reject_thr=reject,
                               drift_offset=calibrate_drift_offset(reg_scores, margin))
-        decision, series = verify_series(tpl, result.outputs[i, k_reg:], policy)
-        last_t = result.timestamps[k_reg + len(series.scores) - 1] if series.scores else 0.0
+        decision = verify_series(tpl, result.outputs[i, k_reg:], policy)
+        last_t = result.timestamps[k_reg + decision.steps_read - 1] if decision.steps_read else 0.0
         audit_rows.append((last_t, profile.id, decision.statistic, decision.verdict))
         print(f"{profile.id}: {decision.verdict} (statistic {decision.statistic:.3f})")
     path = os.path.join(args.out, "audit.csv")

@@ -29,6 +29,17 @@ from .transduce import REPORTER_STEPS
 # (t_g = 120 s at dt = 0.01); this allows about 80 times that, minutes on the
 # builtin cohorts, and refuses the step counts that would run for days.
 MAX_STEPS = 1_000_000
+# Largest number of batch rows of a run, cohort individuals x cohort.schedule.steps.
+# Integration holds about 1.7 KB per row for the identity channels' three cascades
+# (0.9 KB for sex-separation's one; tracemalloc peak of run_pipeline), so this is
+# about 2 GB: 170 times an n = 400 identity cohort (6,000 rows), and far below the
+# TiB that an n or a steps of 10**12 would ask for before failing.
+MAX_ROWS = 1_000_000
+# Largest impostor score array of identity mode, n * (n - 1) * auth.accumulate_k
+# floats: 30 times the 1.6 million of an n = 400 identity cohort. A roc run holds
+# about 40 bytes per score (its n = 400 peak is 100 MB), so this is about 2 GB,
+# and its score_step calls take about 8 minutes at 9 us each.
+MAX_SCORES = 50_000_000
 # Largest factor by which cohort.noise.drift_rate may scale a sample over the
 # schedule, up or down: far beyond any drift of sweat concentrations, and far
 # from overflowing baseline * drift * noise.
@@ -164,13 +175,35 @@ def _walk(value, rule: _Rule, where: str) -> None:
         rule.then(value, where)
 
 
-def _drift_bound(cohort: dict, where: str) -> None:
+def _cohort_limits(cohort: dict, where: str) -> None:
     rate, schedule = cohort.get("noise", {}).get("drift_rate", 0.0), cohort["schedule"]
     exponent = rate * (schedule["steps"] - 1) * schedule["tau"]
     if abs(exponent) > np.log(MAX_DRIFT):
         raise ConfigurationError(
             f"{where}.noise.drift_rate: {rate} scales the last sample by exp({exponent:g}), "
             f"beyond the limit of a factor {MAX_DRIFT:g} over the schedule")
+    n = sum(g["n"] for g in cohort["groups"])
+    if n * schedule["steps"] > MAX_ROWS:
+        raise ConfigurationError(
+            f"{where}: {n:,} individuals x {schedule['steps']:,} schedule steps = "
+            f"{n * schedule['steps']:,} batch rows exceeds the limit of {MAX_ROWS:,}")
+
+
+def _unique(key: str):
+    """Rule for a list of objects: no two items share the value of key."""
+    def check(items: list, where: str) -> None:
+        first = {}
+        for i, item in enumerate(items):
+            j = first.setdefault(item[key], i)
+            if j != i:
+                raise ConfigurationError(f"{where}[{i}].{key}: {item[key]!r} repeats entry [{j}]")
+    return check
+
+
+def _file_name_part(name: str, where: str) -> None:
+    if set(name) & set("/\\\0"):
+        raise ConfigurationError(
+            f"{where}: {name!r} is part of a file name, so it may not hold '/', '\\' or NUL")
 
 
 def _cv_limit(cv, where: str) -> None:
@@ -201,6 +234,13 @@ def _wired(species: str, where: str) -> None:
         raise ConfigurationError(f"{where}: {species!r} is not a species of any cascade")
 
 
+def _ordered_thresholds(auth: dict, where: str) -> None:
+    accept, reject = auth_setting(auth, "accept_thr"), auth_setting(auth, "reject_thr")
+    if not accept > reject:
+        raise ConfigurationError(f"{where}.accept_thr: {accept} must be > "
+                                 f"{where}.reject_thr = {reject}")
+
+
 # every key that pipeline.run_auth_eval and the cli commands read from "auth";
 # check_auth_fits holds its rules against the schedule, the outputs and the cohort groups
 AUTH = _object({
@@ -214,7 +254,7 @@ AUTH = _object({
     "accept_thr": _number(default=3.0),
     "reject_thr": _number(default=-9.0),
     "drift_margin": _number(default=0.5),
-})
+}, then=_ordered_thresholds)
 
 EXPERIMENT = _object({
     "name": _string(),
@@ -223,17 +263,18 @@ EXPERIMENT = _object({
     "params": _string(low=1),
     "distribution_overrides": _object(_Rule("any")),  # checked merged into the distribution
     "cohort": _object({
+        # a name names the group's cohort CSV and prefixes its member ids
         "groups": _list(_object({
-            "name": _string(required=True),
+            "name": _string(low=1, required=True, then=_file_name_part),
             "demographics": _object(dict.fromkeys(DEMOGRAPHIC_FIELDS, _string())),
             "n": _integer(low=0, required=True),
             "seed": _integer(low=0, required=True),
-        }), required=True),
+        }), required=True, then=_unique("name")),
         "schedule": _object({"t0": _number(required=True), "tau": _positive(required=True),
                              "steps": _integer(low=1, required=True)}, required=True),
         "noise": _object({"cv": _number(low=0, then=_cv_limit), "drift_rate": _number()}),
-        "series_seed": _integer(low=0),
-    }, then=_drift_bound),
+        "series_seed": _integer(low=0, default=0),
+    }, then=_cohort_limits),
     "kinetics": _object({"t_g": _positive(required=True),
                          "dt": _positive(required=True)}, then=_step_limit),
     "channels": _list(_object({
@@ -289,7 +330,7 @@ TEMPLATES = _list(_object({
     "mean": _list(_number(), required=True),
     "covariance": _list(_list(_number()), required=True),
     **dict.fromkeys(("config_hash", "params_hash"), _string()),
-}))
+}), then=_unique("user_id"))
 
 _CURVE = {"auc": _number(required=True), "eer": _number(required=True), "variance": _number(),
           "ci95": _list(_number()), "ci95_unclipped": _list(_number()),
@@ -368,19 +409,37 @@ def auth_groups(cfg: ExperimentConfig) -> tuple:
             auth.get("impostor_group", names[-1] if names else None))
 
 
+def check_registration_fits(cfg: ExperimentConfig) -> None:
+    """The registration window of enroll and verify fits the schedule."""
+    k_reg, steps = cfg.section("auth")["k_reg"], cfg.section("cohort")["schedule"]["steps"]
+    if k_reg > steps:
+        raise InsufficientDataError(f"auth: k_reg = {k_reg} exceeds cohort.schedule.steps = {steps}")
+
+
 def check_auth_fits(cfg: ExperimentConfig) -> None:
-    """The auth window fits the schedule; in group mode score_channel names an output and
-    the genuine and impostor groups are two different cohort groups.
+    """The auth window fits the schedule; identity mode has at least 2 individuals and
+    an impostor array within MAX_SCORES; in group mode score_channel names an output
+    and the genuine and impostor groups are two different cohort groups with members.
 
     Checked where auth is evaluated rather than in load_experiment: runs
-    that stop at the outputs never read auth, and need not fit it.
+    that stop at the outputs never read auth, and need not fit it. An empty
+    cohort is left to run_pipeline, which refuses it for every command.
     """
     auth, steps = cfg.section("auth"), cfg.section("cohort")["schedule"]["steps"]
-    need = auth["k_reg"] + auth_setting(auth, "accumulate_k")
+    k_acc = auth_setting(auth, "accumulate_k")
+    need = auth["k_reg"] + k_acc
     if need > steps:
         raise InsufficientDataError(
             f"auth: k_reg + accumulate_k = {need} exceeds cohort.schedule.steps = {steps}")
-    if auth_setting(auth, "mode") != "group":
+    sizes = {g["name"]: g["n"] for g in cfg.section("cohort")["groups"]}
+    if auth_setting(auth, "mode") == "identity":
+        n = sum(sizes.values())
+        if n == 1:
+            raise InsufficientDataError("auth evaluation needs at least 2 individuals")
+        if n * (n - 1) * k_acc > MAX_SCORES:
+            raise ConfigurationError(
+                f"auth: identity mode scores {n:,} x {n - 1:,} x accumulate_k {k_acc} = "
+                f"{n * (n - 1) * k_acc:,} impostor scores, beyond the limit of {MAX_SCORES:,}")
         return
     channel, n_outputs = auth_setting(auth, "score_channel"), len(cfg.section("digitize")["groups"])
     if channel >= n_outputs:
@@ -395,6 +454,8 @@ def check_auth_fits(cfg: ExperimentConfig) -> None:
     if genuine == impostor:
         raise ConfigurationError(f"auth.impostor_group: {impostor!r} is also the genuine group; "
                                  "group mode compares two cohort groups")
+    if any(sizes.values()) and not (sizes[genuine] and sizes[impostor]):
+        raise InsufficientDataError(f"groups {genuine!r}/{impostor!r} must both be non-empty")
 
 
 def _override_seeds(raw: dict, master: int) -> None:
@@ -411,7 +472,7 @@ def collect_seeds(raw: dict) -> dict:
     cohort = raw.get("cohort", {})
     return {
         "groups": {g["name"]: g["seed"] for g in cohort.get("groups", [])},
-        "series_seed": cohort.get("series_seed"),
+        "series_seed": cohort.get("series_seed", EXPERIMENT.of["cohort"].of["series_seed"].default),
     }
 
 

@@ -149,11 +149,6 @@ def delong_variance(pop: ScoredPopulation) -> DelongResult:
                         ci=(max(lo, 0.0), min(hi, 1.0)), ci_unclipped=(lo, hi))
 
 
-def eer(pop: ScoredPopulation) -> float:
-    """Equal error rate of pop's ROC curve (``RocCurve.eer``)."""
-    return roc_curve(pop).eer()
-
-
 def write_roc_csv(path, curve: RocCurve, config_hash: str = "") -> None:
     """One row per curve point, converted to Python floats a slice at a time."""
     def rows():

@@ -5,7 +5,7 @@ from sweatauth.auth import (Template, VerifyPolicy, append_audit,
                             calibrate_drift_offset, enroll, load_templates,
                             save_templates, score_step, verify_series)
 from sweatauth.errors import InsufficientDataError
-from sweatauth.metrics import ScoredPopulation, eer
+from sweatauth.metrics import ScoredPopulation, roc_curve
 
 
 def vectors(rows):
@@ -99,27 +99,34 @@ def test_verify_accepts_mean_stream():
     tpl = enroll(vectors([[0.5, 0.5]] * 4), k_reg=4, lam=1e-2)
     policy = VerifyPolicy(accept_thr=1.0, reject_thr=-5.0, drift_offset=-0.25)
     stream = vectors([[0.5, 0.5]] * 50)
-    decision, series = verify_series(tpl, stream, policy)
+    decision = verify_series(tpl, stream, policy)
     assert decision.verdict == "accept"
-    assert decision.decided_at_step == 3  # statistic climbs 0.25 per step
-    assert series.accumulated[-1] >= 1.0
+    assert decision.steps_read == 4  # statistic climbs 0.25 per step
+    assert decision.statistic >= 1.0
 
 
 def test_verify_rejects_distant_stream():
     tpl = enroll(vectors([[0.5, 0.5]] * 4), k_reg=4, lam=1e-2)
     policy = VerifyPolicy(accept_thr=10.0, reject_thr=-10.0, drift_offset=0.0)
-    decision, _ = verify_series(tpl, vectors([[5.0, -5.0]] * 50), policy)
+    decision = verify_series(tpl, vectors([[5.0, -5.0]] * 50), policy)
     assert decision.verdict == "reject"
-    assert decision.decided_at_step == 0
+    assert decision.steps_read == 1
 
 
 def test_verify_empty_stream_continues():
     tpl = enroll(vectors([[0.5]] * 2), k_reg=2, lam=1e-2)
     policy = VerifyPolicy(accept_thr=1.0, reject_thr=-1.0)
-    decision, series = verify_series(tpl, [], policy)
+    decision = verify_series(tpl, [], policy)
     assert decision.verdict == "continue"
     assert decision.statistic == 0.0
-    assert series.scores == []
+    assert decision.steps_read == 0
+
+
+def test_verify_continue_reads_the_whole_stream():
+    tpl = enroll(vectors([[0.5, 0.5]] * 4), k_reg=4, lam=1e-2)
+    policy = VerifyPolicy(accept_thr=1e9, reject_thr=-1e9)
+    decision = verify_series(tpl, vectors([[0.5, 0.5]] * 7), policy)
+    assert (decision.verdict, decision.statistic, decision.steps_read) == ("continue", 0.0, 7)
 
 
 def test_accumulation_is_additive_over_concatenation():
@@ -128,12 +135,11 @@ def test_accumulation_is_additive_over_concatenation():
     a = vectors(rng.normal(size=(5, 2)))
     b = vectors(rng.normal(size=(7, 2)))
     wide = VerifyPolicy(accept_thr=1e9, reject_thr=-1e9, drift_offset=0.1)
-    d_ab, s_ab = verify_series(tpl, np.concatenate([a, b]), wide)
-    d_a, _ = verify_series(tpl, a, wide)
-    d_b, _ = verify_series(tpl, b, wide)
+    d_ab = verify_series(tpl, np.concatenate([a, b]), wide)
+    d_a = verify_series(tpl, a, wide)
+    d_b = verify_series(tpl, b, wide)
     assert d_ab.statistic == pytest.approx(d_a.statistic + d_b.statistic, rel=1e-12)
-    np.testing.assert_allclose(np.diff(s_ab.accumulated),
-                               np.array(s_ab.scores[1:]) - 0.1, rtol=1e-12)
+    assert d_ab.steps_read == d_a.steps_read + d_b.steps_read == 12
 
 
 def test_policy_requires_ordered_thresholds():
@@ -156,8 +162,8 @@ def test_time_series_benefit_on_gaussian_scores():
     n_users, k = 40, 10
     genuine = rng.normal(0.0, 1.0, size=(n_users, k))
     impostor = rng.normal(-1.2, 1.0, size=(n_users, k))
-    e1 = eer(ScoredPopulation(genuine.ravel(), impostor.ravel()))
-    e10 = eer(ScoredPopulation(genuine.mean(axis=1), impostor.mean(axis=1)))
+    e1 = roc_curve(ScoredPopulation(genuine.ravel(), impostor.ravel())).eer()
+    e10 = roc_curve(ScoredPopulation(genuine.mean(axis=1), impostor.mean(axis=1))).eer()
     assert e10 <= e1
 
 
@@ -192,3 +198,14 @@ def test_audit_log_appends(tmp_path):
     assert lines[0] == "timestamp_s,user_id,statistic,verdict"
     assert len(lines) == 3
     assert lines[2].split(",")[3] == "reject"
+
+
+@pytest.mark.parametrize("existing", [None, b""], ids=["new-file", "empty-file"])
+def test_audit_log_writes_one_header(tmp_path, existing):
+    path = tmp_path / "audit.csv"
+    if existing is not None:
+        path.write_bytes(existing)
+    append_audit(path, [(120.0, "u0", 1.5, "accept")])
+    append_audit(path, [(240.0, "u1", -3.0, "reject")])
+    assert path.read_bytes() == (b"timestamp_s,user_id,statistic,verdict\r\n"
+                                 b"120.0,u0,1.5,accept\r\n240.0,u1,-3.0,reject\r\n")

@@ -246,6 +246,13 @@ def test_batch_matches_oracle_bit_for_bit(params, kind, rows):
     assert not status.any()
 
 
+@pytest.mark.parametrize("kind", list(CascadeKind))
+def test_block_diagonal_of_one_block_is_the_block(params, kind):
+    block = build_cascade(kind, params).compiled()
+    for got, want in zip(_kernels.block_diagonal([block]), block, strict=True):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
 @pytest.mark.parametrize("network, C0", [(STIFF, STIFF_C0), (MIXED, MIXED_C0)],
                          ids=["stiff", "mixed"])
 def test_halving_rescue_matches_oracle_bit_for_bit(monkeypatch, network, C0):

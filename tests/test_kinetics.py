@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import step_rates
+from sweatauth.cohort import AMINO_ACIDS
 from sweatauth.errors import ConfigurationError, IntegrationError
 from sweatauth.kinetics import (CascadeKind, CascadeNetwork, CascadeUnion, EnzymaticStep,
                                 EnzymeParams, KineticParams,
@@ -66,6 +67,8 @@ def test_every_kind_builds_and_validates(params, kind):
     assert len(set(net.species)) == len(net.species)
     for sp in net.reporter_species:
         assert sp in net.species
+    # so a channel input that is one of the cascade's inputs is a panel amino acid
+    assert set(net.input_species) <= set(AMINO_ACIDS)
 
 
 # species order of every kind: the inputs, then each species as a step first uses it

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from sweatauth.errors import InsufficientDataError
 from sweatauth.metrics import (SLICE, DelongResult, RocCurve, ScoredPopulation, auc,
-                               delong_variance, eer, roc_curve, write_roc_csv)
+                               delong_variance, roc_curve, write_roc_csv)
 
 
 def brute_force_auc(genuine, impostor):
@@ -94,7 +94,7 @@ def assert_matches_oracles(genuine, impostor):
     assert curve.points.tobytes() == want.points.tobytes()
     assert curve.thresholds.tobytes() == want.thresholds.tobytes()
     assert auc(pop) == pairwise_auc(pop)
-    assert eer(pop) == curve.eer() == loop_eer(pop)
+    assert curve.eer() == loop_eer(pop)
     if min(pop.genuine.size, pop.impostor.size) >= 2:
         got, ref = delong_variance(pop), pairwise_delong_variance(pop)
         assert got.auc == ref.auc
@@ -192,14 +192,13 @@ def test_identity_cohort_shape_fits_in_bounded_memory():
     # one (roc_curve: a sorted class), plus slices.
     rng = np.random.default_rng(100)
     pop = ScoredPopulation(rng.normal(1, 1, 1_000), rng.normal(0, 1, 99_000))
-    eer(pop), delong_variance(pop)  # the first calls import lazily
+    roc_curve(pop).eer(), delong_variance(pop)  # the first calls import lazily
     per_score, margin = 8 * 100_000, 2**18
     curve = roc_curve(pop)
     returned = curve.points.nbytes + curve.thresholds.nbytes
     for name, call, bound in [
             ("delong_variance", lambda: delong_variance(pop), 2 * per_score + margin),
             ("roc_curve", lambda: roc_curve(pop), returned + per_score + margin),
-            ("eer", lambda: eer(pop), returned + per_score + margin),
             ("RocCurve.eer", curve.eer, margin)]:
         tracemalloc.start()
         try:
@@ -217,7 +216,7 @@ def test_perfect_separation_curve():
     curve = roc_curve(pop)
     assert any(np.allclose(p, (0.0, 1.0)) for p in curve.points)
     assert auc(pop) == 1.0
-    assert eer(pop) == 0.0
+    assert curve.eer() == 0.0
 
 
 def test_identical_populations_on_diagonal():
@@ -225,7 +224,7 @@ def test_identical_populations_on_diagonal():
     curve = roc_curve(pop)
     np.testing.assert_allclose(curve.points[:, 0], curve.points[:, 1])
     assert auc(pop) == 0.5
-    assert eer(pop) == pytest.approx(0.5)
+    assert curve.eer() == pytest.approx(0.5)
 
 
 def test_worked_four_score_example():
@@ -343,7 +342,7 @@ def test_gaussian_gap_two_eer():
     rng = np.random.default_rng(314)
     pop = ScoredPopulation(rng.normal(2.0, 1.0, 10_000), rng.normal(0.0, 1.0, 10_000))
     phi_minus_one = 0.5 * (1.0 - math.erf(1.0 / math.sqrt(2.0)))
-    assert abs(eer(pop) - phi_minus_one) < 0.02
+    assert abs(roc_curve(pop).eer() - phi_minus_one) < 0.02
 
 
 def test_eer_bounded_for_informative_scores():
@@ -353,7 +352,7 @@ def test_eer_bounded_for_informative_scores():
         i = rng.normal(0, 1, 50)
         pop = ScoredPopulation(g, i)
         if auc(pop) >= 0.5:
-            assert 0.0 <= eer(pop) <= 0.5
+            assert 0.0 <= roc_curve(pop).eer() <= 0.5
 
 
 def test_roc_csv(tmp_path):

@@ -273,7 +273,7 @@ def test_genuine_accumulated_statistic_beats_impostor():
         stats = []
         for i in idx:
             stream = result.outputs[i, k_reg:k_reg + k]
-            decision, _ = verify_series(tpl, stream, policy)
+            decision = verify_series(tpl, stream, policy)
             stats.append(decision.statistic)
         return np.mean(stats)
 
@@ -668,15 +668,15 @@ def test_cmd_numerical_failure_exit_code(tmp_path):
     assert run_cli("pipeline", "--config", str(cpath), "--out", str(tmp_path / "z")) == 4
 
 
-def test_cmd_verify_bad_thresholds_exit_code(tmp_path, capsys):
+def test_cmd_verify_bad_thresholds_exit_code(tmp_path, capsys, monkeypatch):
     raw = small_config()
     raw["auth"]["accept_thr"] = raw["auth"]["reject_thr"]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
+    monkeypatch.setattr(pipeline, "simulate_batch", no_integration)
     assert run_cli("verify", "--config", str(path), "--out", str(tmp_path / "v")) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert err.startswith("configuration error: accept_thr")
+    assert capsys.readouterr().err == ("configuration error: auth.accept_thr: -9.0 must be > "
+                                       "auth.reject_thr = -9.0\n")
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -747,17 +747,23 @@ def as_rate_channel(ch, **keys):
     (lambda ch: ch.update(transduction=[]), "channels[0].transduction: not a string: []"),
     (lambda ch: ch.update(transduction={}), "channels[0].transduction: not a string: {}"),
     (lambda ch: ch.update(cascade=7), "channels[0].cascade: not a string: 7"),
+    (lambda ch: ch.update(inputs=["Glu"]),
+     "channels[0]: 'Glu' is not an input of the AltPoxHrp cascade"),
+    (lambda ch: ch.update(inputs=["Xyz"]),
+     "channels[0]: 'Xyz' is not an input of the AltPoxHrp cascade"),
 ], ids=["misspelled-feature", "misspelled-transduction", "gain-on-absorbance",
         "species-on-rate-channel", "text-gain", "zero-gain", "numeric-text-gain", "true-gain",
         "species-not-in-cascade",
         "unknown-transduction", "missing-cascade", "unknown-feature", "null-inputs",
         "true-inputs", "negative-inputs", "zero-inputs", "list-input", "object-input",
-        "list-transduction", "object-transduction", "number-cascade"])
-def test_cmd_rejects_bad_channel_entry(tmp_path, capsys, edit, message):
+        "list-transduction", "object-transduction", "number-cascade", "input-of-another-cascade",
+        "input-outside-the-panel"])
+def test_cmd_rejects_bad_channel_entry(tmp_path, capsys, monkeypatch, edit, message):
     raw = small_config()
     edit(raw["channels"][0])
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
+    monkeypatch.setattr(pipeline, "simulate_batch", no_integration)
     assert run_cli("pipeline", "--config", str(path), "--out", str(tmp_path / "c")) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
 
@@ -811,10 +817,12 @@ def test_cmd_rejects_bad_kinetics_section(tmp_path, capsys, monkeypatch, edit, m
 
 
 def test_step_and_drift_limits_are_inclusive():
-    # loading only: a run at the step limit would take minutes
+    # loading only: a run at the step or row limit would take minutes
     load_experiment(small_config(kinetics={"t_g": 1_000_000.0, "dt": 1.0}))
     raw = small_config()
     raw["cohort"]["noise"]["drift_rate"] = np.log(1e6) / (4 * 120.0)  # 5 samples 120 s apart
+    load_experiment(raw)
+    raw["cohort"]["groups"][1]["n"] = 200_000 - 6  # 1,000,000 rows of 5 steps
     load_experiment(raw)
 
 
@@ -1065,13 +1073,134 @@ def test_cmd_roc_group_mode_needs_two_configured_groups(tmp_path, capsys, monkey
                                        "groups\n")
 
 
-def test_cmd_roc_configured_group_without_members_exit_code(tmp_path, capsys):
+def test_cmd_roc_configured_group_without_members_exit_code(tmp_path, capsys, monkeypatch):
     raw = small_config()
     raw["cohort"]["groups"][1]["n"] = 0
+    monkeypatch.setattr(pipeline, "simulate_batch", no_integration)
     assert run_cli("roc", "--config", json_file(tmp_path / "cfg.json", raw),
                    "--out", str(tmp_path / "r")) == 3
     assert capsys.readouterr().err == ("insufficient data: groups 'female'/'male' "
                                        "must both be non-empty\n")
+
+
+@pytest.mark.parametrize("command, edit, code, message", [
+    ("roc", lambda raw: raw["auth"].update(mode="identity") or
+     raw["cohort"]["groups"][0].update(n=1) or raw["cohort"]["groups"][1].update(n=0), 3,
+     "insufficient data: auth evaluation needs at least 2 individuals"),
+    ("enroll", lambda raw: raw["auth"].update(k_reg=40), 3,
+     "insufficient data: auth: k_reg = 40 exceeds cohort.schedule.steps = 5"),
+    ("verify", lambda raw: raw["auth"].update(k_reg=40), 3,
+     "insufficient data: auth: k_reg = 40 exceeds cohort.schedule.steps = 5"),
+    ("verify", lambda raw: raw["auth"].update(accept_thr=-10, reject_thr=-9), 2,
+     "configuration error: auth.accept_thr: -10 must be > auth.reject_thr = -9"),
+    ("pipeline", lambda raw: raw["auth"].pop("accept_thr") and raw["auth"].update(reject_thr=3),
+     2, "configuration error: auth.accept_thr: 3.0 must be > auth.reject_thr = 3"),
+], ids=["identity-of-one", "enroll-window-beyond-schedule", "verify-window-beyond-schedule",
+        "verify-thresholds-out-of-order", "default-accept-at-reject"])
+def test_cmd_checks_auth_rules_before_integration(tmp_path, capsys, monkeypatch, command, edit,
+                                                  code, message):
+    raw = small_config()
+    edit(raw)
+    monkeypatch.setattr(pipeline, "simulate_batch", no_integration)
+    assert run_cli(command, "--config", json_file(tmp_path / "cfg.json", raw),
+                   "--out", str(tmp_path / "a")) == code
+    assert capsys.readouterr().err == f"{message}\n"
+
+
+def test_cmd_verify_registration_may_fill_the_schedule(tmp_path, capsys):
+    raw = small_config()
+    raw["auth"]["k_reg"] = raw["cohort"]["schedule"]["steps"]  # no probes left to verify
+    out = tmp_path / "v"
+    assert run_cli("verify", "--config", json_file(tmp_path / "cfg.json", raw),
+                   "--out", str(out)) == 0
+    rows = (out / "audit.csv").read_text().splitlines()[1:]
+    assert len(rows) == 12
+    assert all(r.startswith("0.0,") and r.endswith(",0.0,continue") for r in rows)
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    ("pipeline", lambda groups: groups[1].update(name="female"),
+     "cohort.groups[1].name: 'female' repeats entry [0]"),
+    ("cohort", lambda groups: groups[1].update(name="female"),
+     "cohort.groups[1].name: 'female' repeats entry [0]"),
+    ("cohort", lambda groups: groups[0].update(name="a/b"),
+     "cohort.groups[0].name: 'a/b' is part of a file name, so it may not hold '/', '\\' or NUL"),
+    ("cohort", lambda groups: groups[1].update(name="a\\b"),
+     "cohort.groups[1].name: 'a\\\\b' is part of a file name, so it may not hold '/', '\\' or "
+     "NUL"),
+    ("cohort", lambda groups: groups[0].update(name="a\0b"),
+     "cohort.groups[0].name: 'a\\x00b' is part of a file name, so it may not hold '/', '\\' or "
+     "NUL"),
+    ("cohort", lambda groups: groups[0].update(name=""),
+     "cohort.groups[0].name: not a non-empty string: ''"),
+], ids=["pipeline-repeated-name", "cohort-repeated-name", "slash", "backslash", "nul", "empty"])
+def test_cmd_rejects_bad_group_names(tmp_path, capsys, monkeypatch, command, edit, message):
+    raw = small_config()
+    edit(raw["cohort"]["groups"])
+    out = tmp_path / "out"
+    monkeypatch.setattr(pipeline, "mimic_cohort", no_integration)
+    monkeypatch.setattr(pipeline, "simulate_batch", no_integration)
+    assert run_cli(command, "--config", json_file(tmp_path / "cfg.json", raw),
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+# every value here fails at its check; a run below the limits is never tried
+@pytest.mark.parametrize("command, edit, message", [
+    ("cohort", lambda raw: raw["cohort"]["groups"][0].update(n=10**12),
+     "cohort: 1,000,000,000,006 individuals x 5 schedule steps = 5,000,000,000,030 batch rows "
+     "exceeds the limit of 1,000,000"),
+    ("pipeline", lambda raw: raw["cohort"]["schedule"].update(steps=10**12),
+     "cohort: 12 individuals x 1,000,000,000,000 schedule steps = 12,000,000,000,000 batch "
+     "rows exceeds the limit of 1,000,000"),
+    ("roc", lambda raw: raw["cohort"]["groups"][1].update(n=200_000 - 5),
+     "cohort: 200,001 individuals x 5 schedule steps = 1,000,005 batch rows exceeds the "
+     "limit of 1,000,000"),
+    ("roc", lambda raw: raw["auth"].update(mode="identity") or
+     raw["cohort"]["groups"][1].update(n=4_994),
+     "auth: identity mode scores 5,000 x 4,999 x accumulate_k 3 = 74,985,000 impostor scores, "
+     "beyond the limit of 50,000,000"),
+], ids=["cohort-n", "pipeline-steps", "one-row-too-many", "identity-impostor-scores"])
+def test_cmd_refuses_runs_too_large_to_allocate(tmp_path, capsys, monkeypatch, command, edit,
+                                                message):
+    raw = small_config()
+    edit(raw)
+    monkeypatch.setattr(pipeline, "mimic_cohort", no_integration)
+    monkeypatch.setattr(pipeline, "simulate_batch", no_integration)
+    assert run_cli(command, "--config", json_file(tmp_path / "cfg.json", raw),
+                   "--out", str(tmp_path / "big")) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+def test_cmd_verify_rejects_repeated_user_ids(tmp_path, capsys, monkeypatch):
+    tpath = tmp_path / "templates.json"
+    entries = [{"user_id": "female-000", "k_reg": 2, "lambda": 0.001, "mean": [mean],
+                "covariance": [[0.01]]} for mean in (0.5, 0.7)]
+    tpath.write_text(json.dumps(entries))
+    monkeypatch.setattr(pipeline, "simulate_batch", no_integration)
+    assert run_cli("verify", "--config", json_file(tmp_path / "cfg.json", small_config()),
+                   "--out", str(tmp_path / "v"), "--templates", str(tpath)) == 2
+    assert capsys.readouterr().err == (f"configuration error: {tpath}[1].user_id: "
+                                       "'female-000' repeats entry [0]\n")
+
+
+def test_omitted_series_seed_records_the_seed_it_samples_with(tmp_path):
+    omitted, zero = small_config(), small_config()
+    del omitted["cohort"]["series_seed"]
+    zero["cohort"]["series_seed"] = 0
+    runs = []
+    for name, raw in (("omitted", omitted), ("zero", zero)):
+        out = tmp_path / name
+        cfg = json_file(tmp_path / f"{name}.json", raw)
+        assert run_cli("cohort", "--config", cfg, "--out", str(out)) == 0
+        assert run_cli("roc", "--config", cfg, "--out", str(out)) == 0
+        runs.append((json.loads((out / "manifest.json").read_text())["seeds"],
+                     json.loads((out / "summary.json").read_text())["seeds"],
+                     (out / "roc_k1.csv").read_text().splitlines()[1:]))
+    seeds = {"groups": {"female": 1101, "male": 2202}, "series_seed": 0}
+    assert runs[0][:2] == runs[1][:2] == (seeds, seeds)
+    assert runs[0][2] == runs[1][2]
 
 
 def test_cmd_roc_identity_mode_ignores_score_channel(tmp_path, capsys):
