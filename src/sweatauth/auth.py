@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._artifacts import write_json
-from .config import TEMPLATES, _read_json
+from .config import TEMPLATES, _read_json, with_defaults
 from .errors import ConfigurationError, InsufficientDataError
 
 
@@ -136,9 +136,10 @@ def template_to_dict(tpl: Template, config_hash: str = "", params_hash: str = ""
 
 
 def template_from_dict(d: dict) -> Template:
+    d = with_defaults(TEMPLATES.of, d)
     return Template(user_id=d["user_id"], mean=np.array(d["mean"]),
                     covariance=np.array(d["covariance"]), k_reg=int(d["k_reg"]),
-                    lam=float(d["lambda"]), created_at=float(d.get("created_at", 0.0)))
+                    lam=float(d["lambda"]), created_at=float(d["created_at"]))
 
 
 def save_templates(path, templates, config_hash: str = "", params_hash: str = "") -> None:

@@ -19,8 +19,7 @@ from . import metrics, pipeline
 from ._artifacts import write_json
 from .auth import (VerifyPolicy, append_audit, calibrate_drift_offset, load_templates,
                    save_templates, score_step, verify_series)
-from .config import (SUMMARY, _read_json, auth_setting, check_registration_fits,
-                     load_experiment)
+from .config import SUMMARY, _read_json, load_experiment
 from .errors import ConfigurationError, InsufficientDataError, IntegrationError
 
 EXIT_OK = 0
@@ -29,21 +28,20 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _load(args):
-    return load_experiment(args.config, seed_override=args.seed_override)
+def _plan(args):
+    return pipeline.RunPlan(load_experiment(args.config, seed_override=args.seed_override))
 
 
 def cmd_cohort(args) -> int:
-    cfg = _load(args)
-    paths = pipeline.write_cohort_artifacts(cfg, args.out)
+    paths = pipeline.write_cohort_artifacts(_plan(args), args.out)
     for p in paths:
         print(f"wrote {p}")
     return EXIT_OK
 
 
 def cmd_pipeline(args) -> int:
-    cfg = _load(args)
-    result = pipeline.run_pipeline(cfg)
+    plan = _plan(args)
+    cfg, result = plan.config, pipeline.run_pipeline(plan)
     out_csv = os.path.join(args.out, "outputs.csv")
     feat_csv = os.path.join(args.out, "features.csv")
     pipeline.write_outputs_csv(out_csv, result)
@@ -52,9 +50,9 @@ def cmd_pipeline(args) -> int:
         "config_hash": cfg.config_hash,
         "params_hash": cfg.params_hash,
         "n_individuals": len(result.profiles),
-        "steps": result.schedule.steps,
-        "channels": result.channel_names,
-        "n_outputs": result.n_outputs,
+        "steps": plan.schedule.steps,
+        "channels": [ch.name for ch in plan.channels],
+        "n_outputs": plan.grouping.n_outputs,
     }
     mpath = os.path.join(args.out, "pipeline_manifest.json")
     write_json(mpath, manifest)
@@ -64,41 +62,39 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_enroll(args) -> int:
-    cfg = _load(args)
-    check_registration_fits(cfg)
-    result = pipeline.run_pipeline(cfg)
-    templates = pipeline.enroll_templates(result, cfg.section("auth"))
+    plan = _plan(args)
+    pipeline.check_registration_fits(plan)
+    templates = pipeline.enroll_templates(pipeline.run_pipeline(plan), plan.auth)
     path = os.path.join(args.out, "templates.json")
-    save_templates(path, templates, config_hash=cfg.config_hash,
-                   params_hash=cfg.params_hash)
+    save_templates(path, templates, config_hash=plan.config.config_hash,
+                   params_hash=plan.config.params_hash)
     print(f"wrote {path} ({len(templates)} templates)")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    cfg = _load(args)
-    check_registration_fits(cfg)
-    loaded = load_templates(args.templates) if args.templates else None
-    result = pipeline.run_pipeline(cfg)
-    auth_cfg = cfg.section("auth")
-    k_reg = auth_cfg["k_reg"]
-    if loaded is None:
-        loaded = pipeline.enroll_templates(result, auth_cfg)
-    for idx, tpl in enumerate(loaded):  # enrolled templates always fit
-        if tpl.dim != result.n_outputs:
-            raise ConfigurationError(f"{args.templates}[{idx}]: template dimension "
-                                     f"{tpl.dim} != {result.n_outputs} outputs")
-    templates = {t.user_id: t for t in loaded}
-    accept, reject, margin = (auth_setting(auth_cfg, key)
-                              for key in ("accept_thr", "reject_thr", "drift_margin"))
+    plan = _plan(args)
+    pipeline.check_registration_fits(plan)
+    if args.templates:  # one template of the plan's S outputs per member, before integration
+        loaded = load_templates(args.templates)
+        for idx, tpl in enumerate(loaded):
+            if tpl.dim != plan.grouping.n_outputs:
+                raise ConfigurationError(f"{args.templates}[{idx}]: template dimension "
+                                         f"{tpl.dim} != {plan.grouping.n_outputs} outputs")
+        templates = {t.user_id: t for t in loaded}
+        missing = [m for *_, ids in plan.groups for m in ids if m not in templates]
+        if missing:
+            raise ConfigurationError(f"{args.templates}: no template for {missing[0]}")
+    result, auth = pipeline.run_pipeline(plan), plan.auth
+    if not args.templates:
+        templates = {t.user_id: t for t in pipeline.enroll_templates(result, auth)}
+    k_reg = auth["k_reg"]
     audit_rows = []
     for i, profile in enumerate(result.profiles):
-        tpl = templates.get(profile.id)
-        if tpl is None:
-            raise ConfigurationError(f"no template for {profile.id}")
+        tpl = templates[profile.id]
         reg_scores = [score_step(tpl, y) for y in result.outputs[i, :k_reg]]
-        policy = VerifyPolicy(accept_thr=accept, reject_thr=reject,
-                              drift_offset=calibrate_drift_offset(reg_scores, margin))
+        policy = VerifyPolicy(accept_thr=auth["accept_thr"], reject_thr=auth["reject_thr"],
+                              drift_offset=calibrate_drift_offset(reg_scores, auth["drift_margin"]))
         decision = verify_series(tpl, result.outputs[i, k_reg:], policy)
         last_t = result.timestamps[k_reg + decision.steps_read - 1] if decision.steps_read else 0.0
         audit_rows.append((last_t, profile.id, decision.statistic, decision.verdict))
@@ -110,11 +106,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_roc(args) -> int:
-    cfg = _load(args)
-    summary, curves, _ = pipeline.run_auth_eval(cfg)
+    plan = _plan(args)
+    summary, curves, _ = pipeline.run_auth_eval(plan)
     for label, curve in curves.items():
         path = os.path.join(args.out, f"roc_{label}.csv")
-        metrics.write_roc_csv(path, curve, config_hash=cfg.config_hash)
+        metrics.write_roc_csv(path, curve, config_hash=plan.config.config_hash)
         print(f"wrote {path}")
     spath = os.path.join(args.out, "summary.json")
     metrics.write_summary_json(spath, summary)

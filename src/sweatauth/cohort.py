@@ -36,10 +36,10 @@ class Demographics:
     physiological_state: str = "rested"
 
     def validate(self, vocabulary: dict) -> None:
-        """Check every field against the closed vocabulary of the spec."""
+        """Check every field against the closed vocabulary of the spec, if it has one."""
         for f in DEMOGRAPHIC_FIELDS:
             allowed = vocabulary.get(f, ())
-            if getattr(self, f) not in allowed:
+            if vocabulary and getattr(self, f) not in allowed:
                 raise ConfigurationError(
                     f"demographic {f}={getattr(self, f)!r} not in vocabulary {sorted(allowed)}")
 
@@ -115,10 +115,10 @@ class NoiseSpec:
     drift_rate is in 1/s; each time step is scaled by exp(drift_rate * (t - t0)).
     """
 
-    cv: float = 0.0
-    drift_rate: float = 0.0
+    cv: float
+    drift_rate: float
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.cv < 0:
             raise ConfigurationError("noise CV must be >= 0")
 
@@ -173,8 +173,7 @@ def mimic_cohort(group: GroupDistributionSpec, demo: Demographics, n: int,
     if n < 0:
         raise ConfigurationError("cohort size must be >= 0")
     group.validate()
-    if group.demographics_vocabulary:
-        demo.validate(group.demographics_vocabulary)
+    demo.validate(group.demographics_vocabulary)
     rng = np.random.default_rng(seed)
     means = group.mean_vector(demo)
     cvs = group.cv_vector()
@@ -202,7 +201,6 @@ def sample_series(profile: IndividualProfile, schedule: SamplingSchedule,
     values[k, a] = baseline[a] * drift(t_k) * eps[k, a] with eps lognormal
     of mean 1 and the configured CV. All outputs are strictly positive.
     """
-    noise.validate()
     rng = np.random.default_rng([seed & 0xFFFFFFFF, profile.rng_seed])
     t_rel = schedule.timestamps() - schedule.t0
     drift = np.exp(noise.drift_rate * t_rel)[:, None]

@@ -20,8 +20,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .cohort import DEMOGRAPHIC_FIELDS, GroupDistributionSpec
-from .errors import ConfigurationError, InsufficientDataError
-from .kinetics import WIRED_SPECIES, KineticParams, step_count
+from .digitize import AGGREGATORS, FILTER_KINDS, FilterParams
+from .errors import ConfigurationError
+from .kinetics import WIRED_SPECIES, CascadeKind, KineticParams, step_count
 from .transduce import REPORTER_STEPS
 
 
@@ -111,7 +112,7 @@ class _Rule(NamedTuple):
     low: float = -np.inf    # number: its bound (> low with strict); string: its least length
     strict: bool = False
     required: bool = False
-    default: object = None  # what readers take for a missing key; never written into raw
+    default: object = None  # what with_defaults gives a missing key; never written into raw
     then: object = None     # cross-field rule then(value, where), run once value is checked
 
 
@@ -175,8 +176,20 @@ def _walk(value, rule: _Rule, where: str) -> None:
         rule.then(value, where)
 
 
+def with_defaults(rule: _Rule, value):
+    """A copy of value in which each key missing from an object, at any depth, takes its
+    table's default, if it has one. No default lies inside a map, which is not copied."""
+    if rule.kind == "list":
+        return [with_defaults(rule.of, item) for item in value]
+    if rule.kind != "object" or not isinstance(rule.of, dict):
+        return value
+    return {key: with_defaults(r, value[key] if key in value else r.default)
+            for key, r in rule.of.items() if key in value or r.default is not None}
+
+
 def _cohort_limits(cohort: dict, where: str) -> None:
-    rate, schedule = cohort.get("noise", {}).get("drift_rate", 0.0), cohort["schedule"]
+    rate = with_defaults(EXPERIMENT.of["cohort"], cohort)["noise"]["drift_rate"]
+    schedule = cohort["schedule"]
     exponent = rate * (schedule["steps"] - 1) * schedule["tau"]
     if abs(exponent) > np.log(MAX_DRIFT):
         raise ConfigurationError(
@@ -235,14 +248,14 @@ def _wired(species: str, where: str) -> None:
 
 
 def _ordered_thresholds(auth: dict, where: str) -> None:
-    accept, reject = auth_setting(auth, "accept_thr"), auth_setting(auth, "reject_thr")
+    accept, reject = (with_defaults(AUTH, auth)[key] for key in ("accept_thr", "reject_thr"))
     if not accept > reject:
         raise ConfigurationError(f"{where}.accept_thr: {accept} must be > "
                                  f"{where}.reject_thr = {reject}")
 
 
 # every key that pipeline.run_auth_eval and the cli commands read from "auth";
-# check_auth_fits holds its rules against the schedule, the outputs and the cohort groups
+# pipeline.check_auth_fits holds its rules against the schedule, the outputs and the groups
 AUTH = _object({
     "mode": _string(("group", "identity"), default="group"),
     "k_reg": _integer(low=1, required=True),
@@ -257,7 +270,7 @@ AUTH = _object({
 }, then=_ordered_thresholds)
 
 EXPERIMENT = _object({
-    "name": _string(),
+    "name": _string(default=""),
     # file names: open() would read an integer, True included, as a file descriptor
     "distribution": _string(low=1),
     "params": _string(low=1),
@@ -266,31 +279,37 @@ EXPERIMENT = _object({
         # a name names the group's cohort CSV and prefixes its member ids
         "groups": _list(_object({
             "name": _string(low=1, required=True, then=_file_name_part),
-            "demographics": _object(dict.fromkeys(DEMOGRAPHIC_FIELDS, _string())),
+            "demographics": _object(dict.fromkeys(DEMOGRAPHIC_FIELDS, _string()), default={}),
             "n": _integer(low=0, required=True),
             "seed": _integer(low=0, required=True),
         }), required=True, then=_unique("name")),
         "schedule": _object({"t0": _number(required=True), "tau": _positive(required=True),
                              "steps": _integer(low=1, required=True)}, required=True),
-        "noise": _object({"cv": _number(low=0, then=_cv_limit), "drift_rate": _number()}),
+        "noise": _object({"cv": _number(low=0, default=0.0, then=_cv_limit),
+                          "drift_rate": _number(default=0.0)}, default={}),
         "series_seed": _integer(low=0, default=0),
     }, then=_cohort_limits),
     "kinetics": _object({"t_g": _positive(required=True),
                          "dt": _positive(required=True)}, then=_step_limit),
     "channels": _list(_object({
-        **dict.fromkeys(("name", "transduction", "feature", "species"), _string()),
-        "cascade": _string(required=True),
+        **dict.fromkeys(("name", "species"), _string()),
+        "cascade": _string(tuple(kind.value for kind in CascadeKind), required=True),
+        "transduction": _string(("absorbance", *REPORTER_STEPS), default="absorbance"),
+        "feature": _string(("endpoint", "slope"), default="endpoint"),
         "inputs": _list(_string()),
         "gain": _positive(),
     }, then=_readout_key)),
-    # digitize.GroupingSpec checks the weight count of each weighted-sum group
+    # digitize.GroupingSpec checks the weights against the groups and their aggregators;
+    # library callers build FilterParams directly, so the filters take its defaults
     "digitize": _object({
         "groups": _list(_list(_integer(low=0)), required=True),
-        "aggregators": _list(_string(), required=True),
-        "weights": _list(_list(_number())),
-        "filters": _list(_object({"k_half": _number(required=True), "kind": _string(),
-                                  **dict.fromkeys(("hill_n", "out_lo", "out_hi"), _number())}),
-                         required=True),
+        "aggregators": _list(_string(AGGREGATORS), required=True),
+        "weights": _list(_list(_number()), default=()),
+        "filters": _list(_object({
+            "k_half": _number(required=True),
+            "kind": _string(FILTER_KINDS, default=FilterParams.kind),
+            **{key: _number(default=getattr(FilterParams, key))
+               for key in ("hill_n", "out_lo", "out_hi")}}), required=True),
         "bands": _object({"boundaries": _list(_number(), required=True),
                           "labels": _list(_string(), required=True),
                           "out_lo": _number(), "out_hi": _number()}),
@@ -314,11 +333,12 @@ PARAMS = _object({
                                 "e_total": _number(low=0, required=True),
                                 "km": _object(_positive(), required=True)})),
     "reagents": _object(_number(low=0)),
-    "buffered": _list(_string(then=_wired)),
+    # library callers build KineticParams directly, so its defaults are the ones written down
+    "buffered": _list(_string(then=_wired), default=KineticParams.buffered),
     "optics": _object(_object(dict.fromkeys(("wavelength", "epsilon"),
                                             _positive(required=True)))),
     "gains": _object(dict.fromkeys(REPORTER_STEPS, _positive())),
-    "path_length_cm": _positive(),
+    "path_length_cm": _positive(default=KineticParams.path_length_cm),
 })
 
 # templates.json, as auth.save_templates writes it
@@ -326,7 +346,7 @@ TEMPLATES = _list(_object({
     "user_id": _string(required=True),
     "k_reg": _integer(low=1, required=True),
     "lambda": _positive(required=True),
-    "created_at": _number(),
+    "created_at": _number(default=0.0),
     "mean": _list(_number(), required=True),
     "covariance": _list(_list(_number()), required=True),
     **dict.fromkeys(("config_hash", "params_hash"), _string()),
@@ -356,10 +376,11 @@ class ExperimentConfig:
     config_hash: str
     params_hash: str
 
-    def section(self, name: str) -> dict:
+    def section(self, name: str):
+        """The named section of raw, with its table's defaults."""
         if name not in self.raw:
             raise ConfigurationError(f"experiment config missing section {name!r}")
-        return self.raw[name]
+        return with_defaults(EXPERIMENT.of[name], self.raw[name])
 
 
 def load_experiment(source, seed_override: int = None) -> ExperimentConfig:
@@ -368,8 +389,8 @@ def load_experiment(source, seed_override: int = None) -> ExperimentConfig:
     Strings starting with "builtin:" select a packaged experiment. The
     experiment, its distribution (overrides merged) and its params are
     checked against their tables before anything reads them. The optional
-    seed override deterministically rewrites every seed in the cohort
-    section from the single given integer.
+    seed override, an integer >= 0, deterministically rewrites every seed
+    in the cohort section from the single given integer.
     """
     if isinstance(source, str):
         raw = builtin_experiment(source[8:]) if source.startswith("builtin:") else _read_json(source)
@@ -387,75 +408,15 @@ def load_experiment(source, seed_override: int = None) -> ExperimentConfig:
     params_dict = _read_json(raw["params"]) if "params" in raw else default_params_dict()
     _walk(params_dict, PARAMS, "params")
     if seed_override is not None:
+        _walk(seed_override, _integer(low=0), "--seed-override")
         _override_seeds(raw, seed_override)
 
     distribution = GroupDistributionSpec.from_dict(dist_dict)
     config_hash = canonical_hash(
         {"experiment": raw, "distribution": dist_dict, "params": params_dict})
     return ExperimentConfig(raw=raw, distribution=distribution,
-                            params=KineticParams.from_dict(params_dict),
+                            params=KineticParams.from_dict(with_defaults(PARAMS, params_dict)),
                             config_hash=config_hash, params_hash=canonical_hash(params_dict))
-
-
-def auth_setting(auth: dict, key: str):
-    """auth[key], or the auth table's default for it."""
-    return auth.get(key, AUTH.of[key].default)
-
-
-def auth_groups(cfg: ExperimentConfig) -> tuple:
-    """(genuine, impostor) group names of group mode: auth's, else the first and last cohort groups."""
-    auth, names = cfg.section("auth"), [g["name"] for g in cfg.section("cohort")["groups"]]
-    return (auth.get("genuine_group", names[0] if names else None),
-            auth.get("impostor_group", names[-1] if names else None))
-
-
-def check_registration_fits(cfg: ExperimentConfig) -> None:
-    """The registration window of enroll and verify fits the schedule."""
-    k_reg, steps = cfg.section("auth")["k_reg"], cfg.section("cohort")["schedule"]["steps"]
-    if k_reg > steps:
-        raise InsufficientDataError(f"auth: k_reg = {k_reg} exceeds cohort.schedule.steps = {steps}")
-
-
-def check_auth_fits(cfg: ExperimentConfig) -> None:
-    """The auth window fits the schedule; identity mode has at least 2 individuals and
-    an impostor array within MAX_SCORES; in group mode score_channel names an output
-    and the genuine and impostor groups are two different cohort groups with members.
-
-    Checked where auth is evaluated rather than in load_experiment: runs
-    that stop at the outputs never read auth, and need not fit it. An empty
-    cohort is left to run_pipeline, which refuses it for every command.
-    """
-    auth, steps = cfg.section("auth"), cfg.section("cohort")["schedule"]["steps"]
-    k_acc = auth_setting(auth, "accumulate_k")
-    need = auth["k_reg"] + k_acc
-    if need > steps:
-        raise InsufficientDataError(
-            f"auth: k_reg + accumulate_k = {need} exceeds cohort.schedule.steps = {steps}")
-    sizes = {g["name"]: g["n"] for g in cfg.section("cohort")["groups"]}
-    if auth_setting(auth, "mode") == "identity":
-        n = sum(sizes.values())
-        if n == 1:
-            raise InsufficientDataError("auth evaluation needs at least 2 individuals")
-        if n * (n - 1) * k_acc > MAX_SCORES:
-            raise ConfigurationError(
-                f"auth: identity mode scores {n:,} x {n - 1:,} x accumulate_k {k_acc} = "
-                f"{n * (n - 1) * k_acc:,} impostor scores, beyond the limit of {MAX_SCORES:,}")
-        return
-    channel, n_outputs = auth_setting(auth, "score_channel"), len(cfg.section("digitize")["groups"])
-    if channel >= n_outputs:
-        raise ConfigurationError(f"auth.score_channel: {channel} is out of range: "
-                                 f"digitize has {n_outputs} output groups")
-    names = [g["name"] for g in cfg.section("cohort")["groups"]]
-    genuine, impostor = auth_groups(cfg)
-    for key, name in (("genuine_group", genuine), ("impostor_group", impostor)):
-        if name not in names:
-            raise ConfigurationError(f"auth.{key}: {name!r} is not a cohort group "
-                                     f"(groups: {', '.join(names) or 'none'})")
-    if genuine == impostor:
-        raise ConfigurationError(f"auth.impostor_group: {impostor!r} is also the genuine group; "
-                                 "group mode compares two cohort groups")
-    if any(sizes.values()) and not (sizes[genuine] and sizes[impostor]):
-        raise InsufficientDataError(f"groups {genuine!r}/{impostor!r} must both be non-empty")
 
 
 def _override_seeds(raw: dict, master: int) -> None:
@@ -466,14 +427,6 @@ def _override_seeds(raw: dict, master: int) -> None:
     for i, g in enumerate(groups):
         g["seed"] = int(children[i]) & 0x7FFFFFFF
     cohort["series_seed"] = int(children[-1]) & 0x7FFFFFFF
-
-
-def collect_seeds(raw: dict) -> dict:
-    cohort = raw.get("cohort", {})
-    return {
-        "groups": {g["name"]: g["seed"] for g in cohort.get("groups", [])},
-        "series_seed": cohort.get("series_seed", EXPERIMENT.of["cohort"].of["series_seed"].default),
-    }
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ConfigurationError
 
 AGGREGATORS = ("sum", "weighted-sum", "cascade-endpoint")
+FILTER_KINDS = ("hill", "passthrough")
 
 
 @dataclass(frozen=True)
@@ -25,10 +26,10 @@ class FilterParams:
     hill_n: float = 8.0
     out_lo: float = 0.0
     out_hi: float = 1.0
-    kind: str = "hill"   # "hill" or "passthrough"
+    kind: str = "hill"   # one of FILTER_KINDS
 
     def __post_init__(self):
-        if self.kind not in ("hill", "passthrough"):
+        if self.kind not in FILTER_KINDS:
             raise ConfigurationError(f"unknown filter kind {self.kind!r}")
         if self.kind == "hill":
             if not self.k_half > 0:
@@ -64,7 +65,9 @@ class GroupingSpec:
     groups holds 0-based channel index lists; aggregators align with groups.
     "cascade-endpoint" marks a group whose single channel already performed
     the consolidation chemically (a multi-input cascade), so aggregation is
-    identity and the group must contain exactly one channel.
+    identity and the group must contain exactly one channel. weights, if
+    any, hold one weight per channel of every group, and only a
+    "weighted-sum" group reads them, so some group must be one.
     """
 
     groups: list                       # list[list[int]]
@@ -76,6 +79,8 @@ class GroupingSpec:
             raise ConfigurationError("need at least one group")
         if len(self.aggregators) != len(self.groups):
             raise ConfigurationError("one aggregator per group required")
+        if self.weights and "weighted-sum" not in self.aggregators:
+            raise ConfigurationError("weights given, but no group is weighted-sum")
         if self.weights and len(self.weights) != len(self.groups):
             raise ConfigurationError("weights must align with groups")
         for gi, (g, agg) in enumerate(zip(self.groups, self.aggregators)):
@@ -85,12 +90,20 @@ class GroupingSpec:
                 raise ConfigurationError("empty group")
             if agg == "cascade-endpoint" and len(g) != 1:
                 raise ConfigurationError("cascade-endpoint groups hold exactly one channel")
-            if agg == "weighted-sum" and self.weights and len(self.weights[gi]) != len(g):
+            if self.weights and len(self.weights[gi]) != len(g):
                 raise ConfigurationError(f"group {gi}: weight count mismatch")
 
     @property
     def n_outputs(self) -> int:
         return len(self.groups)
+
+    def check_fits(self, n_channels: int, filters) -> None:
+        """Each group indexes some of n_channels channels, and each has one filter."""
+        if len(filters) != self.n_outputs:
+            raise ConfigurationError("one filter per group required")
+        for gi, idxs in enumerate(self.groups):
+            if max(idxs) >= n_channels or min(idxs) < 0:
+                raise ConfigurationError(f"group {gi} indexes beyond the {n_channels} channels")
 
 
 @dataclass
@@ -117,14 +130,10 @@ def consolidate(grouping: GroupingSpec, features, filters, bands: BandSpec = Non
     per group. Returns values [..., S] and band labels [..., S] (None without bands).
     """
     features = np.asarray(features, dtype=float)
-    if len(filters) != grouping.n_outputs:
-        raise ConfigurationError("one filter per group required")
-    n_feat = features.shape[-1]
+    grouping.check_fits(features.shape[-1], filters)
     values = np.empty(features.shape[:-1] + (grouping.n_outputs,))
     labels = None if bands is None else np.empty(values.shape, dtype=object)
     for gi, (idxs, agg, p) in enumerate(zip(grouping.groups, grouping.aggregators, filters)):
-        if max(idxs) >= n_feat or min(idxs) < 0:
-            raise ConfigurationError(f"group {gi} indexes beyond the {n_feat} features")
         weighted = agg == "weighted-sum" and grouping.weights
         w = grouping.weights[gi] if weighted else [1.0] * len(idxs)
         if agg == "cascade-endpoint":  # chemistry already consolidated this group

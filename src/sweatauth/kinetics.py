@@ -103,14 +103,14 @@ class KineticParams:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "KineticParams":
-        """Parameters of a params file, which config.load_experiment checks first."""
+        """Parameters of a params file with its table's defaults, from config.load_experiment."""
         enzymes = {code: EnzymeParams(kcat=float(entry["kcat"]), e_total=float(entry["e_total"]),
                                       km={k: float(v) for k, v in entry["km"].items()})
                    for code, entry in raw.get("enzymes", {}).items()}
-        return cls(enzymes=enzymes, buffered=tuple(raw.get("buffered", ["O2"])),
+        return cls(enzymes=enzymes, buffered=tuple(raw["buffered"]),
                    reagents={name: float(value) for name, value in raw.get("reagents", {}).items()},
                    optics=raw.get("optics", {}), gains=raw.get("gains", {}),
-                   path_length_cm=float(raw.get("path_length_cm", 1.0)))
+                   path_length_cm=float(raw["path_length_cm"]))
 
 
 # Wiring catalogue: (enzyme, substrates, products) per step, plus which
@@ -253,14 +253,10 @@ class CascadeNetwork:
 def build_cascade(kind, params: KineticParams) -> CascadeNetwork:
     """Instantiate one of the catalogued cascade kinds with given parameters.
 
-    Raises ConfigurationError when an enzyme used by the kind has no entry
-    in params (or lacks a Km for one of its substrates in this wiring).
+    Raises ValueError for an unknown kind, and ConfigurationError when an enzyme
+    of the kind has no entry in params (or lacks a Km for one of its substrates).
     """
-    try:
-        kind = CascadeKind(kind)
-    except ValueError:
-        raise ConfigurationError(
-            f"unknown cascade kind {kind!r}; available: {[k.value for k in CascadeKind]}") from None
+    kind = CascadeKind(kind)
     wiring = _WIRING[kind]
     steps = []
     for enzyme, subs, prods in wiring["steps"]:

@@ -11,6 +11,7 @@ sums, without full traces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,8 +21,7 @@ from .auth import enroll, score_step
 from .cohort import (ACID_INDEX, AMINO_ACIDS, N_ACIDS, Demographics, NoiseSpec,
                      SamplingSchedule, mimic_cohort, sample_series,
                      write_cohort_csv)
-from .config import (ExperimentConfig, auth_groups, auth_setting, check_auth_fits,
-                     collect_seeds)
+from .config import EXPERIMENT, MAX_SCORES, ExperimentConfig, with_defaults
 from .digitize import BandSpec, FilterParams, GroupingSpec, consolidate
 from .errors import ConfigurationError, InsufficientDataError
 from .kinetics import BatchResult, CascadeUnion, build_cascade, simulate_batch
@@ -42,6 +42,7 @@ class Channel:
 
 def build_channel(entry: dict, params, where: str = "channel") -> Channel:
     """Channel for one entry of the config's channel table; errors are prefixed with ``where``."""
+    entry = with_defaults(EXPERIMENT.of["channels"].of, entry)
     try:
         network = build_cascade(entry["cascade"], params)
         inputs = list(entry.get("inputs", network.input_species))
@@ -49,14 +50,11 @@ def build_channel(entry: dict, params, where: str = "channel") -> Channel:
             if acid not in network.input_species:
                 raise ConfigurationError(
                     f"{acid!r} is not an input of the {network.kind.value} cascade")
-        feature = entry.get("feature", "endpoint")
-        if feature not in ("endpoint", "slope"):
-            raise ConfigurationError(f"unknown feature mode {feature!r}")
         signal, scale = readout(network, entry, params)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{where}: {exc}") from None
     return Channel(name=entry.get("name", network.kind.value), network=network,
-                   inputs=inputs, feature=feature, signal=signal, scale=scale)
+                   inputs=inputs, feature=entry["feature"], signal=signal, scale=scale)
 
 
 def channel_features(ch: Channel, res: BatchResult, column: int) -> np.ndarray:
@@ -91,100 +89,152 @@ def _block_key(ch: Channel) -> tuple:
     return ch.network.kind, tuple(ch.inputs)
 
 
+class RunPlan:
+    """What a run of one config does, worked out from the config alone: no sampling
+    and no integration. Every command builds it first, so a config it refuses costs
+    no work; each refusal is one ConfigurationError that starts with its config path."""
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.config, cohort, kin = cfg, cfg.section("cohort"), cfg.section("kinetics")
+        self.groups = []  # (cohort group entry, Demographics, member ids <group>-NNN)
+        for i, g in enumerate(cohort["groups"]):
+            demo = Demographics(**g["demographics"])
+            try:
+                demo.validate(cfg.distribution.demographics_vocabulary)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"cohort.groups[{i}].demographics: {exc}") from None
+            self.groups.append((g, demo, [f"{g['name']}-{k:03d}" for k in range(g["n"])]))
+        self.seeds = {"groups": {g["name"]: g["seed"] for g in cohort["groups"]},
+                      "series_seed": cohort["series_seed"]}
+        self.schedule = SamplingSchedule(**cohort["schedule"])
+        self.noise = NoiseSpec(**cohort["noise"])
+        self.t_g, self.dt = float(kin["t_g"]), float(kin["dt"])
+        self.channels = [build_channel(e, cfg.params, f"channels[{i}]")
+                         for i, e in enumerate(cfg.section("channels"))]
+        dig = cfg.section("digitize")
+        try:
+            self.grouping = GroupingSpec(dig["groups"], dig["aggregators"], dig["weights"])
+            self.filters = [FilterParams(**f) for f in dig["filters"]]
+            self.grouping.check_fits(len(self.channels), self.filters)
+            self.bands = BandSpec(**dig["bands"]) if dig.get("bands") else None
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"digitize: {exc}") from None
+
+    @cached_property
+    def auth(self) -> dict:
+        """The auth section with its table's defaults; group mode compares the first
+        and the last cohort group unless it names others. Only the commands that
+        evaluate auth read it, so a run that stops at the outputs need not have one."""
+        auth = self.config.section("auth")
+        names = [g["name"] for g, *_ in self.groups]
+        auth.setdefault("genuine_group", names[0] if names else None)
+        auth.setdefault("impostor_group", names[-1] if names else None)
+        return auth
+
+
+def check_registration_fits(plan: RunPlan) -> None:
+    """The registration window of enroll and verify fits the schedule."""
+    k_reg, steps = plan.auth["k_reg"], plan.schedule.steps
+    if k_reg > steps:
+        raise InsufficientDataError(f"auth: k_reg = {k_reg} exceeds cohort.schedule.steps = {steps}")
+
+
+def check_auth_fits(plan: RunPlan) -> None:
+    """The auth window fits the schedule; identity mode has at least 2 individuals and
+    an impostor array within MAX_SCORES; in group mode score_channel names an output
+    and the genuine and impostor groups are two different cohort groups of at least 2
+    members each, since DeLong needs 2 accumulated scores per class.
+
+    An empty cohort is left to run_pipeline, which refuses it for every command.
+    """
+    auth, steps = plan.auth, plan.schedule.steps
+    k_acc = auth["accumulate_k"]
+    need = auth["k_reg"] + k_acc
+    if need > steps:
+        raise InsufficientDataError(
+            f"auth: k_reg + accumulate_k = {need} exceeds cohort.schedule.steps = {steps}")
+    sizes = {g["name"]: len(ids) for g, _, ids in plan.groups}
+    if auth["mode"] == "identity":
+        n = sum(sizes.values())
+        if n == 1:
+            raise InsufficientDataError("auth evaluation needs at least 2 individuals")
+        if n * (n - 1) * k_acc > MAX_SCORES:
+            raise ConfigurationError(
+                f"auth: identity mode scores {n:,} x {n - 1:,} x accumulate_k {k_acc} = "
+                f"{n * (n - 1) * k_acc:,} impostor scores, beyond the limit of {MAX_SCORES:,}")
+        return
+    if auth["score_channel"] >= plan.grouping.n_outputs:
+        raise ConfigurationError(f"auth.score_channel: {auth['score_channel']} is out of range: "
+                                 f"digitize has {plan.grouping.n_outputs} output groups")
+    genuine, impostor = auth["genuine_group"], auth["impostor_group"]
+    for key in ("genuine_group", "impostor_group"):
+        if auth[key] not in sizes:
+            raise ConfigurationError(f"auth.{key}: {auth[key]!r} is not a cohort group "
+                                     f"(groups: {', '.join(sizes) or 'none'})")
+    if genuine == impostor:
+        raise ConfigurationError(f"auth.impostor_group: {impostor!r} is also the genuine group; "
+                                 "group mode compares two cohort groups")
+    fewest = min(sizes[genuine], sizes[impostor])
+    if any(sizes.values()) and fewest == 0:
+        raise InsufficientDataError(f"groups {genuine!r}/{impostor!r} must both be non-empty")
+    if fewest == 1:
+        raise InsufficientDataError(f"groups {genuine!r}/{impostor!r} need at least 2 members "
+                                    "each: DeLong needs 2 accumulated scores per class")
+
+
 @dataclass
 class PipelineResult:
-    config: ExperimentConfig
+    plan: RunPlan
     group_of: list
     profiles: list
-    schedule: SamplingSchedule
-    t_g: float
-    channel_names: list
     features: np.ndarray   # [n_individuals, steps, n_channels]
     outputs: np.ndarray    # [n_individuals, steps, S] digitized outputs
     bands: np.ndarray      # [n_individuals, steps, S] band labels, None without bands
 
     @property
-    def n_outputs(self) -> int:
-        return self.outputs.shape[-1]
-
-    @property
     def timestamps(self) -> np.ndarray:  # output time: sampling time plus the gate delay
-        return self.schedule.timestamps() + self.t_g
+        return self.plan.schedule.timestamps() + self.plan.t_g
 
 
-def _digitize_specs(dig: dict, n_channels: int) -> tuple:
-    """(grouping, filters, bands) of a digitize section; errors are prefixed ``digitize``."""
-    try:
-        grouping = GroupingSpec(groups=dig["groups"], aggregators=dig["aggregators"],
-                                weights=dig.get("weights", []))
-        for gi, idxs in enumerate(grouping.groups):
-            if max(idxs) >= n_channels:
-                raise ConfigurationError(f"group {gi} indexes beyond the {n_channels} channels")
-        filters = [FilterParams(**f) for f in dig["filters"]]
-        if len(filters) != grouping.n_outputs:
-            raise ConfigurationError("one filter per group required")
-        bands = BandSpec(**dig["bands"]) if dig.get("bands") else None
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"digitize: {exc}") from None
-    return grouping, filters, bands
-
-
-def _cohort_groups(cfg: ExperimentConfig) -> list:
-    """(group entry, members) per configured group; member ids are <group>-NNN."""
+def _cohort_groups(plan: RunPlan) -> list:
+    """(group entry, members) per configured group, with the plan's member ids."""
     groups = []
-    for g in cfg.section("cohort")["groups"]:
-        demo = Demographics(**g.get("demographics", {}))
-        members = mimic_cohort(cfg.distribution, demo, int(g["n"]), int(g["seed"]))
-        for k, p in enumerate(members):
-            p.id = f"{g['name']}-{k:03d}"
+    for g, demo, ids in plan.groups:
+        members = mimic_cohort(plan.config.distribution, demo, g["n"], g["seed"])
+        for p, member_id in zip(members, ids):
+            p.id = member_id
         groups.append((g, members))
     return groups
 
 
-def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
-    """Cohort sampling, cascade simulation, and digitization for one config."""
-    cohort_cfg = cfg.section("cohort")
-    schedule = SamplingSchedule(**cohort_cfg["schedule"])
-    noise = NoiseSpec(**cohort_cfg.get("noise", {}))
-    series_seed = collect_seeds(cfg.raw)["series_seed"]
-
-    profiles, group_of = [], []
-    for g, members in _cohort_groups(cfg):
-        profiles.extend(members)
-        group_of.extend([g["name"]] * len(members))
-
-    kin = cfg.section("kinetics")
-    t_g, dt = float(kin["t_g"]), float(kin["dt"])
-    channels = [build_channel(e, cfg.params, f"channels[{i}]")
-                for i, e in enumerate(cfg.section("channels"))]
-    grouping, filters, bands = _digitize_specs(cfg.section("digitize"), len(channels))
-    if not profiles:
+def run_pipeline(plan: RunPlan) -> PipelineResult:
+    """Cohort sampling, cascade simulation, and digitization of one planned run."""
+    if not any(ids for *_, ids in plan.groups):
         raise InsufficientDataError("cohort is empty: every group has n = 0")
+    profiles = [p for _, members in _cohort_groups(plan) for p in members]
 
-    n_indiv, steps = len(profiles), schedule.steps
+    n_indiv, steps, channels = len(profiles), plan.schedule.steps, plan.channels
     X = np.empty((n_indiv, steps, N_ACIDS))
     for i, p in enumerate(profiles):
-        X[i] = sample_series(p, schedule, noise, series_seed)
+        X[i] = sample_series(p, plan.schedule, plan.noise, plan.seeds["series_seed"])
     X_flat = X.reshape(n_indiv * steps, N_ACIDS)
 
-    res = integrate_channels(channels, X_flat, t_g, dt)
+    res = integrate_channels(channels, X_flat, plan.t_g, plan.dt)
     feats = np.empty((n_indiv * steps, len(channels)))
     for ci, ch in enumerate(channels):
         feats[:, ci] = channel_features(ch, res, ci)
     features = feats.reshape(n_indiv, steps, len(channels))
 
-    outputs, labels = consolidate(grouping, features, filters, bands=bands)
-    return PipelineResult(config=cfg, group_of=group_of, profiles=profiles,
-                          schedule=schedule, t_g=t_g,
-                          channel_names=[c.name for c in channels],
-                          features=features, outputs=outputs, bands=labels)
+    outputs, labels = consolidate(plan.grouping, features, plan.filters, bands=plan.bands)
+    return PipelineResult(plan=plan, group_of=[g["name"] for g, _, ids in plan.groups for _ in ids],
+                          profiles=profiles, features=features, outputs=outputs, bands=labels)
 
 
 # ----------------------------------------------------------------------
 # authentication evaluation
 # ----------------------------------------------------------------------
 
-def run_auth_eval(cfg: ExperimentConfig):
+def run_auth_eval(plan: RunPlan):
     """Score genuine vs impostor streams and compute ROC/AUC/EER reports.
 
     Group mode compares two cohorts: per-step scores are the digitized
@@ -194,23 +244,22 @@ def run_auth_eval(cfg: ExperimentConfig):
     enrolls one template per individual and scores own-against-other
     continuation streams.
     """
-    check_auth_fits(cfg)
-    result = run_pipeline(cfg)
-    auth_cfg = cfg.section("auth")
-    mode = auth_setting(auth_cfg, "mode")
-    k_reg, k_acc = auth_cfg["k_reg"], auth_setting(auth_cfg, "accumulate_k")
+    check_auth_fits(plan)
+    result = run_pipeline(plan)
+    cfg, auth = plan.config, plan.auth
+    mode, k_reg, k_acc = auth["mode"], auth["k_reg"], auth["accumulate_k"]
 
     if mode == "group":
-        pops, extras = _group_mode_scores(result, auth_cfg, k_reg, k_acc)
+        pops, extras = _group_mode_scores(result, auth, k_reg, k_acc)
     else:  # "identity", the one other mode the AUTH table allows
-        pops, extras = _identity_mode_scores(result, auth_cfg, k_reg, k_acc)
+        pops, extras = _identity_mode_scores(result, auth, k_reg, k_acc)
 
     summary = {
-        "experiment": cfg.raw.get("name", ""),
+        "experiment": with_defaults(EXPERIMENT, cfg.raw)["name"],
         "mode": mode,
         "config_hash": cfg.config_hash,
         "params_hash": cfg.params_hash,
-        "seeds": collect_seeds(cfg.raw),
+        "seeds": plan.seeds,
         "k_reg": k_reg,
     }
     summary.update(extras)
@@ -227,12 +276,12 @@ def run_auth_eval(cfg: ExperimentConfig):
     return summary, curves, result
 
 
-def _group_mode_scores(result, auth_cfg, k_reg, k_acc):
-    # two different cohort groups, both with members: checked by check_auth_fits
-    gen_name, imp_name = auth_groups(result.config)
+def _group_mode_scores(result, auth, k_reg, k_acc):
+    # two different cohort groups of at least 2 members each: checked by check_auth_fits
+    gen_name, imp_name = auth["genuine_group"], auth["impostor_group"]
     gen_idx = [i for i, g in enumerate(result.group_of) if g == gen_name]
     imp_idx = [i for i, g in enumerate(result.group_of) if g == imp_name]
-    sc = auth_setting(auth_cfg, "score_channel")  # < S, checked by check_auth_fits
+    sc = auth["score_channel"]  # < S, checked by check_auth_fits
     gen = result.outputs[gen_idx, k_reg:k_reg + k_acc]   # [n_gen, k_acc, S]
     imp = result.outputs[imp_idx, k_reg:k_reg + k_acc]
 
@@ -241,10 +290,9 @@ def _group_mode_scores(result, auth_cfg, k_reg, k_acc):
                                    impostor=imp[..., sc].mean(axis=1))
 
     # secondary: pooled template on the genuine registration rows
-    lam = auth_setting(auth_cfg, "lambda")
     reg_rows = np.concatenate(result.outputs[gen_idx, :k_reg])
-    tpl = enroll(reg_rows, k_reg=len(reg_rows), lam=lam, user_id=f"group:{gen_name}",
-                 created_at=float(result.schedule.t0 + k_reg * result.schedule.tau))
+    tpl = enroll(reg_rows, k_reg=len(reg_rows), lam=auth["lambda"], user_id=f"group:{gen_name}",
+                 created_at=float(result.plan.schedule.t0 + k_reg * result.plan.schedule.tau))
     tpl_pop = metrics.ScoredPopulation(
         genuine=[score_step(tpl, y) for rows in gen for y in rows],
         impostor=[score_step(tpl, y) for rows in imp for y in rows])
@@ -258,16 +306,16 @@ def _group_mode_scores(result, auth_cfg, k_reg, k_acc):
     return {"k1": k1, "accumulated": acc}, extras
 
 
-def enroll_templates(result: PipelineResult, auth_cfg: dict) -> list:
+def enroll_templates(result: PipelineResult, auth: dict) -> list:
     """One template per individual, fitted on its first auth.k_reg outputs."""
     # float: templates.json records lambda as a float even when the config gives an integer
-    k_reg, lam = auth_cfg["k_reg"], float(auth_setting(auth_cfg, "lambda"))
-    created = float(result.schedule.t0 + k_reg * result.schedule.tau)
+    k_reg, lam, schedule = auth["k_reg"], float(auth["lambda"]), result.plan.schedule
+    created = float(schedule.t0 + k_reg * schedule.tau)
     return [enroll(y[:k_reg], k_reg=k_reg, lam=lam, user_id=p.id, created_at=created)
             for y, p in zip(result.outputs, result.profiles)]
 
 
-def _identity_mode_scores(result, auth_cfg, k_reg, k_acc):
+def _identity_mode_scores(result, auth, k_reg, k_acc):
     """Populations of template i scored on the continuation of individual j.
 
     Genuine scores are the pairs i == j, impostor scores the rest, each in
@@ -278,7 +326,7 @@ def _identity_mode_scores(result, auth_cfg, k_reg, k_acc):
     cont = result.outputs[:, k_reg:k_reg + k_acc]
     gen = np.empty((n, k_acc))         # [template, step]
     imp = np.empty((n, n - 1, k_acc))  # [template, other probe individual, step]
-    for i, tpl in enumerate(enroll_templates(result, auth_cfg)):
+    for i, tpl in enumerate(enroll_templates(result, auth)):
         for j, probes in enumerate(cont):
             row = gen[i] if j == i else imp[i, j - (j > i)]
             row[:] = [score_step(tpl, y) for y in probes]
@@ -297,7 +345,7 @@ def _identity_mode_scores(result, auth_cfg, k_reg, k_acc):
 
 def write_outputs_csv(path, result: PipelineResult) -> None:
     """Digitized output streams: id, group, step, timestamp, S values, S bands."""
-    S = result.n_outputs
+    S = result.plan.grouping.n_outputs
     times = result.timestamps.tolist()
     bands = (result.bands.tolist() if result.bands is not None
              else [[[""] * S] * len(times)] * len(result.profiles))
@@ -307,7 +355,7 @@ def write_outputs_csv(path, result: PipelineResult) -> None:
             for k, (values, labels) in enumerate(zip(value_rows, label_rows)))
     write_csv(path, ["id", "group", "k", "timestamp_s"]
               + [f"y{s}" for s in range(S)] + [f"band{s}" for s in range(S)],
-              rows, result.config.config_hash)
+              rows, result.plan.config.config_hash)
 
 
 def write_features_csv(path, result: PipelineResult) -> None:
@@ -316,26 +364,26 @@ def write_features_csv(path, result: PipelineResult) -> None:
             for p, group, value_rows
             in zip(result.profiles, result.group_of, result.features.tolist())
             for k, values in enumerate(value_rows))
-    write_csv(path, ["id", "group", "k"] + list(result.channel_names), rows,
-              result.config.config_hash)
+    write_csv(path, ["id", "group", "k"] + [ch.name for ch in result.plan.channels], rows,
+              result.plan.config.config_hash)
 
 
-def write_cohort_artifacts(cfg: ExperimentConfig, out_dir) -> list:
+def write_cohort_artifacts(plan: RunPlan, out_dir) -> list:
     """Per-group cohort CSVs plus a manifest; returns written paths."""
     import os
 
-    paths = []
+    cfg, paths = plan.config, []
     groups_meta = {}
-    for g, members in _cohort_groups(cfg):
+    for g, members in _cohort_groups(plan):
         path = os.path.join(out_dir, f"cohort_{g['name']}.csv")
         write_cohort_csv(path, members, config_hash=cfg.config_hash)
         paths.append(path)
-        groups_meta[g["name"]] = {"n": int(g["n"]), "seed": int(g["seed"]),
-                                  "stored_values": int(g["n"]) * N_ACIDS}
+        groups_meta[g["name"]] = {"n": g["n"], "seed": g["seed"],
+                                  "stored_values": g["n"] * N_ACIDS}
     manifest = {
         "config_hash": cfg.config_hash,
         "params_hash": cfg.params_hash,
-        "seeds": collect_seeds(cfg.raw),
+        "seeds": plan.seeds,
         "groups": groups_meta,
         "acids": list(AMINO_ACIDS),
     }

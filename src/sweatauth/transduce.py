@@ -83,19 +83,17 @@ def reporter_step(network, transduction: str) -> int:
 
 
 def readout(network, entry: dict, params) -> tuple:
-    """(signal, scale) of a channel entry, as ``kinetics.simulate_batch`` observes it.
+    """(signal, scale) of a channel entry with its defaults, as ``simulate_batch`` observes it.
 
     Absorbance: a chromophore (``species``, default the first reporter) and
     its Beer-Lambert scale. Luminescence, amperometric: the reporter step's
     rate and a ``gain`` (default ``params.gains``).
     """
-    transduction = entry.get("transduction", "absorbance")
+    transduction = entry["transduction"]
     if transduction == "absorbance":
         species = entry.get("species", network.reporter_species[0])
         if species not in network.species:
             raise ConfigurationError(f"species {species!r} is not in the {network.kind.value} cascade")
         return species, builtin_optics(species, params).scale
-    if transduction not in REPORTER_STEPS:
-        raise ConfigurationError(f"unknown transduction {transduction!r}")
     gain = entry.get("gain", params.gains.get(transduction, 1.0))
     return reporter_step(network, transduction), gain

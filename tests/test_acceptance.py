@@ -16,7 +16,7 @@ from sweatauth.config import load_experiment
 from sweatauth.digitize import FilterParams, hill_filter
 from sweatauth.kinetics import build_cascade, conserved_moieties, mm_rate, simulate
 from sweatauth.metrics import ScoredPopulation, auc, delong_variance, roc_curve
-from sweatauth.pipeline import run_auth_eval
+from sweatauth.pipeline import RunPlan, run_auth_eval
 from sweatauth.transduce import absorbance, builtin_optics
 
 _elapsed = {}
@@ -91,9 +91,9 @@ def test_c04_absorbance_decrease_shape(params):
 
 def test_c05_sex_separation_auc():
     with criterion(5, "25v25 shifted cohort AUC >= 0.95; unshifted in [0.4, 0.6]", 60.0):
-        shifted, _, _ = run_auth_eval(load_experiment("builtin:sex-separation"))
+        shifted, _, _ = run_auth_eval(RunPlan(load_experiment("builtin:sex-separation")))
         assert shifted["k1"]["auc"] >= 0.95, shifted["k1"]["auc"]
-        null, _, _ = run_auth_eval(load_experiment("builtin:sex-separation-null"))
+        null, _, _ = run_auth_eval(RunPlan(load_experiment("builtin:sex-separation-null")))
         assert 0.4 <= null["k1"]["auc"] <= 0.6, null["k1"]["auc"]
 
 
@@ -144,7 +144,7 @@ def test_c08_filter_digitization():
 
 def test_c09_time_series_benefit():
     with criterion(9, "identity EER with 10-step accumulation <= single-step EER", 60.0):
-        summary, _, _ = run_auth_eval(load_experiment("builtin:identity"))
+        summary, _, _ = run_auth_eval(RunPlan(load_experiment("builtin:identity")))
         e1 = summary["k1"]["eer"]
         e10 = summary["accumulated"]["eer"]
         assert e10 <= e1, (e10, e1)

@@ -100,7 +100,7 @@ def test_series_row_count_matches_schedule():
     spec = flat_spec(cv=0.1)
     p = individual(spec, seed=4)
     sched = SamplingSchedule(t0=0.0, tau=30.0, steps=7)
-    values = sample_series(p, sched, NoiseSpec(cv=0.2), seed=1)
+    values = sample_series(p, sched, NoiseSpec(cv=0.2, drift_rate=0.0), seed=1)
     assert values.shape == (7, N_ACIDS)
     assert np.all(values > 0)
 
@@ -158,7 +158,7 @@ def test_series_noise_free_rows_equal_baseline():
     spec = flat_spec(cv=0.2)
     p = individual(spec, seed=2)
     sched = SamplingSchedule(t0=0.0, tau=60.0, steps=4)
-    for row in sample_series(p, sched, NoiseSpec(cv=0.0), seed=0):
+    for row in sample_series(p, sched, NoiseSpec(cv=0.0, drift_rate=0.0), seed=0):
         np.testing.assert_array_equal(row, p.baseline)
 
 
@@ -167,7 +167,7 @@ def test_series_noise_cv_calibrated():
     spec = flat_spec(cv=0.2)
     p = individual(spec, seed=2)
     sched = SamplingSchedule(t0=0.0, tau=1.0, steps=10_000)
-    values = sample_series(p, sched, NoiseSpec(cv=0.2), seed=123)
+    values = sample_series(p, sched, NoiseSpec(cv=0.2, drift_rate=0.0), seed=123)
     emp = values.std(axis=0, ddof=1) / values.mean(axis=0)
     assert np.all(emp > 0.18) and np.all(emp < 0.22)
 
@@ -176,11 +176,11 @@ def test_series_determinism_and_negative_cv():
     spec = flat_spec(cv=0.2)
     p = individual(spec, seed=2)
     sched = SamplingSchedule(t0=0.0, tau=1.0, steps=8)
-    a = sample_series(p, sched, NoiseSpec(cv=0.3), seed=5)
-    b = sample_series(p, sched, NoiseSpec(cv=0.3), seed=5)
+    a = sample_series(p, sched, NoiseSpec(cv=0.3, drift_rate=0.0), seed=5)
+    b = sample_series(p, sched, NoiseSpec(cv=0.3, drift_rate=0.0), seed=5)
     np.testing.assert_array_equal(a, b)
     with pytest.raises(ConfigurationError):
-        sample_series(p, sched, NoiseSpec(cv=-0.1), seed=5)
+        sample_series(p, sched, NoiseSpec(cv=-0.1, drift_rate=0.0), seed=5)
 
 
 def test_series_drift_modulation():

@@ -33,7 +33,7 @@ def test_unknown_builtin_lists_available():
 # ------------------------------------------------------------------ schema walker
 
 from sweatauth.config import (AUTH, EXPERIMENT, PARAMS, _integer, _list, _number,  # noqa: E402
-                              _object, _string, _walk, auth_setting, default_params_dict)
+                              _object, _string, _walk, default_params_dict, with_defaults)
 
 TABLE = _object({
     "rate": _number(low=0, strict=True, required=True),
@@ -110,10 +110,9 @@ def test_walker_paths_through_nested_maps_and_the_top_level():
 
 
 def test_auth_defaults_come_from_the_auth_table():
-    assert {key: auth_setting({}, key) for key in AUTH.of if key not in ("k_reg", "genuine_group",
-                                                                          "impostor_group")} == {
+    assert with_defaults(AUTH, {}) == {
         "mode": "group", "accumulate_k": 10, "lambda": 1e-3, "score_channel": 0,
         "accept_thr": 3.0, "reject_thr": -9.0, "drift_margin": 0.5}
     auth = {"k_reg": 2, "lambda": 0.5}
-    assert auth_setting(auth, "lambda") == 0.5
+    assert with_defaults(AUTH, auth)["lambda"] == 0.5
     assert auth == {"k_reg": 2, "lambda": 0.5}

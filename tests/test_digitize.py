@@ -218,13 +218,13 @@ def test_consolidate_matches_oracle_with_hill_bands():
 @pytest.fixture(scope="module")
 def sex_separation_features():
     from sweatauth.config import builtin_experiment, load_experiment
-    from sweatauth.pipeline import run_pipeline
+    from sweatauth.pipeline import RunPlan, run_pipeline
 
     raw = builtin_experiment("sex-separation")
     raw["cohort"]["groups"][0]["n"] = raw["cohort"]["groups"][1]["n"] = 6
     raw["cohort"]["schedule"]["steps"] = 5
     raw["kinetics"].update(dt=0.02, t_g=60.0)
-    result = run_pipeline(load_experiment(raw))
+    result = run_pipeline(RunPlan(load_experiment(raw)))
     return raw["digitize"], result
 
 
@@ -326,6 +326,16 @@ def test_consolidate_output_outside_band_rails_names_group():
     bands = BandSpec(boundaries=[0.5], labels=["low", "high"])
     with pytest.raises(ConfigurationError, match=r"^group 1: value 12\.5 outside rails"):
         consolidate(grouping, [[0.3, 0.2], [0.3, 12.5]], filters, bands=bands)
+
+
+@pytest.mark.parametrize("aggregators, weights, message", [
+    (["sum", "sum"], [[1.0], [2.0, 1.0]], "weights given, but no group is weighted-sum"),
+    (["weighted-sum", "sum"], [[1.0], [2.0]], "group 1: weight count mismatch"),
+    (["weighted-sum", "sum"], [[1.0]], "weights must align with groups"),
+], ids=["no-weighted-sum-group", "short-entry-of-a-sum-group", "one-entry-for-two-groups"])
+def test_grouping_weights_fit_every_group(aggregators, weights, message):
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        GroupingSpec(groups=[[0], [0, 1]], aggregators=aggregators, weights=weights)
 
 
 def test_cascade_endpoint_rejects_multichannel_groups():

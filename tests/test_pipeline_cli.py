@@ -18,7 +18,7 @@ from sweatauth.cohort import ACID_INDEX
 from sweatauth.config import (builtin_experiment, default_distribution_dict, default_params_dict,
                               load_experiment)
 from sweatauth.kinetics import simulate, simulate_batch
-from sweatauth.pipeline import (_identity_mode_scores, build_channel, channel_features,
+from sweatauth.pipeline import (RunPlan, _identity_mode_scores, build_channel, channel_features,
                                 enroll_templates, integrate_channels, run_auth_eval, run_pipeline)
 from sweatauth.transduce import absorbance, builtin_optics
 from test_metrics import loop_eer
@@ -62,7 +62,7 @@ def oracle_channel_features(ch, X_flat, t_g, dt):
 
 @pytest.fixture(scope="module")
 def small_result():
-    return run_pipeline(load_experiment(small_config()))
+    return run_pipeline(RunPlan(load_experiment(small_config())))
 
 
 # ------------------------------------------------------------- pipeline
@@ -71,18 +71,18 @@ def test_pipeline_shapes(small_result):
     assert small_result.features.shape == (12, 5, 1)
     assert small_result.outputs.shape == (12, 5, 1)
     assert small_result.bands.shape == (12, 5, 1)
-    assert small_result.n_outputs == 1
+    assert small_result.plan.grouping.n_outputs == 1
 
 
 def test_output_timestamps_include_gate_delay(small_result):
-    sched = small_result.schedule
+    sched = small_result.plan.schedule
     assert small_result.timestamps.shape == (5,)
     for k, t in enumerate(small_result.timestamps):
-        assert t == sched.t0 + k * sched.tau + small_result.t_g
+        assert t == sched.t0 + k * sched.tau + small_result.plan.t_g
 
 
 def test_pipeline_deterministic(small_result):
-    again = run_pipeline(load_experiment(small_config()))
+    again = run_pipeline(RunPlan(load_experiment(small_config())))
     np.testing.assert_array_equal(again.features, small_result.features)
     np.testing.assert_array_equal(again.outputs, small_result.outputs)
     assert again.bands.tolist() == small_result.bands.tolist()
@@ -226,7 +226,7 @@ def test_run_pipeline_makes_one_batch_call(monkeypatch):
     calls = []
     monkeypatch.setattr(sweatauth.pipeline, "simulate_batch",
                         lambda *a: calls.append(a) or simulate_batch(*a))
-    result = run_pipeline(cfg)
+    result = run_pipeline(RunPlan(cfg))
     (network, init_matrix, *_), = calls
     assert network.kind.value == "AltPoxHrp+GldhA+AspGlu"
     assert init_matrix.shape == (3 * 2, network.species_offsets[-1])
@@ -240,7 +240,8 @@ def test_enroll_templates_one_per_individual(small_result):
         expected = enroll(y[:2], k_reg=2, lam=0.01)
         np.testing.assert_array_equal(tpl.mean, expected.mean)
         np.testing.assert_array_equal(tpl.covariance, expected.covariance)
-        assert tpl.created_at == small_result.schedule.t0 + 2 * small_result.schedule.tau
+        sched = small_result.plan.schedule
+        assert tpl.created_at == sched.t0 + 2 * sched.tau
 
 
 def test_doubled_alanine_raises_every_feature():
@@ -250,8 +251,8 @@ def test_doubled_alanine_raises_every_feature():
     base["distribution_overrides"] = {"acids": {"Ala": {"mean_uM": 50.0}}}
     doubled = copy.deepcopy(base)
     doubled["distribution_overrides"]["acids"]["Ala"]["mean_uM"] = 100.0
-    f_base = run_pipeline(load_experiment(base)).features
-    f_doub = run_pipeline(load_experiment(doubled)).features
+    f_base = run_pipeline(RunPlan(load_experiment(base))).features
+    f_doub = run_pipeline(RunPlan(load_experiment(doubled))).features
     assert np.all(f_doub > f_base)
     np.testing.assert_allclose(f_doub, 2.0 * f_base, rtol=0.01)
 
@@ -260,8 +261,7 @@ def test_genuine_accumulated_statistic_beats_impostor():
     # 25 vs 25 cohorts with the 1.5x alanine shift: verify female streams
     # and male streams against the pooled female template; at k = 10 the
     # genuine accumulated statistic must sit above the impostor one
-    cfg = load_experiment("builtin:sex-separation")
-    result = run_pipeline(cfg)
+    result = run_pipeline(RunPlan(load_experiment("builtin:sex-separation")))
     k_reg, k = 3, 10
     females = [i for i, g in enumerate(result.group_of) if g == "female"]
     males = [i for i, g in enumerate(result.group_of) if g == "male"]
@@ -284,7 +284,7 @@ def test_genuine_accumulated_statistic_beats_impostor():
 
 def test_group_eval_summary_contents():
     cfg = load_experiment(small_config())
-    summary, curves, _ = run_auth_eval(cfg)
+    summary, curves, _ = run_auth_eval(RunPlan(cfg))
     assert summary["config_hash"] == cfg.config_hash
     assert summary["seeds"]["groups"] == {"female": 1101, "male": 2202}
     assert set(curves) == {"k1", "accumulated"}
@@ -295,14 +295,15 @@ def test_group_eval_summary_contents():
 
 
 def trimmed_identity(seed_override=None):
-    """The builtin identity experiment trimmed for fast tests: 6 individuals, 7 steps."""
+    """The plan of the builtin identity experiment trimmed for fast tests: 6 individuals,
+    7 steps."""
     raw = builtin_experiment("identity")
     raw["cohort"]["groups"][0]["n"] = 6
     raw["cohort"]["schedule"]["steps"] = 7
     raw["auth"]["k_reg"] = 3
     raw["auth"]["accumulate_k"] = 4
     raw["kinetics"]["dt"] = 0.02
-    return load_experiment(raw, seed_override=seed_override)
+    return RunPlan(load_experiment(raw, seed_override=seed_override))
 
 
 def test_identity_eval_runs():
@@ -314,10 +315,10 @@ def test_identity_eval_runs():
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_identity_scores_match_list_building_oracle(seed):
-    cfg = trimmed_identity(seed)
-    result, auth_cfg = run_pipeline(cfg), cfg.section("auth")
-    got, extras = _identity_mode_scores(result, auth_cfg, 3, 4)
-    want, want_extras = identity_mode_scores(result, auth_cfg, 3, 4)
+    plan = trimmed_identity(seed)
+    result = run_pipeline(plan)
+    got, extras = _identity_mode_scores(result, plan.auth, 3, 4)
+    want, want_extras = identity_mode_scores(result, plan.auth, 3, 4)
     assert extras == want_extras
     for label in ("k1", "accumulated"):
         assert got[label].genuine.tobytes() == want[label].genuine.tobytes()
@@ -333,11 +334,11 @@ def test_identity_scores_hold_no_copy_of_the_populations(monkeypatch):
     result = SimpleNamespace(
         outputs=np.random.default_rng(9).uniform(0, 1, (n, k_reg + k_acc, 3)),
         profiles=[SimpleNamespace(id=f"u{i:03d}") for i in range(n)],
-        schedule=SimpleNamespace(t0=0.0, tau=1.0))
+        plan=SimpleNamespace(schedule=SimpleNamespace(t0=0.0, tau=1.0)))
     monkeypatch.setattr(pipeline, "score_step", lambda tpl, y: float(y[0] - tpl.mean[0]))
     tracemalloc.start()
     try:
-        pops, _ = _identity_mode_scores(result, {"k_reg": k_reg}, k_reg, k_acc)
+        pops, _ = _identity_mode_scores(result, {"k_reg": k_reg, "lambda": 1e-3}, k_reg, k_acc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -357,7 +358,7 @@ def test_accumulated_scores_add_steps_left_to_right(monkeypatch, small_result):
     values[:3 * k_acc] = [0.1, 0.1, 0.1, 1e16, 1.0, -1e16, -0.0, -0.0, -0.0]
     calls = iter(values)
     monkeypatch.setattr(pipeline, "score_step", lambda tpl, y: next(calls))
-    pops, _ = _identity_mode_scores(small_result, {"k_reg": 2}, 2, k_acc)
+    pops, _ = _identity_mode_scores(small_result, {"k_reg": 2, "lambda": 1e-3}, 2, k_acc)
     rows = np.array(values).reshape(n, n, k_acc)
     for i in range(n):
         for j in range(n):
@@ -375,9 +376,9 @@ def test_auth_eval_builds_one_roc_curve_per_label(monkeypatch):
     built = []
     roc_curve = metrics.roc_curve
     monkeypatch.setattr(metrics, "roc_curve", lambda pop: built.append(pop) or roc_curve(pop))
-    for cfg in (load_experiment(small_config()), trimmed_identity()):
+    for plan in (RunPlan(load_experiment(small_config())), trimmed_identity()):
         built.clear()
-        summary, curves, _ = run_auth_eval(cfg)
+        summary, curves, _ = run_auth_eval(plan)
         assert len(built) == 2
         for pop, label in zip(built, ("k1", "accumulated")):
             assert summary[label]["eer"] == curves[label].eer() == loop_eer(pop)
@@ -389,7 +390,7 @@ def test_eval_insufficient_steps():
     raw = small_config()
     raw["auth"]["accumulate_k"] = 10  # 2 + 10 > 5 steps
     with pytest.raises(InsufficientDataError):
-        run_auth_eval(load_experiment(raw))
+        run_auth_eval(RunPlan(load_experiment(raw)))
 
 
 # ------------------------------------------------------------- cli
@@ -596,6 +597,30 @@ def without(tree, *keys):
     (lambda raw, tmp: dict(raw, params=json_file(
         tmp / "params.json", edited(default_params_dict(), "buffered", value=["Nope"]))),
      "params.buffered[0]: 'Nope' is not a species of any cascade"),
+    # the distribution's own rules
+    (lambda raw, tmp: dict(raw, distribution=json_file(
+        tmp / "dist.json", without(default_distribution_dict(), "acids", "Ala"))),
+     "distribution spec missing acids: ['Ala']"),
+    (lambda raw, tmp: dict(raw, distribution_overrides={"acids": {"Xyz": {"mean_uM": 1.0,
+                                                                          "cv": 0.1}}}),
+     "distribution spec has unknown acids: ['Xyz']"),
+    (lambda raw, tmp: dict(raw, distribution_overrides={"acids": {"Ala": {"shifts": {
+        "sexmale": 1.5}}}}),
+     "Ala: shift key 'sexmale' must look like 'field=value'"),
+    # params that cannot build the configured channel
+    (lambda raw, tmp: dict(raw, params=json_file(
+        tmp / "params.json", without(default_params_dict(), "enzymes", "ALT", "km", "Ala"))),
+     "channels[0]: ALT: missing Km for substrate Ala"),
+    (lambda raw, tmp: dict(raw, params=json_file(
+        tmp / "params.json", without(default_params_dict(), "enzymes", "POx"))),
+     "channels[0]: no kinetic parameters for enzyme 'POx'"),
+    (lambda raw, tmp: dict(raw, params=json_file(
+        tmp / "params.json", without(default_params_dict(), "optics", "ABTSox"))),
+     "channels[0]: no optics entry for species 'ABTSox'"),
+    (lambda raw, tmp: dict(raw, params=json_file(
+        tmp / "params.json", edited(default_params_dict(), "optics", "ABTSox", "wavelength",
+                                    value=400))),
+     "channels[0]: built-in channel ABTSox reads at 405 nm, got 400.0"),
 ], ids=["config-is-a-list", "acid-without-cv", "enzyme-without-kcat", "params-is-a-list",
         "params-is-a-number", "params-is-true", "distribution-is-empty",
         "distribution-is-a-directory", "params-file-missing", "overrides-is-a-list", "acids-is-a-list",
@@ -605,9 +630,13 @@ def without(tree, *keys):
         "path-length-is-a-string", "optics-entry-without-epsilon", "number-vocabulary",
         "string-vocabulary", "misspelled-overrides", "list-name", "true-reagent", "text-kcat",
         "text-cv", "misspelled-buffered", "misspelled-kcat", "misspelled-shifts",
-        "overflowing-e-total", "buffered-species-not-wired"])
-def test_cmd_rejects_malformed_config_files(tmp_path, capsys, edit, message):
+        "overflowing-e-total", "buffered-species-not-wired", "distribution-without-an-acid",
+        "unknown-acid", "malformed-shift-key", "enzyme-without-a-km", "params-without-an-enzyme",
+        "chromophore-without-optics", "chromophore-at-another-wavelength"])
+def test_cmd_rejects_malformed_config_files(tmp_path, capsys, monkeypatch, edit, message):
     config = json_file(tmp_path / "cfg.json", edit(small_config(), tmp_path))
+    monkeypatch.setattr(pipeline, "mimic_cohort", no_integration)
+    monkeypatch.setattr(pipeline, "simulate_batch", no_integration)
     assert run_cli("roc", "--config", config, "--out", str(tmp_path / "m")) == 2
     message = message.format(config=config, tmp=tmp_path)
     assert capsys.readouterr().err == f"configuration error: {message}\n"
@@ -734,9 +763,11 @@ def as_rate_channel(ch, **keys):
     (lambda ch: ch.update(species="NADH"),
      "channels[0]: species 'NADH' is not in the AltPoxHrp cascade"),
     (lambda ch: ch.update(transduction="fluorescence"),
-     "channels[0]: unknown transduction 'fluorescence'"),
+     "channels[0].transduction: 'fluorescence' is not one of absorbance, luminescence, "
+     "amperometric"),
     (lambda ch: ch.pop("cascade"), "channels[0].cascade: required key is missing"),
-    (lambda ch: ch.update(feature="peak"), "channels[0]: unknown feature mode 'peak'"),
+    (lambda ch: ch.update(feature="peak"),
+     "channels[0].feature: 'peak' is not one of endpoint, slope"),
     (lambda ch: ch.update(inputs=None), "channels[0].inputs: not a list: None"),
     (lambda ch: ch.update(inputs=True), "channels[0].inputs: not a list: True"),
     (lambda ch: ch.update(inputs=-1), "channels[0].inputs: not a list: -1"),
@@ -751,18 +782,24 @@ def as_rate_channel(ch, **keys):
      "channels[0]: 'Glu' is not an input of the AltPoxHrp cascade"),
     (lambda ch: ch.update(inputs=["Xyz"]),
      "channels[0]: 'Xyz' is not an input of the AltPoxHrp cascade"),
+    (lambda ch: ch.update(cascade="AltPox"),
+     "channels[0].cascade: 'AltPox' is not one of AltLdh, AltPoxHrp, GldhA, GldhB, GldhC, "
+     "AlaGlu, AspGlu, AlaAspGlu"),
+    (lambda ch: as_rate_channel(ch, cascade="GldhA", inputs=["Glu"]),
+     "channels[0]: GldhA cascade lacks the required reporter step for amperometric"),
 ], ids=["misspelled-feature", "misspelled-transduction", "gain-on-absorbance",
         "species-on-rate-channel", "text-gain", "zero-gain", "numeric-text-gain", "true-gain",
         "species-not-in-cascade",
         "unknown-transduction", "missing-cascade", "unknown-feature", "null-inputs",
         "true-inputs", "negative-inputs", "zero-inputs", "list-input", "object-input",
         "list-transduction", "object-transduction", "number-cascade", "input-of-another-cascade",
-        "input-outside-the-panel"])
+        "input-outside-the-panel", "unknown-cascade", "rate-channel-without-reporter-step"])
 def test_cmd_rejects_bad_channel_entry(tmp_path, capsys, monkeypatch, edit, message):
     raw = small_config()
     edit(raw["channels"][0])
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
+    monkeypatch.setattr(pipeline, "mimic_cohort", no_integration)
     monkeypatch.setattr(pipeline, "simulate_batch", no_integration)
     assert run_cli("pipeline", "--config", str(path), "--out", str(tmp_path / "c")) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
@@ -774,9 +811,11 @@ def test_cmd_rejects_bad_channel_entry(tmp_path, capsys, monkeypatch, edit, mess
     ({}, "channels: not a list: {}"),
     (None, "channels: not a list: None"),
 ], ids=["text-entry", "null-entry", "object-section", "null-section"])
-def test_cmd_rejects_channels_that_are_not_objects(tmp_path, capsys, channels, message):
+def test_cmd_rejects_channels_that_are_not_objects(tmp_path, capsys, monkeypatch, channels,
+                                                   message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(small_config(channels=channels)))
+    monkeypatch.setattr(pipeline, "simulate_batch", no_integration)
     assert run_cli("roc", "--config", str(path), "--out", str(tmp_path / "c")) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
 
@@ -833,12 +872,14 @@ def test_kinetics_check_leaves_config_hash_alone():
 
 
 @pytest.mark.parametrize("command", ["pipeline", "roc"])
-def test_cmd_empty_cohort_exit_code(tmp_path, capsys, command):
+def test_cmd_empty_cohort_exit_code(tmp_path, capsys, monkeypatch, command):
     raw = small_config()
     for g in raw["cohort"]["groups"]:
         g["n"] = 0
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
+    monkeypatch.setattr(pipeline, "mimic_cohort", no_integration)
+    monkeypatch.setattr(pipeline, "simulate_batch", no_integration)
     assert run_cli(command, "--config", str(path), "--out", str(tmp_path / "e")) == 3
     assert capsys.readouterr().err == "insufficient data: cohort is empty: every group has n = 0\n"
 
@@ -874,10 +915,12 @@ def test_cmd_rejects_bad_digitize_section(tmp_path, capsys, digitize, message):
     (lambda t: t.update(k_reg=2.0), "[1].k_reg: not an integer: 2.0"),
     (lambda t: t.update({"lambda": 0.0}), "[1].lambda: must be finite and > 0, got 0.0"),
     (lambda t: t.update(created=0.0), "[1].created: unknown key"),
+    # the file holds templates for female-000 and female-001 of 12 individuals
+    (lambda t: None, ": no template for female-002"),
 ], ids=["wrong-dimension", "not-positive-definite", "missing-k-reg", "list-user-id",
         "nan-covariance", "nan-mean", "infinite-created-at", "zero-k-reg", "float-k-reg",
-        "zero-lambda", "misspelled-created-at"])
-def test_cmd_verify_rejects_bad_templates(tmp_path, capsys, edit, message):
+        "zero-lambda", "misspelled-created-at", "missing-member"])
+def test_cmd_verify_rejects_bad_templates(tmp_path, capsys, monkeypatch, edit, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(small_config()))
     tpath = tmp_path / "templates.json"
@@ -885,6 +928,8 @@ def test_cmd_verify_rejects_bad_templates(tmp_path, capsys, edit, message):
                 "covariance": [[0.01]]} for i in range(2)]
     edit(entries[1])
     tpath.write_text(json.dumps(entries))
+    monkeypatch.setattr(pipeline, "mimic_cohort", no_integration)
+    monkeypatch.setattr(pipeline, "simulate_batch", no_integration)
     assert run_cli("verify", "--config", str(path), "--out", str(tmp_path / "v"),
                    "--templates", str(tpath)) == 2
     assert capsys.readouterr().err == f"configuration error: {tpath}{message}\n"
@@ -895,12 +940,14 @@ def test_cmd_verify_rejects_bad_templates(tmp_path, capsys, edit, message):
     ("{not json", "Expecting property name"),
     ('{"user_id": "female-000"}', "not a list: {'user_id': 'female-000'}"),
 ], ids=["missing-file", "not-json", "not-a-list"])
-def test_cmd_verify_rejects_unreadable_templates(tmp_path, capsys, content, message):
+def test_cmd_verify_rejects_unreadable_templates(tmp_path, capsys, monkeypatch, content,
+                                                 message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(small_config()))
     tpath = tmp_path / "templates.json"
     if content is not None:
         tpath.write_text(content)
+    monkeypatch.setattr(pipeline, "simulate_batch", no_integration)
     assert run_cli("verify", "--config", str(path), "--out", str(tmp_path / "v"),
                    "--templates", str(tpath)) == 2
     err = capsys.readouterr().err
@@ -992,7 +1039,7 @@ def no_integration(*args, **kwargs):
     (lambda raw: raw["digitize"]["filters"][0].update(k_half="x"),
      "digitize.filters[0].k_half: not a number: 'x'"),
     (lambda raw: raw["digitize"].update(aggregators=["median"]),
-     "digitize: unknown aggregator 'median'"),
+     "digitize.aggregators[0]: 'median' is not one of sum, weighted-sum, cascade-endpoint"),
     (lambda raw: raw["digitize"].update(groups=[[1]]),
      "digitize: group 0 indexes beyond the 1 channels"),
     (lambda raw: raw["digitize"].update(aggregators=["weighted-sum"], weights=[[1.0, 2.0]]),
@@ -1017,20 +1064,61 @@ def no_integration(*args, **kwargs):
      "cohort.noise.cv: 1e+200 exceeds the limit of 100"),
     (lambda raw: raw.update(distribution_overrides={"acids": {"Ala": {"cv": 1e200}}}),
      "distribution.acids.Ala.cv: 1e+200 exceeds the limit of 100"),
+    # a value outside the distribution's demographic vocabulary, before any sampling
+    (lambda raw: raw["cohort"]["groups"][0].update(demographics={"sex": "robot"}),
+     "cohort.groups[0].demographics: demographic sex='robot' not in vocabulary "
+     "['female', 'male']"),
+    (lambda raw: raw.pop("digitize"), "experiment config missing section 'digitize'"),
+    # weights are read only by weighted-sum groups, and hold one per channel of each group
+    (lambda raw: raw["digitize"].update(weights=[[1.0, 2.0]]),
+     "digitize: weights given, but no group is weighted-sum"),
+    (lambda raw: raw["digitize"].update(aggregators=["weighted-sum"], weights=[[1.0], [1.0]]),
+     "digitize: weights must align with groups"),
+    (lambda raw: raw["digitize"].update(
+        groups=[[0], [0]], aggregators=["weighted-sum", "sum"], weights=[[2.0], [1.0, 1.0]],
+        filters=raw["digitize"]["filters"] * 2),
+     "digitize: group 1: weight count mismatch"),
+    # the rest of digitize.GroupingSpec, FilterParams and BandSpec
+    (lambda raw: raw["digitize"].update(groups=[], aggregators=[], filters=[]),
+     "digitize: need at least one group"),
+    (lambda raw: raw["digitize"].update(aggregators=["sum", "sum"]),
+     "digitize: one aggregator per group required"),
+    (lambda raw: raw["digitize"].update(groups=[[]]), "digitize: empty group"),
+    (lambda raw: raw["digitize"].update(groups=[[0, 0]], aggregators=["cascade-endpoint"]),
+     "digitize: cascade-endpoint groups hold exactly one channel"),
+    (lambda raw: raw["digitize"].update(filters=raw["digitize"]["filters"] * 2),
+     "digitize: one filter per group required"),
+    (lambda raw: raw["digitize"]["filters"][0].update(k_half=0.0), "digitize: k_half must be > 0"),
+    (lambda raw: raw["digitize"]["filters"][0].update(hill_n=0.5),
+     "digitize: hill_n must be >= 1"),
+    (lambda raw: raw["digitize"]["filters"][0].update(out_lo=1.0, out_hi=0.0),
+     "digitize: out_lo must be < out_hi"),
+    (lambda raw: raw["digitize"]["filters"][0].update(kind="boxcar"),
+     "digitize.filters[0].kind: 'boxcar' is not one of hill, passthrough"),
+    (lambda raw: raw["digitize"]["bands"].update(boundaries=[0.6, 0.4], labels=["a", "b", "c"]),
+     "digitize: band boundaries must be strictly ascending"),
+    (lambda raw: raw["digitize"]["bands"].update(labels=["only"]),
+     "digitize: need exactly len(boundaries)+1 labels"),
+    (lambda raw: raw["digitize"]["bands"].update(boundaries=[1.5]),
+     "digitize: boundaries must lie strictly inside the rails"),
 ], ids=["text-n", "negative-n", "missing-seed", "misspelled-demographic", "text-steps",
         "zero-tau", "misspelled-noise", "groups-not-a-list", "missing-digitize-groups",
         "misspelled-filters", "text-k-half", "unknown-aggregator", "group-beyond-channels",
         "weight-count-mismatch", "overflowing-drift", "vanishing-drift", "number-demographic",
-        "minus-infinite-t0", "integer-tau-beyond-floats", "huge-noise-cv", "huge-acid-cv"])
+        "minus-infinite-t0", "integer-tau-beyond-floats", "huge-noise-cv", "huge-acid-cv",
+        "demographic-outside-the-vocabulary", "missing-section", "weights-without-weighted-sum",
+        "weights-not-one-per-group", "weight-count-mismatch-of-a-sum-group", "no-groups",
+        "aggregator-count", "empty-group", "two-channel-cascade-endpoint", "filter-count",
+        "zero-k-half", "fractional-hill-n", "rails-out-of-order", "unknown-filter-kind",
+        "descending-band-boundaries", "band-label-count", "band-boundary-beyond-the-rails"])
 def test_cmd_rejects_bad_cohort_and_digitize_sections(tmp_path, capsys, monkeypatch, edit,
                                                       message):
-    import sweatauth.pipeline
-
     raw = small_config()
     edit(raw)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
-    monkeypatch.setattr(sweatauth.pipeline, "simulate_batch", no_integration)
+    monkeypatch.setattr(pipeline, "mimic_cohort", no_integration)
+    monkeypatch.setattr(pipeline, "simulate_batch", no_integration)
     assert run_cli("pipeline", "--config", str(path), "--out", str(tmp_path / "p")) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
 
@@ -1095,12 +1183,20 @@ def test_cmd_roc_configured_group_without_members_exit_code(tmp_path, capsys, mo
      "configuration error: auth.accept_thr: -10 must be > auth.reject_thr = -9"),
     ("pipeline", lambda raw: raw["auth"].pop("accept_thr") and raw["auth"].update(reject_thr=3),
      2, "configuration error: auth.accept_thr: 3.0 must be > auth.reject_thr = 3"),
+    # DeLong needs 2 accumulated scores per class, one per member in group mode
+    ("roc", lambda raw: raw["cohort"]["groups"][0].update(n=1), 3,
+     "insufficient data: groups 'female'/'male' need at least 2 members each: DeLong needs 2 "
+     "accumulated scores per class"),
+    ("enroll", lambda raw: raw.pop("auth"), 2,
+     "configuration error: experiment config missing section 'auth'"),
 ], ids=["identity-of-one", "enroll-window-beyond-schedule", "verify-window-beyond-schedule",
-        "verify-thresholds-out-of-order", "default-accept-at-reject"])
+        "verify-thresholds-out-of-order", "default-accept-at-reject", "group-of-one",
+        "enroll-without-auth"])
 def test_cmd_checks_auth_rules_before_integration(tmp_path, capsys, monkeypatch, command, edit,
                                                   code, message):
     raw = small_config()
     edit(raw)
+    monkeypatch.setattr(pipeline, "mimic_cohort", no_integration)
     monkeypatch.setattr(pipeline, "simulate_batch", no_integration)
     assert run_cli(command, "--config", json_file(tmp_path / "cfg.json", raw),
                    "--out", str(tmp_path / "a")) == code
@@ -1183,6 +1279,34 @@ def test_cmd_verify_rejects_repeated_user_ids(tmp_path, capsys, monkeypatch):
                    "--out", str(tmp_path / "v"), "--templates", str(tpath)) == 2
     assert capsys.readouterr().err == (f"configuration error: {tpath}[1].user_id: "
                                        "'female-000' repeats entry [0]\n")
+
+
+# The refusals that no table above reaches, each of a value given on the command line.
+# With the tables above, every ConfigurationError and InsufficientDataError that a
+# config or a --templates file can raise comes before any sampling or integration. The
+# two that depend on the sampled values, a negative Hill filter input and an output
+# outside the band rails, come after it (test_cmd_rejects_bad_digitize_section).
+@pytest.mark.parametrize("argv, message", [
+    (["cohort", "--config", "builtin:sex-separation", "--seed-override", "-1"],
+     "--seed-override: must be finite and >= 0, got -1"),
+    (["roc", "--config", "builtin:sex-separatoin"],
+     "unknown builtin experiment 'sex-separatoin'; available: ['identity', 'sex-separation', "
+     "'sex-separation-null']"),
+], ids=["negative-seed-override", "unknown-builtin"])
+def test_cmd_refuses_command_line_values_before_any_work(tmp_path, capsys, monkeypatch, argv,
+                                                         message):
+    out = tmp_path / "out"
+    monkeypatch.setattr(pipeline, "mimic_cohort", no_integration)
+    monkeypatch.setattr(pipeline, "simulate_batch", no_integration)
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+def test_plan_member_ids_are_the_sampled_ids(small_result):
+    plan = small_result.plan
+    assert [p.id for p in small_result.profiles] == [m for *_, ids in plan.groups for m in ids]
+    assert small_result.group_of == [g["name"] for g, _, ids in plan.groups for _ in ids]
 
 
 def test_omitted_series_seed_records_the_seed_it_samples_with(tmp_path):

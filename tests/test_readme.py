@@ -11,5 +11,5 @@ def test_library_use_block_runs():
     namespace = {}
     exec(compile(code, f"{README.name} (Library use)", "exec"), namespace)
     result = namespace["result"]
-    assert result.outputs.shape[:2] == (len(result.profiles), result.schedule.steps)
+    assert result.outputs.shape[:2] == (len(result.profiles), result.plan.schedule.steps)
     assert 0.0 <= namespace["y"] <= 1.0

@@ -44,7 +44,7 @@ def test_absorbance_scale_keeps_its_bits(params, altldh, altldh_trace):
     cfg = builtin_optics("NADH", params)
     want = cfg.epsilon * cfg.path_length * UM_TO_M * altldh_trace.column("NADH")
     assert absorbance(altldh_trace, cfg).values.tobytes() == want.tobytes()
-    assert readout(altldh, {}, params) == ("NADH", cfg.scale)
+    assert readout(altldh, {"transduction": "absorbance"}, params) == ("NADH", cfg.scale)
 
 
 # step index each rate readout follows, per catalogued cascade (None: no such step)
