@@ -24,8 +24,21 @@ def write_csv(path, header, rows, config_hash: str = "") -> None:
     scalars.
     """
     with open(path, "w", newline="") as fh:
-        if config_hash:
-            fh.write(f"# config_hash={config_hash}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        _csv_head(fh, header, config_hash).writerows(rows)
+
+
+def write_csv_lines(path, header, lines, config_hash: str = "") -> None:
+    """As write_csv, for rows already formatted as lines ending in ``\\n``: for rows
+    of Python floats, ``"%r,%r\\n" % row`` is what write_csv writes."""
+    with open(path, "w", newline="") as fh:
+        _csv_head(fh, header, config_hash)
+        fh.writelines(lines)
+
+
+def _csv_head(fh, header, config_hash: str):
+    """Write the hash line (when given) and the header; return the file's CSV writer."""
+    if config_hash:
+        fh.write(f"# config_hash={config_hash}\n")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    return writer

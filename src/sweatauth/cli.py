@@ -19,7 +19,7 @@ from . import metrics, pipeline
 from ._artifacts import write_json
 from .auth import (VerifyPolicy, append_audit, calibrate_drift_offset, load_templates,
                    save_templates, score_step, verify_series)
-from .config import SUMMARY, _read_json, load_experiment
+from .config import SUMMARY, _read_json, load_experiment, with_defaults
 from .errors import ConfigurationError, InsufficientDataError, IntegrationError
 
 EXIT_OK = 0
@@ -128,7 +128,8 @@ def cmd_report(args) -> int:
         for name in sorted(files):
             if name == "summary.json":
                 path = os.path.join(root, name)
-                found.append({"path": path, "summary": _read_json(path, SUMMARY)})
+                found.append({"path": path,
+                              "summary": with_defaults(SUMMARY, _read_json(path, SUMMARY))})
     if not found:
         raise InsufficientDataError(f"no summary.json files under {args.out}")
     report = {"n_experiments": len(found), "experiments": found}
@@ -136,7 +137,7 @@ def cmd_report(args) -> int:
     write_json(path, report)
     for item in found:
         s = item["summary"]
-        print(f"{s.get('experiment', '?')}: mode={s.get('mode')} "
+        print(f"{s.get('experiment', '?')}: mode={s['mode']} "
               f"k1 AUC={s['k1']['auc']:.4f} EER={s['k1']['eer']:.4f}")
     print(f"wrote {path}")
     return EXIT_OK

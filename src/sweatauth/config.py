@@ -38,7 +38,7 @@ MAX_STEPS = 1_000_000
 MAX_ROWS = 1_000_000
 # Largest impostor score array of identity mode, n * (n - 1) * auth.accumulate_k
 # floats: 30 times the 1.6 million of an n = 400 identity cohort. A roc run holds
-# about 40 bytes per score (its n = 400 peak is 100 MB), so this is about 2 GB,
+# about 27 bytes per score (its n = 400 peak is 79 MB), so this is about 1.4 GB,
 # and its score_step calls take about 8 minutes at 9 us each.
 MAX_SCORES = 50_000_000
 # Largest factor by which cohort.noise.drift_rate may scale a sample over the

@@ -98,12 +98,18 @@ class GroupingSpec:
         return len(self.groups)
 
     def check_fits(self, n_channels: int, filters) -> None:
-        """Each group indexes some of n_channels channels, and each has one filter."""
+        """Each group indexes some of n_channels channels and has one filter, and a
+        Hill-filtered weighted sum has no negative weight: the pipeline's features are
+        never negative, so only a weight could feed the filter a negative input."""
         if len(filters) != self.n_outputs:
             raise ConfigurationError("one filter per group required")
-        for gi, idxs in enumerate(self.groups):
+        for gi, (idxs, agg, p) in enumerate(zip(self.groups, self.aggregators, filters)):
             if max(idxs) >= n_channels or min(idxs) < 0:
                 raise ConfigurationError(f"group {gi} indexes beyond the {n_channels} channels")
+            low = min(self.weights[gi]) if agg == "weighted-sum" and self.weights else 0.0
+            if p.kind == "hill" and low < 0:
+                raise ConfigurationError(
+                    f"group {gi}: a Hill filter needs weights >= 0, got {low!r}")
 
 
 @dataclass

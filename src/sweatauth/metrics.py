@@ -8,9 +8,13 @@ the trapezoid area under the ROC equals the pairwise statistic exactly.
 Each class is sorted once; `searchsorted` counts the other class below and
 tied with every score (Sun & Xu 2014), O(n log n) with no pair matrix. Count
 sums are exact multiples of 0.5: results equal the pairwise ones bit for bit.
-Counts, curve checks, the EER search and CSV rows go a slice of SLICE scores
-or points at a time, so no temporary beyond one sorted class grows with the
-population.
+A curve holds its thresholds and a sorted copy of each class, no matrix of
+points: the thresholds are the distinct scores, sorted and compacted in place
+in one buffer, and a point's rates are counted from the sorted classes when
+they are read. Counts, curve checks, the EER search, the area and CSV rows go
+a slice of SLICE scores or points at a time: beyond the arrays it returns,
+roc_curve holds only slices, and delong_variance one float per score and one
+per genuine score.
 """
 
 from __future__ import annotations
@@ -19,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._artifacts import write_csv, write_json
+from ._artifacts import write_csv_lines, write_json
 from .errors import InsufficientDataError
 
-# scores or curve points handled at a time (write_roc_csv's Python floats: about 0.4 MB)
+# scores or curve points handled at a time (write_roc_csv's rows: about 0.5 MB)
 SLICE = 4096
 
 
@@ -44,29 +48,46 @@ class ScoredPopulation:
 
 @dataclass
 class RocCurve:
-    points: np.ndarray       # [K, 2] of (FPR, TPR), sweep from strict to lax
-    thresholds: np.ndarray   # threshold yielding each point (leading +inf)
+    """Threshold sweep from strict to lax. At each threshold a class's rate is the
+    share of its scores not below it: FPR of the impostors, TPR of the genuine."""
+    thresholds: np.ndarray   # strictly descending, leading +inf
+    genuine: np.ndarray      # each class sorted ascending
+    impostor: np.ndarray
 
     def __post_init__(self):
-        p = self.points
-        for seg in _overlapping(p):
-            if np.any(seg < -1e-12) or np.any(seg > 1 + 1e-12):
-                raise ValueError("ROC rates must lie in [0, 1]")
-        for seg in _overlapping(p):
-            if np.any(np.diff(seg, axis=0) < -1e-12):
-                raise ValueError("ROC sweep must be monotone")
-        if not (np.allclose(p[0], (0.0, 0.0)) and np.allclose(p[-1], (1.0, 1.0))):
+        # with both classes ascending and the thresholds descending, every rate lies
+        # in [0, 1] and the sweep is monotone; the checks cover every score and point
+        for name in ("genuine", "impostor"):
+            if any(np.any(seg[1:] < seg[:-1]) for seg in _slices(getattr(self, name), 1)):
+                raise ValueError(f"ROC {name} scores must be sorted ascending")
+        if any(np.any(seg[1:] >= seg[:-1]) for seg in _slices(self.thresholds, 1)):
+            raise ValueError("ROC thresholds must descend")
+        ends = self.thresholds[[0, -1]]  # each rate runs from 0 to 1
+        if not all(np.allclose(_accepted(s, ends), (0.0, 1.0))
+                   for s in (self.impostor, self.genuine)):
             raise ValueError("ROC must run from (0,0) to (1,1)")
 
+    @property
+    def points(self) -> np.ndarray:
+        """[K, 2] of (FPR, TPR), one per threshold, built on each access."""
+        t = self.thresholds
+        return np.column_stack([_accepted(self.impostor, t), _accepted(self.genuine, t)])
+
+    def sweep(self, overlap: int = 0):
+        """(thresholds, FPR, TPR) a slice of SLICE points at a time, each slice also
+        holding the first `overlap` points of the next."""
+        for t in _slices(self.thresholds, overlap):
+            yield t, _accepted(self.impostor, t), _accepted(self.genuine, t)
+
     def trapezoid_area(self) -> float:
-        return float(np.trapezoid(self.points[:, 1], self.points[:, 0]))
+        return float(sum(np.trapezoid(tpr, far) for _, far, tpr in self.sweep(1)))
 
     def eer(self) -> float:
         """Rate where FAR equals FRR, linearly interpolated along the sweep."""
         # sweep starts at (FAR 0, FRR 1) and ends at (FAR 1, FRR 0): diff crosses 0
-        for seg in _overlapping(self.points):
-            far = seg[:, 0]
-            diff = (1.0 - seg[:, 1]) - far  # FRR - FAR
+        for _, far, tpr in self.sweep(1):
+            diff = 1.0 - tpr
+            diff -= far  # FRR - FAR
             crossing = np.flatnonzero((diff[:-1] >= 0.0) & (diff[1:] <= 0.0))
             if crossing.size:
                 k = crossing[0]
@@ -76,10 +97,17 @@ class RocCurve:
         raise ValueError("ROC sweep never crosses FAR = FRR")
 
 
-def _overlapping(rows: np.ndarray):
-    """Slices of SLICE + 1 rows, each starting on the last row of the one before."""
-    for lo in range(0, max(len(rows) - 1, 1), SLICE):
-        yield rows[lo:lo + SLICE + 1]
+def _slices(a: np.ndarray, overlap: int = 0):
+    """a in slices of SLICE, each also holding the first `overlap` items of the next."""
+    for lo in range(0, max(len(a) - overlap, 1), SLICE):
+        yield a[lo:lo + SLICE + overlap]
+
+
+def _accepted(ascending: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Per threshold, the share of the scores not strictly below it."""
+    counts = np.searchsorted(ascending, thresholds, "left")
+    np.subtract(ascending.size, counts, out=counts)
+    return counts / ascending.size
 
 
 def _below(ref_sorted: np.ndarray, probes: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -94,19 +122,21 @@ def _below(ref_sorted: np.ndarray, probes: np.ndarray, out: np.ndarray) -> np.nd
 def roc_curve(pop: ScoredPopulation) -> RocCurve:
     """Threshold sweep over all distinct scores, ties crossing together."""
     pop.require(1)
-    distinct = np.unique(np.concatenate([pop.genuine, pop.impostor]))
-    thresholds = np.empty(distinct.size + 1)
-    thresholds[0], thresholds[1:] = np.inf, distinct[::-1]
-    del distinct  # before points: one full-size temporary at a time
-    points = np.zeros((thresholds.size, 2))
-    for col, scores in ((0, pop.impostor), (1, pop.genuine)):
-        s = np.sort(scores)
-        for lo in range(1, thresholds.size, SLICE):
-            # rate accepted at each threshold: the scores not strictly below it
-            below = np.searchsorted(s, thresholds[lo:lo + SLICE], "left")
-            points[lo:lo + SLICE, col] = (s.size - below) / s.size
-        del s  # before the other class is sorted
-    return RocCurve(points=points, thresholds=thresholds)
+    buf = np.concatenate([pop.genuine, pop.impostor, [np.inf]])
+    scores = buf[:-1]
+    scores.sort()  # np.unique's sort, so a tied -0.0 and 0.0 keep the same one
+    k = 0  # distinct scores so far, moved down to scores[:k]
+    for lo in range(0, scores.size, SLICE):
+        seg = scores[lo:lo + SLICE]
+        new = np.empty(seg.size, dtype=bool)
+        new[0] = k == 0 or seg[0] != scores[k - 1]
+        np.not_equal(seg[1:], seg[:-1], out=new[1:])
+        kept = seg[new]
+        scores[k:k + kept.size] = kept  # k <= lo: never ahead of what is still unread
+        k += kept.size
+    buf[k] = np.inf
+    return RocCurve(thresholds=buf[k::-1], genuine=np.sort(pop.genuine),
+                    impostor=np.sort(pop.impostor))
 
 
 def auc(pop: ScoredPopulation) -> float:
@@ -136,28 +166,35 @@ def delong_variance(pop: ScoredPopulation) -> DelongResult:
     """
     pop.require(2)
     n_g, n_i = pop.genuine.size, pop.impostor.size
-    wins = _below(np.sort(pop.impostor), pop.genuine, np.empty(n_g))  # row sums of psi
+    v10 = _below(np.sort(pop.impostor), pop.genuine, np.empty(n_g))  # row sums of psi
+    point = float(v10.sum() / (n_g * n_i))
+    v10 /= n_i
     v01 = _below(np.sort(pop.genuine), pop.impostor, np.empty(n_i))
     np.subtract(n_g, v01, out=v01)  # column sums of psi
     v01 /= n_g
-    v10 = wins / n_i
-    point = float(wins.sum() / (n_g * n_i))
-    var = float(np.var(v10, ddof=1) / v10.size + np.var(v01, ddof=1) / v01.size)
+    var = float(_sample_var(v10) / n_g + _sample_var(v01) / n_i)
     half = 1.96 * np.sqrt(var)
     lo, hi = point - half, point + half
     return DelongResult(auc=point, variance=var,
                         ci=(max(lo, 0.0), min(hi, 1.0)), ci_unclipped=(lo, hi))
 
 
+def _sample_var(x: np.ndarray):
+    """np.var(x, ddof=1) in x's own memory, which it overwrites: np.var's operations
+    in np.var's order, so the same bits without a copy of x."""
+    x -= x.sum() / x.size
+    np.multiply(x, x, out=x)
+    return x.sum() / (x.size - 1)
+
+
 def write_roc_csv(path, curve: RocCurve, config_hash: str = "") -> None:
     """One row per curve point, converted to Python floats a slice at a time."""
-    def rows():
-        for lo in range(0, curve.thresholds.size, SLICE):
-            hi = lo + SLICE
-            yield from zip(curve.thresholds[lo:hi].tolist(), curve.points[lo:hi, 0].tolist(),
-                           curve.points[lo:hi, 1].tolist())
+    def lines():
+        for ts, fs, ps in curve.sweep():
+            for t, f, p in zip(ts.tolist(), fs.tolist(), ps.tolist()):
+                yield f"{t!r},{f!r},{p!r}\n"
 
-    write_csv(path, ["threshold", "fpr", "tpr"], rows(), config_hash)
+    write_csv_lines(path, ["threshold", "fpr", "tpr"], lines(), config_hash)
 
 
 def write_summary_json(path, payload: dict) -> None:

@@ -314,10 +314,22 @@ def test_consolidate_with_bands():
 
 
 def test_consolidate_negative_hill_input_names_group():
+    # a library caller's features may be negative, unlike the pipeline's
+    grouping = GroupingSpec(groups=[[0], [0, 1]], aggregators=["sum", "sum"])
+    with pytest.raises(ConfigurationError, match=r"^group 1: Hill filter input must be >= 0"):
+        consolidate(grouping, [[3.0, 1.0], [1.0, -3.0]], [UNIT, UNIT])
+
+
+def test_negative_weight_refused_only_before_a_hill_filter():
     grouping = GroupingSpec(groups=[[0], [0, 1]], aggregators=["sum", "weighted-sum"],
                             weights=[[1.0], [1.0, -1.0]])
-    with pytest.raises(ConfigurationError, match=r"^group 1: Hill filter input must be >= 0"):
-        consolidate(grouping, [[3.0, 1.0], [1.0, 3.0]], [UNIT, UNIT])
+    with pytest.raises(ConfigurationError,
+                       match=r"^group 1: a Hill filter needs weights >= 0, got -1\.0$"):
+        grouping.check_fits(2, [UNIT, UNIT])
+    passthrough = FilterParams(k_half=1.0, kind="passthrough")
+    grouping.check_fits(2, [UNIT, passthrough])
+    values, _ = consolidate(grouping, [[3.0, 1.0]], [UNIT, passthrough])
+    assert values[0, 1] == 2.0
 
 
 def test_consolidate_output_outside_band_rails_names_group():

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sweatauth.errors import InsufficientDataError
-from sweatauth.metrics import (SLICE, DelongResult, RocCurve, ScoredPopulation, auc,
+from sweatauth.metrics import (SLICE, DelongResult, RocCurve, ScoredPopulation, _sample_var, auc,
                                delong_variance, roc_curve, write_roc_csv)
 
 
@@ -26,6 +29,7 @@ def brute_force_auc(genuine, impostor):
 # verbatim so the sorted-count versions can be held to them bit for bit.
 
 def pairwise_roc_curve(pop):
+    """(points [K, 2] of (FPR, TPR), thresholds) of the former pairwise sweep."""
     thresholds = np.unique(np.concatenate([pop.genuine, pop.impostor]))[::-1]
     n_g, n_i = pop.genuine.size, pop.impostor.size
     points = [(0.0, 0.0)]
@@ -35,8 +39,7 @@ def pairwise_roc_curve(pop):
         fpr = np.count_nonzero(pop.impostor >= thr) / n_i
         points.append((fpr, tpr))
         thr_out.append(thr)
-    return RocCurve(points=np.asarray(points, dtype=float),
-                    thresholds=np.asarray(thr_out, dtype=float))
+    return np.asarray(points, dtype=float), np.asarray(thr_out, dtype=float)
 
 
 def pairwise_auc(pop):
@@ -62,12 +65,12 @@ def pairwise_delong_variance(pop):
 
 
 def loop_eer(pop):
-    return loop_curve_eer(pairwise_roc_curve(pop))
+    return loop_curve_eer(pairwise_roc_curve(pop)[0])
 
 
-def loop_curve_eer(curve):
-    far = curve.points[:, 0]
-    frr = 1.0 - curve.points[:, 1]
+def loop_curve_eer(points):
+    far = points[:, 0]
+    frr = 1.0 - points[:, 1]
     diff = frr - far
     for k in range(len(diff) - 1):
         if diff[k] >= 0.0 and diff[k + 1] <= 0.0:
@@ -88,11 +91,11 @@ def per_row_roc_csv(path, curve, config_hash=""):
 
 def assert_matches_oracles(genuine, impostor):
     pop = ScoredPopulation(genuine, impostor)
-    curve, want = roc_curve(pop), pairwise_roc_curve(pop)
-    assert np.array_equal(curve.points, want.points)
-    assert np.array_equal(curve.thresholds, want.thresholds)
-    assert curve.points.tobytes() == want.points.tobytes()
-    assert curve.thresholds.tobytes() == want.thresholds.tobytes()
+    curve, (points, thresholds) = roc_curve(pop), pairwise_roc_curve(pop)
+    assert np.array_equal(curve.points, points)
+    assert np.array_equal(curve.thresholds, thresholds)
+    assert curve.points.tobytes() == points.tobytes()
+    assert curve.thresholds.tobytes() == thresholds.tobytes()
     assert auc(pop) == pairwise_auc(pop)
     assert curve.eer() == loop_eer(pop)
     if min(pop.genuine.size, pop.impostor.size) >= 2:
@@ -153,52 +156,58 @@ def test_sorted_counts_match_pairwise_oracles_at_slice_boundaries(n, count, big)
         assert len(roc_curve(ScoredPopulation(genuine, impostor)).points) == max(n, 2)
 
 
-def sweep(n_points, row, exact):
-    """Curve of n_points on FAR = TPR whose FRR - FAR first reaches 0 at row,
-    or first changes sign between row - 1 and row."""
-    x = np.empty(n_points)
-    x[:row + 1] = np.arange(row + 1) * ((0.5 if exact else 0.5 + 2**-20) / row)
-    x[row + 1:] = 0.5 + 0.5 * np.arange(1, n_points - row) / (n_points - row - 1)
-    return RocCurve(points=np.column_stack([x, x]), thresholds=np.arange(n_points, 0.0, -1))
+def ladder(n_scores):
+    """Curve of n_scores + 1 points on FAR = TPR: both classes hold the scores
+    1 .. n_scores, so the point at row k is (k / n_scores, k / n_scores)."""
+    scores = np.arange(1.0, n_scores + 1)
+    return RocCurve(thresholds=np.concatenate([[np.inf], scores[::-1]]),
+                    genuine=scores.copy(), impostor=scores.copy())
 
 
 @pytest.mark.parametrize("row", [SLICE - 1, SLICE, SLICE + 1, 2 * SLICE])
 @pytest.mark.parametrize("exact", [True, False], ids=["on-a-point", "between-points"])
 def test_eer_crossing_at_a_slice_boundary_matches_the_full_sweep(row, exact):
-    curve = sweep(3 * SLICE + 5, row, exact)
-    diff = 1.0 - 2.0 * curve.points[:, 0]
+    # FRR - FAR = 1 - 2k / n_scores first reaches 0 at row, or first changes
+    # sign between row - 1 and row
+    curve = ladder(2 * row if exact else 2 * row - 1)
+    points = curve.points
+    diff = 1.0 - 2.0 * points[:, 0]
     assert diff[row - 1] > 0.0 and (diff[row] == 0.0) == exact and diff[row] <= 0.0
-    assert curve.eer() == loop_curve_eer(curve)
+    assert curve.eer() == loop_curve_eer(points)
 
 
 @pytest.mark.parametrize("row", [2, SLICE - 1, SLICE, SLICE + 1, 3 * SLICE + 4])
 def test_roc_curve_checks_every_row_across_slices(row):
-    points = sweep(3 * SLICE + 5, SLICE, True).points
-    above = points.copy()
-    above[row, 1] = 1.5
-    with pytest.raises(ValueError, match=r"ROC rates must lie in \[0, 1\]"):
-        RocCurve(points=above, thresholds=np.zeros(len(points)))
-    falling = points.copy()
-    falling[row, 0] = points[row - 1, 0] - 1e-6  # one step back, against row - 1
-    with pytest.raises(ValueError, match="ROC sweep must be monotone"):
-        RocCurve(points=falling, thresholds=np.zeros(len(points)))
+    good = ladder(3 * SLICE + 4)  # 3 * SLICE + 5 points
+    thresholds = good.thresholds.copy()
+    thresholds[row] = thresholds[row - 1]  # one threshold that does not descend
+    with pytest.raises(ValueError, match="ROC thresholds must descend"):
+        RocCurve(thresholds=thresholds, genuine=good.genuine, impostor=good.impostor)
+    for name in ("genuine", "impostor"):
+        scores = good.genuine.copy()
+        scores[row - 1] = scores[row - 2] - 0.5  # one step back, against row - 2
+        with pytest.raises(ValueError, match=f"ROC {name} scores must be sorted ascending"):
+            RocCurve(**{"thresholds": good.thresholds, "genuine": good.genuine,
+                        "impostor": good.impostor, name: scores})
 
 
 def test_identity_cohort_shape_fits_in_bounded_memory():
     # 1,000 genuine x 99,000 impostor scores (identity at n = 100): the pair
     # matrix alone would be 99e6 float64 values, about 0.8 GB. Beyond the
-    # arrays it returns, a call holds at most two arrays of one float per
-    # score (delong_variance: the column counts and np.var's deviations) or
-    # one (roc_curve: a sorted class), plus slices.
+    # arrays it returns (the thresholds, in one buffer of one float per score,
+    # and a sorted copy of each class), roc_curve holds only slices.
+    # delong_variance holds one float per score (the column counts, or a sorted
+    # class) and one per genuine score (the row counts), plus slices.
     rng = np.random.default_rng(100)
     pop = ScoredPopulation(rng.normal(1, 1, 1_000), rng.normal(0, 1, 99_000))
     roc_curve(pop).eer(), delong_variance(pop)  # the first calls import lazily
-    per_score, margin = 8 * 100_000, 2**18
+    per_score, per_genuine, margin = 8 * 100_000, 8 * 1_000, 2**18
     curve = roc_curve(pop)
-    returned = curve.points.nbytes + curve.thresholds.nbytes
+    returned = (curve.thresholds.base.nbytes + curve.genuine.nbytes + curve.impostor.nbytes)
+    assert returned <= 2 * per_score + 8
     for name, call, bound in [
-            ("delong_variance", lambda: delong_variance(pop), 2 * per_score + margin),
-            ("roc_curve", lambda: roc_curve(pop), returned + per_score + margin),
+            ("delong_variance", lambda: delong_variance(pop), per_score + per_genuine + margin),
+            ("roc_curve", lambda: roc_curve(pop), returned + margin),
             ("RocCurve.eer", curve.eer, margin)]:
         tracemalloc.start()
         try:
@@ -425,9 +434,61 @@ def test_roc_csv_write_memory_does_not_grow_with_the_curve(tmp_path):
 
 
 def test_roc_curve_validation():
-    with pytest.raises(ValueError):
-        RocCurve(points=np.array([[0.0, 0.0], [0.5, 1.2], [1.0, 1.0]]),
-                 thresholds=np.array([np.inf, 1.0, 0.0]))
-    with pytest.raises(ValueError):
-        RocCurve(points=np.array([[0.0, 0.0], [0.5, 0.4], [0.4, 1.0]]),
-                 thresholds=np.array([np.inf, 1.0, 0.0]))
+    scores = np.array([0.0, 1.0])
+    with pytest.raises(ValueError, match="ROC genuine scores must be sorted ascending"):
+        RocCurve(thresholds=np.array([np.inf, 1.0, 0.0]), genuine=scores[::-1], impostor=scores)
+    with pytest.raises(ValueError, match="ROC thresholds must descend"):
+        RocCurve(thresholds=np.array([np.inf, 0.0, 1.0]), genuine=scores, impostor=scores)
+    # a sweep that starts below the top score or ends above the bottom one
+    with pytest.raises(ValueError, match=r"ROC must run from \(0,0\) to \(1,1\)"):
+        RocCurve(thresholds=np.array([1.0, 0.0]), genuine=scores, impostor=scores)
+    with pytest.raises(ValueError, match=r"ROC must run from \(0,0\) to \(1,1\)"):
+        RocCurve(thresholds=np.array([np.inf, 1.0]), genuine=scores, impostor=scores)
+
+
+def buffer_cases():
+    """Scores whose sorted buffer has the named shape, in shuffled order."""
+    return {
+        "distinct": lambda n: np.arange(n + 1) / 8.0 - 1.0,
+        "all-tied": lambda n: np.full(n + 1, 3.0),
+        # runs of three equal scores: one spans each slice boundary of a long buffer
+        "runs-across-slices": lambda n: (np.arange(n + 1) // 3) / 8.0,
+        "signed-zeros": lambda n: np.resize([-0.0, 0.0, 1.0, -0.0, -1.0, 0.0], n + 1),
+    }
+
+
+@pytest.mark.parametrize("n", [1, SLICE - 1, SLICE, SLICE + 1, 3 * SLICE + 5])
+@pytest.mark.parametrize("case", sorted(buffer_cases()))
+def test_threshold_buffer_matches_np_unique_bit_for_bit(tmp_path, n, case):
+    # n genuine and one impostor score: the buffer sorts and compacts n + 1
+    scores = np.random.default_rng(n).permutation(buffer_cases()[case](n))
+    pop = ScoredPopulation(scores[:n], scores[n:])
+    curve = roc_curve(pop)
+    want = np.concatenate([[np.inf], np.unique(np.concatenate([pop.genuine, pop.impostor]))[::-1]])
+    assert curve.thresholds.tobytes() == want.tobytes()
+    if case == "signed-zeros" and n > 1:
+        assert {repr(x) for x in scores.tolist()} >= {"-0.0", "0.0"}
+    write_roc_csv(tmp_path / "new.csv", curve, config_hash="beef")
+    per_row_roc_csv(tmp_path / "old.csv", curve, config_hash="beef")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_roc_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma on its first call, about 1.6 MB and 15-21 ms
+    code = ("import sys; import numpy as np; from sweatauth.metrics import *\n"
+            "pop = ScoredPopulation(np.arange(50.0) % 7, np.arange(30.0) % 5)\n"
+            "curve = roc_curve(pop); curve.eer(); write_roc_csv(sys.argv[1], curve)\n"
+            "print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "roc.csv")],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 127, 128, 129, 1_000, 99_000])
+def test_sample_variance_in_place_matches_np_var(n):
+    rng = np.random.default_rng(n)
+    for x in (rng.normal(0.3, 2.0, n), rng.integers(0, 5, n) / 7.0):
+        want = np.var(x, ddof=1)
+        got = _sample_var(x.copy())
+        assert type(got) is type(want) and got == want

@@ -885,11 +885,9 @@ def test_cmd_empty_cohort_exit_code(tmp_path, capsys, monkeypatch, command):
 
 
 @pytest.mark.parametrize("digitize, message", [
-    ({"aggregators": ["weighted-sum"], "weights": [[-1.0]]},
-     "configuration error: group 0: Hill filter input must be >= 0, got -"),
     ({"filters": [{"k_half": 11.0, "kind": "passthrough"}]},
      "configuration error: group 0: value "),
-], ids=["negative-weight-into-hill", "passthrough-outside-band-rails"])
+], ids=["passthrough-outside-band-rails"])
 def test_cmd_rejects_bad_digitize_section(tmp_path, capsys, digitize, message):
     raw = small_config()
     raw["digitize"].update(digitize)
@@ -988,6 +986,21 @@ def test_cmd_report_aggregates(tmp_path):
     assert run_cli("report", "--out", str(tmp_path)) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["n_experiments"] == 1
+
+
+@pytest.mark.parametrize("summary, line", [
+    ({"k1": {"auc": 0.5, "eer": 0.5}}, "?: mode=group k1 AUC=0.5000 EER=0.5000"),
+    ({"experiment": "e", "mode": "identity", "k1": {"auc": 0.75, "eer": 0.25}},
+     "e: mode=identity k1 AUC=0.7500 EER=0.2500"),
+], ids=["default-mode", "identity-mode"])
+def test_cmd_report_reads_summaries_with_their_defaults(tmp_path, capsys, summary, line):
+    path = tmp_path / "exp" / "summary.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(summary))
+    assert run_cli("report", "--out", str(tmp_path)) == 0
+    assert capsys.readouterr().out == f"{line}\nwrote {tmp_path / 'report.json'}\n"
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["experiments"][0]["summary"]["mode"] == summary.get("mode", "group")
 
 
 def test_report_without_summaries(tmp_path):
@@ -1101,6 +1114,9 @@ def no_integration(*args, **kwargs):
      "digitize: need exactly len(boundaries)+1 labels"),
     (lambda raw: raw["digitize"]["bands"].update(boundaries=[1.5]),
      "digitize: boundaries must lie strictly inside the rails"),
+    # features are never negative: only a weight can feed a Hill filter a negative input
+    (lambda raw: raw["digitize"].update(aggregators=["weighted-sum"], weights=[[-1.0]]),
+     "digitize: group 0: a Hill filter needs weights >= 0, got -1.0"),
 ], ids=["text-n", "negative-n", "missing-seed", "misspelled-demographic", "text-steps",
         "zero-tau", "misspelled-noise", "groups-not-a-list", "missing-digitize-groups",
         "misspelled-filters", "text-k-half", "unknown-aggregator", "group-beyond-channels",
@@ -1110,7 +1126,8 @@ def no_integration(*args, **kwargs):
         "weights-not-one-per-group", "weight-count-mismatch-of-a-sum-group", "no-groups",
         "aggregator-count", "empty-group", "two-channel-cascade-endpoint", "filter-count",
         "zero-k-half", "fractional-hill-n", "rails-out-of-order", "unknown-filter-kind",
-        "descending-band-boundaries", "band-label-count", "band-boundary-beyond-the-rails"])
+        "descending-band-boundaries", "band-label-count", "band-boundary-beyond-the-rails",
+        "negative-weight-into-hill"])
 def test_cmd_rejects_bad_cohort_and_digitize_sections(tmp_path, capsys, monkeypatch, edit,
                                                       message):
     raw = small_config()
