@@ -3,8 +3,8 @@
 One set of step rules with two entry points: ``rk4_trace`` records
 every grid point of a single simulation, and ``rk4_batch`` advances many
 simulations of one or more independent networks at once, keeping each
-observed signal (a species or a reaction rate) as its endpoints and running
-sums.
+observed signal (a species or a reaction rate) as its endpoints and, for a
+slope, its running sums.
 
 State advance semantics:
 
@@ -18,7 +18,9 @@ Networks are passed as flat arrays (see ``kinetics.CascadeNetwork.compiled``):
 dense stoichiometry plus per-reaction vmax and substrate Michaelis
 constants. Multi-substrate saturation factors multiply.
 
-``rk4_batch`` stacks its networks into one block-diagonal network
+``rk4_batch`` integrates only the live species: each block drops from its
+own arrays the species that no step consumes and no signal reads, since they
+enter no rate. It stacks its networks into one block-diagonal network
 (``block_diagonal``), so every RK4 stage of every network is one set of
 numpy calls. It holds the state species-major, ``[n_species, B]``, so
 gathering all substrates at once (padded to ``[w, n_rxn]`` with factor 1.0)
@@ -150,20 +152,34 @@ def block_diagonal(blocks):
             np.concatenate([b[3] for b in blocks]), np.concatenate(sub_off))
 
 
-def rk4_batch(C0, blocks, n_steps, dt, signals):
+def rk4_batch(C0, blocks, n_steps, dt, signals, sums=False):
     """Integrate a batch of initial states of independent networks as one system.
 
     blocks holds each network's flat arrays; a row of C0 is the networks'
     states side by side, in block order. signals is a sequence of
     (column, rate) pairs: y is species ``column`` of the row, or with
     ``rate`` the rate of reaction ``column`` (both counted across blocks).
-    Returns (C_final, y0, y_end, sum_y, sum_ty, status, bad_step): the y
-    arrays are [B, len(signals)], status and bad_step [B, len(blocks)]; the
-    sums of y and t*y run over grid points k = 0..n_steps, or to a failed step.
+    Returns (C_final, y0, y_end, sum_y, sum_ty, status, bad_step): C_final
+    holds the live species in column order, the y arrays are [B, len(signals)],
+    status and bad_step [B, len(blocks)]; with sums, the sums of y and t*y run
+    over grid points k = 0..n_steps, or to a failed step, else they are None.
+    Dead species fail no row: one that would overflow is not integrated.
     """
-    st_dense, vmax, sub_idx, sub_km, sub_off = block_diagonal(blocks)
+    columns = np.array([int(c) for c, _ in signals], dtype=np.int64)
+    rate_at = np.array([bool(r) for _, r in signals], dtype=bool)
+    species = columns[~rate_at]
     starts = np.cumsum([0] + [b[0].shape[1] for b in blocks])
-    C = np.array(np.transpose(C0), dtype=np.float64, order="C")  # [n_species, B]
+    # a species that no step consumes enters no rate: unread, it is dead
+    used = np.zeros(starts[-1], dtype=bool)
+    used[np.concatenate([species] + [b[2] + lo for b, lo in zip(blocks, starts)])] = True
+    live = np.flatnonzero(used)
+    keep = [live[(lo <= live) & (live < hi)] - lo for lo, hi in zip(starts, starts[1:])]
+    blocks = [(st[:, k], vmax, np.searchsorted(k, idx), km, off)
+              for (st, vmax, idx, km, off), k in zip(blocks, keep)]
+    columns[~rate_at] = np.searchsorted(live, species)
+    starts = np.cumsum([0] + [len(k) for k in keep])
+    st_dense, vmax, sub_idx, sub_km, sub_off = block_diagonal(blocks)
+    C = np.array(np.transpose(C0)[live], dtype=np.float64, order="C")  # [n_live, B]
     B = C.shape[1]
     n_sub = np.diff(sub_off)
     pad = np.arange(max(int(n_sub.max(initial=0)), 1)) >= n_sub[:, None]  # [n_rxn, w]
@@ -174,13 +190,11 @@ def rk4_batch(C0, blocks, n_steps, dt, signals):
     km = np.repeat(km[..., None], B, axis=2)  # km and vmax tiled: contiguous ops
     vmax_b = np.repeat(vmax[:, None], B, axis=1)
     F, D, V = np.empty_like(km), np.empty_like(km), np.empty_like(vmax_b)
-    columns = np.array([int(c) for c, _ in signals], dtype=np.int64)
-    rate_at = np.flatnonzero([bool(r) for _, r in signals])
-    rate_cols = columns[rate_at]
 
-    def rhs(X, out):  # rates (vmax * f0) * f1 ... into V, then V.T @ st_dense
+    def rhs(X, out, clamp=True):  # rates (vmax * f0) * f1 ... into V, then V.T @ st_dense
         np.take(X, idx, axis=0, out=F, mode="clip")  # unbuffered; indices are valid
-        np.maximum(F, 0.0, out=F)
+        if clamp:  # a state clamped at the end of a step holds no negative and no -0.0
+            np.maximum(F, 0.0, out=F)
         np.divide(F, np.add(km, F, out=D), out=F)
         if padded:
             F[pad.T] = 1.0
@@ -191,23 +205,23 @@ def rk4_batch(C0, blocks, n_steps, dt, signals):
 
     def observe(X):  # the signals at state X, whose rates rhs has just put in V
         y = np.take(X, columns, axis=0, mode="clip")  # rate rows are overwritten
-        y[rate_at] = V[rate_cols]
+        y[rate_at] = V[columns[rate_at]]
         return y
 
     status = np.zeros((B, len(blocks)), dtype=np.int64)
     bad_step = np.full(status.shape, -1, dtype=np.int64)
-    k1, k2, k3, k4, X = (np.empty_like(C) for _ in range(5))
+    k1, k2, k3, k4, X = K = np.empty((5,) + C.shape)  # K[1:3], k2 and k3, double in one call
     with np.errstate(invalid="ignore", over="ignore"):
         rhs(C, k1)  # fills V with the rates at C, the first stage of every step
         y0 = observe(C)
-        y, sum_y, sum_ty = y0, y0.copy(), np.zeros_like(y0)  # t=0 adds nothing to sum_ty
+        sum_y, sum_ty = y0.copy(), np.zeros_like(y0)  # t=0 adds nothing to sum_ty
         for k in range(n_steps):
             rhs(np.add(C, np.multiply(k1, 0.5 * dt, out=X), out=X), k2)
             rhs(np.add(C, np.multiply(k2, 0.5 * dt, out=X), out=X), k3)
             rhs(np.add(C, np.multiply(k3, dt, out=X), out=X), k4)
             # C + (h/6) * (((k1 + 2 k2) + 2 k3) + k4), the order of _rk4_step
-            np.add(k1, np.multiply(k2, 2.0, out=k2), out=k1)
-            np.add(k1, np.multiply(k3, 2.0, out=k3), out=k1)
+            np.multiply(K[1:3], 2.0, out=K[1:3])
+            np.add(np.add(k1, k2, out=k1), k3, out=k1)
             np.add(C, np.multiply(np.add(k1, k4, out=k1), dt / 6.0, out=k1), out=X)
             # one check for the whole batch (a NaN fails it); only the blocks
             # in trouble are redone, each with its own arrays
@@ -220,11 +234,15 @@ def rk4_batch(C0, blocks, n_steps, dt, signals):
                     X[starts[b]:starts[b + 1], i] = c
                 if status.any():
                     bad_step[status != STATUS_OK] = k
+                    rhs(C, k1)  # the rates at C again, for y_end
                     break
             np.maximum(X, 0.0, out=X)
             C, X = X, C
-            rhs(C, k1)
-            y = observe(C)
-            sum_y += y
-            sum_ty += y * ((k + 1) * dt)
-    return C.T, y0.T, y.T, sum_y.T, sum_ty.T, status, bad_step  # [B, ...] views
+            rhs(C, k1, clamp=False)
+            if sums:
+                y = observe(C)
+                sum_y += y
+                sum_ty += y * ((k + 1) * dt)
+        y_end = observe(C)
+    sum_y, sum_ty = (sum_y.T, sum_ty.T) if sums else (None, None)
+    return C.T, y0.T, y_end.T, sum_y, sum_ty, status, bad_step  # [B, ...] views

@@ -31,9 +31,9 @@ from .transduce import REPORTER_STEPS
 # builtin cohorts, and refuses the step counts that would run for days.
 MAX_STEPS = 1_000_000
 # Largest number of batch rows of a run, cohort individuals x cohort.schedule.steps.
-# Integration holds about 1.7 KB per row for the identity channels' three cascades
-# (0.9 KB for sex-separation's one; tracemalloc peak of run_pipeline), so this is
-# about 2 GB: 170 times an n = 400 identity cohort (6,000 rows), and far below the
+# run_pipeline's tracemalloc peak is about 1.9 KB per row for the identity channels'
+# three cascades (n = 400, 6,000 rows; 1.0 KB for sex-separation's one at 5,200 rows),
+# so this is about 1.9 GB: 170 times an n = 400 identity cohort, and far below the
 # TiB that an n or a steps of 10**12 would ask for before failing.
 MAX_ROWS = 1_000_000
 # Largest impostor score array of identity mode, n * (n - 1) * auth.accumulate_k

@@ -15,7 +15,7 @@ preserves.
 ``simulate_batch`` integrates a batch of rows of one network, or of a
 ``CascadeUnion`` of networks side by side as one block-diagonal system, and
 keeps each observed signal (a block's species or a step's rate) as its
-endpoints and the sums its least-squares slope needs.
+endpoints and, when asked for, the sums its least-squares slope needs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
@@ -353,15 +352,16 @@ class BatchResult:
 
     Each of the m observed signals y is a species concentration or one
     reaction's rate; per row and signal ([B, m] arrays) it keeps the values
-    at t = 0 and at the horizon and the sums over all grid points, enough
-    to recover the least-squares slope.
+    at t = 0 and at the horizon and, if integrated with sums, the sums over
+    all grid points that the least-squares slope needs (else None). c_final
+    holds the live species: each block's substrates and observed species.
     """
 
     c_final: np.ndarray
     y0: np.ndarray
     y_end: np.ndarray
-    sum_y: np.ndarray
-    sum_ty: np.ndarray
+    sum_y: np.ndarray | None
+    sum_ty: np.ndarray | None
     n_steps: int
     dt: float
 
@@ -370,6 +370,8 @@ class BatchResult:
 
     def slope(self) -> np.ndarray:
         """Least-squares slope of y(t) over the full grid, per simulation and signal."""
+        if self.sum_y is None:
+            raise ValueError("slope needs the running sums: integrate with sums=True")
         t_mean = 0.5 * self.dt * self.n_steps
         # sum of t_k^2 over k = 0..n_steps, closed form
         sum_t2 = self.dt ** 2 * self.n_steps * (self.n_steps + 1) * (2 * self.n_steps + 1) / 6.0
@@ -378,7 +380,7 @@ class BatchResult:
 
 
 def simulate_batch(network, init_matrix: np.ndarray, horizon: float, dt: float,
-                   signals=None) -> BatchResult:
+                   signals=None, sums=False) -> BatchResult:
     """Integrate many initial states of a network, summaries only.
 
     network is a CascadeUnion, or a CascadeNetwork as a one-block union.
@@ -386,9 +388,9 @@ def simulate_batch(network, init_matrix: np.ndarray, horizon: float, dt: float,
     block order (use each block's init_vector to build them). signals lists
     (block, signal) pairs: the species whose concentration is observed, or
     the index of the step whose rate is (default: each block's first
-    reporter species). Integration stops at the first step in which a row
-    fails; the IntegrationError raised names that step, the lowest-index row
-    failing in it and that row's first failing cascade.
+    reporter species); sums keeps what ``BatchResult.slope`` reads. Integration
+    stops at the first step in which a row fails; the IntegrationError names
+    that step, the lowest-index row failing in it and that row's first failing cascade.
     """
     union = network if isinstance(network, CascadeUnion) else CascadeUnion([network])
     n_steps = step_count(horizon, dt)
@@ -397,7 +399,7 @@ def simulate_batch(network, init_matrix: np.ndarray, horizon: float, dt: float,
     columns = [union.column(b, signal) for b, signal in signals]
     C0 = np.ascontiguousarray(init_matrix, dtype=np.float64)
     c_final, y0, y_end, sum_y, sum_ty, status, bad = _kernels.rk4_batch(
-        C0, [net.compiled() for net in union.blocks], n_steps, dt, columns)
+        C0, [net.compiled() for net in union.blocks], n_steps, dt, columns, sums)
     for i, b in zip(*np.nonzero(status)):
         _raise_on_status(int(status[i, b]), int(bad[i, b]), sim=int(i),
                          cascade=union.blocks[b].kind.value)
@@ -422,6 +424,7 @@ def conserved_moieties(network: CascadeNetwork) -> list:
     is constant along any exact trajectory. Computed by exact reduced
     row echelon form over rationals, scaled to integer entries.
     """
+    from fractions import Fraction  # here, so that no command imports fractions and decimal
     M = network.effective_stoichiometry.T  # [n_rxn, n_species]
     n_rxn, n_sp = M.shape
     rows = [[Fraction(x).limit_denominator(10 ** 9) for x in M[i]] for i in range(n_rxn)]

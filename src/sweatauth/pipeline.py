@@ -4,8 +4,8 @@ The hot loop is the batched cascade integration: every (individual, time
 step) pair of an experiment becomes one row of one batch for the whole run.
 Each distinct (cascade, inputs) pair of the configured channels is one block
 of a ``CascadeUnion``, and the batch observes one signal per channel
-(``transduce.readout``); gate-time features come from its endpoints or slope
-sums, without full traces.
+(``transduce.readout``); gate-time features come from its endpoints or, when
+some channel reads a slope, its slope sums, without full traces.
 """
 
 from __future__ import annotations
@@ -82,7 +82,8 @@ def integrate_channels(channels: list, X_flat: np.ndarray, t_g: float, dt: float
         for acid in ch.inputs:
             C0[:, lo + ch.network.index(acid)] = X_flat[:, ACID_INDEX[acid]]
     return simulate_batch(union, C0, t_g, dt,
-                          [(keys.index(_block_key(ch)), ch.signal) for ch in channels])
+                          [(keys.index(_block_key(ch)), ch.signal) for ch in channels],
+                          any(ch.feature == "slope" for ch in channels))
 
 
 def _block_key(ch: Channel) -> tuple:

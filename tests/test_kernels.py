@@ -1,13 +1,17 @@
 """Direct checks of the numpy RK4 kernels below ``kinetics``.
 
-The batch kernel is gated bit for bit against two oracles. ``oracle_rk4_batch``
+The batch kernel is gated bit for bit against three oracles. ``oracle_rk4_batch``
 is an earlier implementation: one Python loop over reactions and substrates
 per rate-law evaluation, per-row guards on every step, and failed rows
 masked out while the others keep integrating; it observes every species and
 every reaction rate at once. ``network_batch`` is the kernel as it was
 before networks were integrated as one union: one network and one observed
 signal per call. A union of blocks must give each block the bits that its
-own ``network_batch`` gives it.
+own ``network_batch`` gives it. ``union_batch`` is the union kernel as it was
+before it dropped dead species and kept the running sums only on request: it
+integrates every species, observes on every step and clamps every stage. The
+kernel must give its live species, its signals and, with sums, its sums the
+same bits, sign bits included.
 
 ``oracle_advance`` is the guarded scalar step in numpy, as it was before it
 moved to Python floats; ``rk4_trace`` must equal a loop of it bit for bit.
@@ -216,7 +220,104 @@ def network_batch(C0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt, col
     return C, y0, y, sum_y, sum_ty, status, bad_step
 
 
+def union_batch(C0, blocks, n_steps, dt, signals):
+    """The union kernel with every species and the running sums, as it was before
+    dead species were dropped. Returns what rk4_batch returns with sums, C_final
+    with every species."""
+    st_dense, vmax, sub_idx, sub_km, sub_off = _kernels.block_diagonal(blocks)
+    starts = np.cumsum([0] + [b[0].shape[1] for b in blocks])
+    C = np.array(np.transpose(C0), dtype=np.float64, order="C")  # [n_species, B]
+    B = C.shape[1]
+    n_sub = np.diff(sub_off)
+    pad = np.arange(max(int(n_sub.max(initial=0)), 1)) >= n_sub[:, None]  # [n_rxn, w]
+    padded = pad.any()
+    idx, km = np.zeros(pad.T.shape, dtype=np.int64), np.ones(pad.T.shape)
+    idx.T[~pad], km.T[~pad] = sub_idx, sub_km
+    km = np.repeat(km[..., None], B, axis=2)
+    vmax_b = np.repeat(vmax[:, None], B, axis=1)
+    F, D, V = np.empty_like(km), np.empty_like(km), np.empty_like(vmax_b)
+    columns = np.array([int(c) for c, _ in signals], dtype=np.int64)
+    rate_at = np.flatnonzero([bool(r) for _, r in signals])
+    rate_cols = columns[rate_at]
+
+    def rhs(X, out):
+        np.take(X, idx, axis=0, out=F, mode="clip")
+        np.maximum(F, 0.0, out=F)
+        np.divide(F, np.add(km, F, out=D), out=F)
+        if padded:
+            F[pad.T] = 1.0
+        np.multiply(vmax_b, F[0], out=V)
+        for q in range(1, len(F)):
+            np.multiply(V, F[q], out=V)
+        np.matmul(V.T, st_dense, out=out.T)
+
+    def observe(X):
+        y = np.take(X, columns, axis=0, mode="clip")
+        y[rate_at] = V[rate_cols]
+        return y
+
+    status = np.zeros((B, len(blocks)), dtype=np.int64)
+    bad_step = np.full(status.shape, -1, dtype=np.int64)
+    k1, k2, k3, k4, X = (np.empty_like(C) for _ in range(5))
+    with np.errstate(invalid="ignore", over="ignore"):
+        rhs(C, k1)
+        y0 = observe(C)
+        y, sum_y, sum_ty = y0, y0.copy(), np.zeros_like(y0)
+        for k in range(n_steps):
+            rhs(np.add(C, np.multiply(k1, 0.5 * dt, out=X), out=X), k2)
+            rhs(np.add(C, np.multiply(k2, 0.5 * dt, out=X), out=X), k3)
+            rhs(np.add(C, np.multiply(k3, dt, out=X), out=X), k4)
+            np.add(k1, np.multiply(k2, 2.0, out=k2), out=k1)
+            np.add(k1, np.multiply(k3, 2.0, out=k3), out=k1)
+            np.add(C, np.multiply(np.add(k1, k4, out=k1), dt / 6.0, out=k1), out=X)
+            if not (X.min() >= -_kernels.NEG_TOL and X.max() < np.inf):
+                bad = ~np.isfinite(X) | (X < -_kernels.NEG_TOL)
+                trouble = np.logical_or.reduceat(bad, starts[:-1], axis=0).T
+                for i, b in zip(*np.nonzero(trouble)):
+                    c = C[starts[b]:starts[b + 1], i].copy()
+                    status[i, b] = _kernels._advance(c, dt, *blocks[b])
+                    X[starts[b]:starts[b + 1], i] = c
+                if status.any():
+                    bad_step[status != _kernels.STATUS_OK] = k
+                    break
+            np.maximum(X, 0.0, out=X)
+            C, X = X, C
+            rhs(C, k1)
+            y = observe(C)
+            sum_y += y
+            sum_ty += y * ((k + 1) * dt)
+    return C.T, y0.T, y.T, sum_y.T, sum_ty.T, status, bad_step
+
+
+def live_columns(blocks, signals):
+    """Union columns of the species rk4_batch keeps: each block's substrates and
+    every species a signal reads, in column order."""
+    read = {int(c) for c, rate in signals if not rate}
+    live, lo = [], 0
+    for st_dense, _, sub_idx, _, _ in blocks:
+        substrates = set(sub_idx.tolist())
+        live += [lo + i for i in range(st_dense.shape[1]) if i in substrates or lo + i in read]
+        lo += st_dense.shape[1]
+    return live
+
+
+def same_bits(got, want):
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
 NAMES = ("C_final", "y0", "y_end", "sum_y", "sum_ty", "status", "bad_step")
+
+
+def assert_same_as_union_batch(C0, blocks, n_steps, dt, signals):
+    """rk4_batch, with and without sums, gives the bits of union_batch on its live species."""
+    want = union_batch(C0, blocks, n_steps, dt, signals)
+    live = live_columns(blocks, signals)
+    for sums in (True, False):
+        got = _kernels.rk4_batch(C0, blocks, n_steps, dt, signals, sums)
+        expect = (want[0][:, live], *want[1:3], *(want[3:5] if sums else (None, None)), *want[5:])
+        for name, g, w in zip(NAMES, got, expect):
+            assert g is None if w is None else same_bits(g, w), (name, sums)
+    return want
 
 
 def every_signal(n_species, n_rxn):
@@ -225,14 +326,19 @@ def every_signal(n_species, n_rxn):
 
 
 def assert_same_as_oracle(C0, compiled, n_steps, dt):
-    """rk4_batch observing every species and every rate column equals the oracle."""
+    """rk4_batch observing every species and every rate column equals the oracle,
+    with sums and, but for the sums, without."""
     want = oracle_rk4_batch(C0, *compiled, n_steps, dt)
-    got = _kernels.rk4_batch(C0, [compiled], n_steps, dt,
-                             every_signal(C0.shape[1], len(compiled[1])))
-    for name, g, w in zip(NAMES, got, want):
-        if name in ("status", "bad_step"):  # one block
-            g = g[:, 0]
-        assert np.array_equal(g, w), name
+    for sums in (True, False):
+        got = _kernels.rk4_batch(C0, [compiled], n_steps, dt,
+                                 every_signal(C0.shape[1], len(compiled[1])), sums)
+        for name, g, w in zip(NAMES, got, want):
+            if name in ("status", "bad_step"):  # one block
+                g = g[:, 0]
+            if name in ("sum_y", "sum_ty") and not sums:
+                assert g is None, name
+            else:
+                assert np.array_equal(g, w), (name, sums)
     return want
 
 
@@ -244,6 +350,83 @@ def test_batch_matches_oracle_bit_for_bit(params, kind, rows):
     C0 = rng.uniform(0.0, 400.0, (rows, len(net.species)))
     *_, status, _ = assert_same_as_oracle(C0, net.compiled(), 150, 0.02)
     assert not status.any()
+
+
+def signal_sets(net):
+    """Every species and rate, the first reporter alone, the last step's rate alone."""
+    return {"every": every_signal(len(net.species), len(net.steps)),
+            "reporter": [(net.index(net.reporter_species[0]), False)],
+            "rate": [(len(net.steps) - 1, True)]}
+
+
+@pytest.mark.parametrize("signals", ["every", "reporter", "rate"])
+@pytest.mark.parametrize("rows", [1, 7, 375])  # B = 1 may take other BLAS paths
+@pytest.mark.parametrize("kind", list(CascadeKind))
+def test_batch_matches_union_batch_bit_for_bit(params, kind, rows, signals):
+    net = build_cascade(kind, params)
+    C0 = random_inputs(net, rows, [list(CascadeKind).index(kind), rows])
+    *_, status, _ = assert_same_as_union_batch(C0, [net.compiled()], 150, 0.02,
+                                               signal_sets(net)[signals])
+    assert not status.any()
+
+
+def test_identity_union_drops_its_dead_species(params):
+    # no step consumes them and no reporter signal reads them
+    nets = [build_cascade(kind, params) for kind in ("AltPoxHrp", "GldhA", "AspGlu")]
+    union = CascadeUnion(nets)
+    C0 = np.hstack([random_inputs(net, 3, seed) for seed, net in enumerate(nets)])
+    res = simulate_batch(union, C0, 0.1, 0.01)
+    names = [(net.kind.value, sp) for net in nets for sp in net.species]
+    signals = [union.column(b, net.reporter_species[0]) for b, net in enumerate(nets)]
+    live = live_columns([net.compiled() for net in nets], signals)
+    assert sorted(set(names) - {names[i] for i in live}) == [
+        ("AltPoxHrp", "Glu"), ("AspGlu", "OAC"), ("GldhA", "KTG"), ("GldhA", "NH3")]
+    assert (len(names), res.c_final.shape) == (21, (3, 17))
+
+
+def test_one_block_read_for_an_endpoint_and_a_slope(params):
+    # an endpoint channel on ABTSox and a slope channel on the HRP rate share
+    # one AltPoxHrp block; the batch keeps sums for both
+    net = build_cascade("AltPoxHrp", params)
+    C0 = random_inputs(net, 7, 3)
+    signals = [(net.index("ABTSox"), False), (2, True)]
+    got = _kernels.rk4_batch(C0, [net.compiled()], 150, 0.02, signals, sums=True)
+    lean = _kernels.rk4_batch(C0, [net.compiled()], 150, 0.02, signals)
+    oracle = oracle_rk4_batch(C0, *net.compiled(), 150, 0.02)
+    for j, (column, rate) in enumerate(signals):
+        want = network_batch(C0, *net.compiled(), 150, 0.02, column, rate)
+        every = column + len(net.species) if rate else column
+        for name, g, w, o in zip(NAMES[1:5], got[1:5], want[1:5], oracle[1:5]):
+            assert np.array_equal(g[:, j], w) and np.array_equal(g[:, j], o[:, every]), (j, name)
+        assert same_bits(lean[1][:, j], got[1][:, j]) and same_bits(lean[2][:, j], got[2][:, j])
+    assert_same_as_union_batch(C0, [net.compiled()], 150, 0.02, signals)
+
+
+def test_signal_on_a_species_no_step_consumes_keeps_it_live(params):
+    # NH3 is only a product of GldhA: read by a signal, it is integrated
+    net = build_cascade("GldhA", params)
+    C0 = random_inputs(net, 7, 4)
+    nh3 = net.index("NH3")
+    got = _kernels.rk4_batch(C0, [net.compiled()], 150, 0.02, [(nh3, False)], sums=True)
+    want = network_batch(C0, *net.compiled(), 150, 0.02, nh3)
+    oracle = oracle_rk4_batch(C0, *net.compiled(), 150, 0.02)
+    live = [net.index(sp) for sp in ("Glu", "NADplus", "NH3")]
+    assert np.array_equal(got[0], want[0][:, live]) and np.array_equal(got[0], oracle[0][:, live])
+    for name, g, w, o in zip(NAMES[1:5], got[1:5], want[1:5], oracle[1:5]):
+        assert np.array_equal(g[:, 0], w) and np.array_equal(g[:, 0], o[:, nh3]), name
+    assert np.all(got[2] > got[1])
+    assert_same_as_union_batch(C0, [net.compiled()], 150, 0.02, [(nh3, False)])
+
+
+def test_slope_of_a_batch_without_sums_is_an_error(params):
+    net = build_cascade("AltPoxHrp", params)
+    C0 = random_inputs(net, 2, 5)
+    res = simulate_batch(net, C0, 0.2, 0.01)
+    assert res.sum_y is None and res.sum_ty is None
+    assert same_bits(res.endpoint_delta(), simulate_batch(net, C0, 0.2, 0.01,
+                                                          sums=True).endpoint_delta())
+    with pytest.raises(ValueError, match="slope needs the running sums: integrate with sums=True"):
+        res.slope()
 
 
 @pytest.mark.parametrize("kind", list(CascadeKind))
@@ -283,7 +466,7 @@ def test_numpy_batch_rescues_rows_needing_halving():
     traces = [_kernels.rk4_trace(c0, *STIFF, 40, 0.05) for c0 in STIFF_C0]
     assert all(st == _kernels.STATUS_OK for _, st, _ in traces)
     C, y0, y_end, sum_y, _, status, _ = _kernels.rk4_batch(
-        STIFF_C0, [STIFF], 40, 0.05, every_signal(STIFF_C0.shape[1], 0))
+        STIFF_C0, [STIFF], 40, 0.05, every_signal(STIFF_C0.shape[1], 0), sums=True)
     assert np.all(status == _kernels.STATUS_OK)
     assert np.all(C >= 0.0)
     for b, (trace, _, _) in enumerate(traces):
@@ -366,21 +549,26 @@ def test_earliest_failing_step_is_reported():
 # ---------------------------------------------------------------- unions
 
 def assert_union_matches_blocks(blocks, C0s, n_steps, dt, signals):
-    """One union batch gives every block the bits of its own network_batch.
+    """One union batch gives every block the bits of its own network_batch, and
+    the bits of union_batch.
 
     signals[b] lists block b's (column, rate) pairs in the block's own
-    numbering; each is checked against one network_batch call.
+    numbering; each is checked against one network_batch call, on the
+    block's live species.
     """
     sp = np.cumsum([0] + [arrays[0].shape[1] for arrays in blocks])
     rx = np.cumsum([0] + [len(arrays[1]) for arrays in blocks])
     union_signals = [(c + (rx if rate else sp)[b], rate)
                      for b, sigs in enumerate(signals) for c, rate in sigs]
-    got = _kernels.rk4_batch(np.hstack(C0s), blocks, n_steps, dt, union_signals)
+    assert_same_as_union_batch(np.hstack(C0s), blocks, n_steps, dt, union_signals)
+    got = _kernels.rk4_batch(np.hstack(C0s), blocks, n_steps, dt, union_signals, sums=True)
+    live = np.array(live_columns(blocks, union_signals))
     j = 0
     for b, (arrays, C0, sigs) in enumerate(zip(blocks, C0s, signals)):
+        mine = (sp[b] <= live) & (live < sp[b + 1])
         for column, rate in sigs:
             want = network_batch(C0, *arrays, n_steps, dt, column, rate)
-            assert np.array_equal(got[0][:, sp[b]:sp[b + 1]], want[0]), (b, "C_final")
+            assert np.array_equal(got[0][:, mine], want[0][:, live[mine] - sp[b]]), (b, "C_final")
             for name, g, w in zip(NAMES[1:5], got[1:5], want[1:5]):
                 assert np.array_equal(g[:, j], w), (b, column, rate, name)
             for name, g, w in zip(NAMES[5:], got[5:], want[5:]):
@@ -424,11 +612,13 @@ def test_union_of_two_matches_separate_batches_at_tiny_batches(params, first, se
 
 
 def test_identity_triple_matches_separate_batches(params):
-    # every species and every rate of the identity channels' cascades, 375 rows
+    # every species and every rate of the identity channels' cascades, then
+    # each one's reporter as the identity run reads them, 375 rows
     nets = [build_cascade(kind, params) for kind in ("AltPoxHrp", "GldhA", "AspGlu")]
     C0s = [random_inputs(net, 375, seed) for seed, net in enumerate(nets)]
-    assert_union_matches_blocks([net.compiled() for net in nets], C0s, 150, 0.01,
-                                [every_signal(len(n.species), len(n.steps)) for n in nets])
+    for signals in ("every", "reporter"):
+        assert_union_matches_blocks([net.compiled() for net in nets], C0s, 150, 0.01,
+                                    [signal_sets(n)[signals] for n in nets])
 
 
 @pytest.mark.parametrize("network, C0", [(STIFF, STIFF_C0), (MIXED, MIXED_C0)],
@@ -449,7 +639,7 @@ def test_halving_rescue_runs_per_block(monkeypatch, params, network, C0):
     monkeypatch.setattr(_kernels, "_advance", recorded)
     signals = [every_signal(arrays[0].shape[1], len(arrays[1])) for arrays in blocks]
     *_, status, _ = assert_union_matches_blocks(blocks, C0s, 40, 0.05, signals)
-    assert redone and all(st is network[0] for st in redone)
+    assert redone and all(np.array_equal(st, network[0]) for st in redone)
     assert not status.any()
 
 
@@ -491,3 +681,48 @@ def test_integration_error_names_the_failing_cascade(params, failing, horizon, d
     for exc in (alone.value, beside.value):
         assert (exc.step, exc.sim, exc.cascade) == (bad[row], row, "GldhA")
         assert str(exc).startswith("GldhA cascade: integration diverged")
+
+
+def _depleting(signals):
+    net, C0 = _depleting_gldh([0.0, 3.0, 1.0, 1.0])
+    return [net.compiled()], C0, 100, 0.01, signals, True
+
+
+@pytest.mark.parametrize("case", [
+    lambda: ([STIFF], np.vstack([STIFF_C0, [[-5e-10, 1.0]]]), 40, 0.05, [(0, False)], False),
+    lambda: ([STIFF], STIFF_C0, 40, 0.05, [(0, True)], False),
+    lambda: ([MIXED], MIXED_C0, 40, 0.05, [(1, False), (1, True)], False),
+    lambda: ([RUNAWAY], np.array([[1.0, 0.0], [2.0, 5.0]]), 10, 1.0, [(1, False), (0, True)],
+             True),
+    lambda: ([ZERO_KM], np.array([[0.0, 1.0], [1.0, -0.0], [-0.0, 1.0]]), 10, 0.1, [(0, True)],
+             True),
+    lambda: _depleting([(4, False)]),
+    lambda: _depleting([(0, True)]),
+], ids=["stiff", "stiff-rate", "mixed", "runaway", "zero-km-0/0", "underflow", "underflow-rate"])
+def test_halving_and_failing_rows_match_union_batch(case):
+    # the dead species (STIFF's species 1 when unread, MIXED's D, GldhA's KTG
+    # and NH3) go; the rescues and failures keep their bits and steps
+    blocks, C0, n_steps, dt, signals, fails = case()
+    *_, status, _ = assert_same_as_union_batch(C0, blocks, n_steps, dt, signals)
+    assert status.any() == fails
+
+
+def test_overflow_beside_a_healthy_block_matches_union_batch(params):
+    healthy, runaway = build_cascade("AltPoxHrp", params), _runaway_gldh()
+    blocks = [healthy.compiled(), runaway.compiled()]
+    C0 = np.hstack([random_inputs(healthy, 4, 0),
+                    np.tile(runaway.init_vector({"Glu": 1.0}), (4, 1))])
+    signals = [(healthy.index("ABTSox"), False),
+               (len(healthy.species) + runaway.index("NADH"), False)]
+    *_, status, _ = assert_same_as_union_batch(C0, blocks, 10, 1.0, signals)
+    assert not status[:, 0].any() and (status[:, 1] == _kernels.STATUS_NONFINITE).all()
+
+
+def test_a_dead_species_no_longer_fails_a_row():
+    # RUNAWAY's species 1 overflows, but nothing reads it: read by its rate
+    # alone the row integrates, where union_batch, which integrates it, fails
+    C0 = np.array([[1.0, 0.0], [2.0, 5.0]])
+    *_, status, _ = union_batch(C0, [RUNAWAY], 10, 1.0, [(0, True)])
+    assert (status == _kernels.STATUS_NONFINITE).all()
+    C, y0, y_end, *_, status, _ = _kernels.rk4_batch(C0, [RUNAWAY], 10, 1.0, [(0, True)])
+    assert not status.any() and same_bits(C, C0[:, :1]) and same_bits(y_end, y0)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -234,7 +238,7 @@ def test_batch_matches_single_runs(params):
     C0 = np.stack([net.init_vector({"Ala": a}) for a in alas])
     traces = [simulate(net, {"Ala": a}, 30.0, 0.01).concentrations for a in alas]
     signals = net.species + list(range(len(net.steps)))
-    res = simulate_batch(net, C0, 30.0, 0.01, [(0, signal) for signal in signals])
+    res = simulate_batch(net, C0, 30.0, 0.01, [(0, signal) for signal in signals], sums=True)
     for b, tr in enumerate(traces):
         np.testing.assert_allclose(res.c_final[b], tr[-1], rtol=1e-12)
         for j, signal in enumerate(signals):
@@ -247,8 +251,8 @@ def test_batch_matches_single_runs(params):
 def test_batch_default_signal_is_first_reporter(params):
     net = build_cascade("GldhC", params)
     C0 = np.stack([net.init_vector({"Glu": g}) for g in (30.0, 90.0)])
-    default = simulate_batch(net, C0, 2.0, 0.01)
-    named = simulate_batch(net, C0, 2.0, 0.01, [(0, net.reporter_species[0])])
+    default = simulate_batch(net, C0, 2.0, 0.01, sums=True)
+    named = simulate_batch(net, C0, 2.0, 0.01, [(0, net.reporter_species[0])], sums=True)
     for field in ("c_final", "y0", "y_end", "sum_y", "sum_ty"):
         np.testing.assert_array_equal(getattr(default, field), getattr(named, field))
 
@@ -256,11 +260,26 @@ def test_batch_default_signal_is_first_reporter(params):
 def test_batch_slope_matches_polyfit(params):
     net = build_cascade("AltPoxHrp", params)
     C0 = np.stack([net.init_vector({"Ala": a}) for a in (50.0, 200.0)])
-    res = simulate_batch(net, C0, 10.0, 0.01, [(0, "ABTSox")])
+    res = simulate_batch(net, C0, 10.0, 0.01, [(0, "ABTSox")], sums=True)
     for b, a in enumerate((50.0, 200.0)):
         tr = simulate(net, {"Ala": a}, 10.0, 0.01)
         want = np.polyfit(tr.times, tr.column("ABTSox"), 1)[0]
         assert abs(res.slope()[b, 0] - want) < 1e-9 * max(abs(want), 1.0)
+
+
+def test_commands_and_batches_leave_fractions_and_numpy_ma_unimported():
+    # only conserved_moieties, which no command calls, needs fractions (and
+    # decimal with it); np.unique would import numpy.ma on its first call
+    code = ("import sys; import numpy as np; import sweatauth.cli\n"
+            "from sweatauth.config import default_params_dict\n"
+            "from sweatauth.kinetics import KineticParams, build_cascade, simulate_batch\n"
+            "net = build_cascade('GldhA', KineticParams.from_dict(default_params_dict()))\n"
+            "simulate_batch(net, net.init_vector({'Glu': 50.0})[None], 0.1, 0.01)\n"
+            "print(sorted({'fractions', 'decimal', 'numpy.ma'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------- moieties

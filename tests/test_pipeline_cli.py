@@ -54,7 +54,7 @@ def oracle_channel_features(ch, X_flat, t_g, dt):
     C0 = np.tile(ch.network.init_vector({}), (len(X_flat), 1))
     for acid in ch.inputs:
         C0[:, ch.network.index(acid)] = X_flat[:, ACID_INDEX[acid]]
-    res = simulate_batch(ch.network, C0, t_g, dt, [(0, ch.signal)])
+    res = simulate_batch(ch.network, C0, t_g, dt, [(0, ch.signal)], ch.feature == "slope")
     if ch.feature == "endpoint":
         return ch.scale * res.endpoint_delta()[:, 0]
     return ch.scale * np.abs(res.slope()[:, 0])
