@@ -14,7 +14,9 @@ in one buffer, and a point's rates are counted from the sorted classes when
 they are read. Counts, curve checks, the EER search, the area and CSV rows go
 a slice of SLICE scores or points at a time: beyond the arrays it returns,
 roc_curve holds only slices, and delong_variance one float per score and one
-per genuine score.
+per genuine score. The EER and the area read every point; the CSV holds only
+the corners and both ends, since a point inside a vertical or horizontal run
+is dominated by a corner of that run and lies on the same polyline.
 """
 
 from __future__ import annotations
@@ -188,10 +190,24 @@ def _sample_var(x: np.ndarray):
 
 
 def write_roc_csv(path, curve: RocCurve, config_hash: str = "") -> None:
-    """One row per curve point, converted to Python floats a slice at a time."""
+    """One row per corner of the curve and one per end, in sweep order, converted to
+    Python floats a slice at a time. A point is dropped when both its neighbours share
+    its FPR (a vertical run) or both share its TPR (a horizontal run): a kept corner of
+    its run dominates it, and the polyline through the kept rows is the same curve."""
     def lines():
-        for ts, fs, ps in curve.sweep():
-            for t, f, p in zip(ts.tolist(), fs.tolist(), ps.tolist()):
+        before = np.nan, np.nan  # (FPR, TPR) of the point before the slice: none at the start
+        todo = curve.thresholds.size
+        for ts, fs, ps in curve.sweep(1):
+            last = ts.size == todo  # else the slice's last point is the next slice's first
+            todo -= ts.size - 1
+            n = ts.size - (not last)
+            keep = np.ones(n, dtype=bool)
+            for lead, rate in zip(before, (fs, ps)):
+                r = np.concatenate([[lead], rate, [np.nan] if last else []])  # NaN: no neighbour
+                keep &= (r[:-2] != r[1:-1]) | (r[2:] != r[1:-1])
+            before = fs[n - 1], ps[n - 1]
+            for t, f, p in zip(ts[:n][keep].tolist(), fs[:n][keep].tolist(),
+                               ps[:n][keep].tolist()):
                 yield f"{t!r},{f!r},{p!r}\n"
 
     write_csv_lines(path, ["threshold", "fpr", "tpr"], lines(), config_hash)

@@ -89,6 +89,33 @@ def per_row_roc_csv(path, curve, config_hash=""):
             fh.write(f"{float(thr)!r},{float(fpr)!r},{float(tpr)!r}\n")
 
 
+def corner_rows(lines):
+    """The lines of a per-row ROC CSV that are kept as corners: the hash line and
+    header, then each row except one whose neighbours both share its FPR (a vertical
+    run) or both share its TPR (a horizontal run)."""
+    n_head = 2 if lines[0].startswith("#") else 1
+    rows = lines[n_head:]
+    rates = [[float(x) for x in row.split(",")[1:]] for row in rows]
+    kept = list(lines[:n_head])
+    for k, row in enumerate(rows):
+        if 0 < k < len(rows) - 1:
+            (f0, p0), (f1, p1), (f2, p2) = rates[k - 1:k + 2]
+            if f0 == f1 == f2 or p0 == p1 == p2:
+                continue
+        kept.append(row)
+    return kept
+
+
+def assert_writes_corner_rows(tmp_path, curve, config_hash="beef"):
+    """write_roc_csv writes exactly the per-row writer's corner rows; returns its rows."""
+    write_roc_csv(tmp_path / "new.csv", curve, config_hash=config_hash)
+    per_row_roc_csv(tmp_path / "old.csv", curve, config_hash=config_hash)
+    want = corner_rows((tmp_path / "old.csv").read_bytes().decode().splitlines(keepends=True))
+    got = (tmp_path / "new.csv").read_bytes().decode()
+    assert got == "".join(want)
+    return want[1 + bool(config_hash):]
+
+
 def assert_matches_oracles(genuine, impostor):
     pop = ScoredPopulation(genuine, impostor)
     curve, (points, thresholds) = roc_curve(pop), pairwise_roc_curve(pop)
@@ -365,27 +392,31 @@ def test_eer_bounded_for_informative_scores():
 
 
 def test_roc_csv(tmp_path):
-    pop = ScoredPopulation([0.8, 0.35], [0.4, 0.1])
+    pop = ScoredPopulation([0.8, 0.7, 0.35], [0.4, 0.1])
     path = tmp_path / "roc.csv"
     write_roc_csv(path, roc_curve(pop), config_hash="beef")
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "# config_hash=beef"
     assert lines[1] == "threshold,fpr,tpr"
-    assert len(lines) == 2 + 5  # (0,0) anchor plus one point per distinct score
+    # six points, one per distinct score and the (0,0) anchor: 0.8 lies inside the
+    # vertical run from (0,0) to (0,2/3), so it is the one row dropped
+    assert lines[2:] == ["inf,0.0,0.0", "0.7,0.0,0.6666666666666666", "0.4,0.5,0.6666666666666666",
+                         "0.35,0.5,1.0", "0.1,1.0,1.0"]
 
 
 def test_roc_csv_values_parse_as_floats(tmp_path):
     # numpy scalars must be written as plain Python float reprs
-    pop = ScoredPopulation(np.array([0.8, 0.35, 0.35]), np.array([0.4, 0.1]))
+    pop = ScoredPopulation(np.array([0.8, 0.35, 0.35]), np.array([0.4, 0.3, 0.1]))
     path = tmp_path / "roc.csv"
     curve = roc_curve(pop)
     write_roc_csv(path, curve)
     rows = [[float(x) for x in line.split(",")]
             for line in path.read_text().splitlines()[1:]]
-    assert len(rows) == len(curve.points)
+    kept = [0, 1, 2, 3, 5]  # 0.3 lies inside the horizontal run from (1/3,1) to (1,1)
+    assert len(curve.points) == 6 and len(rows) == len(kept)
     assert all(len(r) == 3 for r in rows)
-    np.testing.assert_array_equal([r[0] for r in rows], curve.thresholds)
-    np.testing.assert_array_equal([r[1:] for r in rows], curve.points)
+    np.testing.assert_array_equal([r[0] for r in rows], curve.thresholds[kept])
+    np.testing.assert_array_equal([r[1:] for r in rows], curve.points[kept])
 
 
 @pytest.mark.parametrize("config_hash", ["", "beef"])
@@ -395,9 +426,8 @@ def test_roc_csv_bytes_match_per_row_writer(tmp_path, config_hash):
     impostor = np.concatenate([rng.normal(0, 1, 900), rng.choice([-2.0, -1.0, 2.5], 50)])
     curve = roc_curve(ScoredPopulation(genuine, impostor))
     assert "-0.0" in map(repr, curve.thresholds.tolist())
-    write_roc_csv(tmp_path / "new.csv", curve, config_hash=config_hash)
-    per_row_roc_csv(tmp_path / "old.csv", curve, config_hash=config_hash)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    rows = assert_writes_corner_rows(tmp_path, curve, config_hash)
+    assert 2 < len(rows) < len(curve.thresholds)
 
 
 def curve_of(n_points, seed=0):
@@ -413,23 +443,23 @@ def curve_of(n_points, seed=0):
 def test_roc_csv_slices_match_per_row_writer(tmp_path, n_points):
     curve = curve_of(n_points)
     assert len(curve.points) == n_points
-    write_roc_csv(tmp_path / "new.csv", curve, config_hash="beef")
-    per_row_roc_csv(tmp_path / "old.csv", curve, config_hash="beef")
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert_writes_corner_rows(tmp_path, curve)
 
 
 def test_roc_csv_write_memory_does_not_grow_with_the_curve(tmp_path):
     # all rows converted at once held three Python floats per point, about
-    # 29 MB for this curve
-    rng = np.random.default_rng(300)
-    curve = roc_curve(ScoredPopulation(rng.normal(1, 1, 3_000), rng.normal(0, 1, 297_000)))
-    assert len(curve.points) > 299_000
+    # 29 MB for this curve; strictly alternating classes make every point a corner
+    ranks = np.random.default_rng(300).permutation(299_999)
+    curve = roc_curve(ScoredPopulation(ranks[ranks % 2 == 0] / 3.0, ranks[ranks % 2 == 1] / 3.0))
+    assert len(curve.thresholds) == 300_000
     tracemalloc.start()
     try:
         write_roc_csv(tmp_path / "roc.csv", curve, config_hash="beef")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    with open(tmp_path / "roc.csv") as fh:
+        assert sum(1 for _ in fh) == 2 + 300_000
     assert peak < 2 * 2**20
 
 
@@ -468,9 +498,75 @@ def test_threshold_buffer_matches_np_unique_bit_for_bit(tmp_path, n, case):
     assert curve.thresholds.tobytes() == want.tobytes()
     if case == "signed-zeros" and n > 1:
         assert {repr(x) for x in scores.tolist()} >= {"-0.0", "0.0"}
-    write_roc_csv(tmp_path / "new.csv", curve, config_hash="beef")
-    per_row_roc_csv(tmp_path / "old.csv", curve, config_hash="beef")
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert_writes_corner_rows(tmp_path, curve)
+
+
+def curve_of_classes(classes):
+    """ROC curve whose point k >= 1 is reached by the k-th highest score, which is
+    genuine where classes[k - 1] is "g" (a step up) and impostor where it is "i"
+    (a step right); "b" is one score in each class (a diagonal step)."""
+    scores = np.arange(len(classes), 0, -1) / 4.0
+    cls = np.array(list(classes))
+    return roc_curve(ScoredPopulation(scores[cls != "i"], scores[cls != "g"]))
+
+
+def corners_written(tmp_path, curve):
+    """Indices of the curve points that write_roc_csv keeps, checked against corner_rows."""
+    rows = assert_writes_corner_rows(tmp_path, curve)
+    index = {t: k for k, t in enumerate(map(repr, curve.thresholds.tolist()))}
+    return [index[row.split(",")[0]] for row in rows]
+
+
+@pytest.mark.parametrize("boundary", [SLICE, 2 * SLICE])
+@pytest.mark.parametrize("step", ["g", "i"], ids=["vertical", "horizontal"])
+def test_roc_csv_drops_a_run_across_a_slice_boundary(tmp_path, boundary, step):
+    # a staircase, then one run from point boundary - 5 to boundary + 5, then a staircase
+    other = "i" if step == "g" else "g"
+    classes = (other + step) * (boundary // 2)
+    classes = classes[:boundary - 6] + other + step * 10 + classes[:SLICE]
+    kept = corners_written(tmp_path, curve_of_classes(classes))
+    assert kept == [k for k in range(len(classes) + 1)
+                    if not boundary - 5 < k < boundary + 5]
+
+
+@pytest.mark.parametrize("turn", [SLICE - 1, SLICE, SLICE + 1, 2 * SLICE - 1, 2 * SLICE])
+def test_roc_csv_keeps_a_turn_at_a_slice_boundary(tmp_path, turn):
+    # straight up to the turn, then straight right: one corner; then a single step up
+    # among steps right: two corners, at points turn - 1 and turn
+    n = 2 * SLICE + 7
+    assert corners_written(tmp_path, curve_of_classes("g" * turn + "i" * (n - turn))) == [
+        0, turn, n]
+    classes = "i" * (turn - 1) + "g" + "i" * (n - turn)
+    assert corners_written(tmp_path, curve_of_classes(classes)) == [0, turn - 1, turn, n]
+
+
+def test_roc_csv_keeps_both_ends_of_a_diagonal_segment(tmp_path):
+    # a score tied across the classes moves both rates at once; collinear diagonal
+    # points are kept, since no axis-parallel run holds them
+    curve = curve_of_classes("gbbigbgib")
+    assert corners_written(tmp_path, curve) == [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]
+    curve = curve_of_classes("gggbiiibbggg")
+    assert corners_written(tmp_path, curve) == [0, 3, 4, 7, 8, 9, 12]
+
+
+@pytest.mark.parametrize("genuine, impostor", [([0.5], [0.5]), ([2.0] * 5, [2.0] * 3)],
+                         ids=["two-points", "all-tied"])
+def test_roc_csv_keeps_a_two_point_curve(tmp_path, genuine, impostor):
+    # every score tied, one or several in each class: the curve is its two ends
+    curve = roc_curve(ScoredPopulation(genuine, impostor))
+    assert len(curve.thresholds) == 2
+    assert corners_written(tmp_path, curve) == [0, 1]
+
+
+def test_roc_csv_writes_a_signed_zero_threshold_as_the_per_row_writer(tmp_path):
+    # -0.0 and 0.0 tie; the threshold kept is written with its sign, dropped or kept
+    for genuine, impostor, kept in [([-0.0, 1.0], [0.0, -1.0], [0, 1, 2, 3]),
+                                    ([2.0, 1.0, -0.0], [0.0, -1.0], [0, 2, 3, 4]),
+                                    ([2.0, 1.0, 0.5], [-0.0, 0.0, -1.0], [0, 3, 5])]:
+        curve = roc_curve(ScoredPopulation(genuine, impostor))
+        zero = [repr(t) for t in curve.thresholds.tolist() if t == 0.0]
+        assert zero in (["-0.0"], ["0.0"])
+        assert corners_written(tmp_path, curve) == kept
 
 
 def test_roc_leaves_numpy_ma_unimported(tmp_path):

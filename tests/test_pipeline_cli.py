@@ -21,7 +21,7 @@ from sweatauth.kinetics import simulate, simulate_batch
 from sweatauth.pipeline import (RunPlan, _identity_mode_scores, build_channel, channel_features,
                                 enroll_templates, integrate_channels, run_auth_eval, run_pipeline)
 from sweatauth.transduce import absorbance, builtin_optics
-from test_metrics import loop_eer
+from test_metrics import loop_eer, per_row_roc_csv
 
 
 def small_config(**tweaks):
@@ -294,16 +294,19 @@ def test_group_eval_summary_contents():
     assert summary["accumulated"]["k"] == 3
 
 
-def trimmed_identity(seed_override=None):
-    """The plan of the builtin identity experiment trimmed for fast tests: 6 individuals,
-    7 steps."""
+def trimmed_identity_config():
+    """The builtin identity experiment trimmed for fast tests: 6 individuals, 7 steps."""
     raw = builtin_experiment("identity")
     raw["cohort"]["groups"][0]["n"] = 6
     raw["cohort"]["schedule"]["steps"] = 7
     raw["auth"]["k_reg"] = 3
     raw["auth"]["accumulate_k"] = 4
     raw["kinetics"]["dt"] = 0.02
-    return RunPlan(load_experiment(raw, seed_override=seed_override))
+    return raw
+
+
+def trimmed_identity(seed_override=None):
+    return RunPlan(load_experiment(trimmed_identity_config(), seed_override=seed_override))
 
 
 def test_identity_eval_runs():
@@ -465,6 +468,28 @@ def test_cmd_roc_summary_provenance(tmp_path):
     assert summary["seeds"]["series_seed"] == 3303
     assert (out / "roc_k1.csv").exists()
     assert (out / "roc_accumulated.csv").exists()
+
+
+def test_cmd_roc_writes_the_corners_of_the_per_row_curve(tmp_path, monkeypatch):
+    config = json_file(tmp_path / "cfg.json", trimmed_identity_config())
+    corners, every = tmp_path / "corners", tmp_path / "every"
+    assert run_cli("roc", "--config", config, "--out", str(corners)) == 0
+    monkeypatch.setattr(metrics, "write_roc_csv", per_row_roc_csv)
+    assert run_cli("roc", "--config", config, "--out", str(every)) == 0
+    assert (corners / "summary.json").read_bytes() == (every / "summary.json").read_bytes()
+    summary = json.loads((corners / "summary.json").read_text())
+    for label in ("k1", "accumulated"):
+        rows = (corners / f"roc_{label}.csv").read_text().splitlines()
+        all_rows = (every / f"roc_{label}.csv").read_text().splitlines()
+        remaining = iter(all_rows)
+        assert all(row in remaining for row in rows)  # in order, each an old row
+        assert rows[:2] == all_rows[:2] and rows[-1] == all_rows[-1]
+        assert len(rows) < len(all_rows)
+        # perfbench's roc_csv_numeric rule: the trapezoid area is the summary's AUC
+        points = [[float(x) for x in row.split(",")[1:]] for row in rows[2:]]
+        area = sum((f1 - f0) * (t0 + t1) / 2.0
+                   for (f0, t0), (f1, t1) in zip(points, points[1:]))
+        assert abs(area - summary[label]["auc"]) <= 1e-9
 
 
 def test_cmd_roc_insufficient_users(tmp_path):
