@@ -8,10 +8,20 @@ from __future__ import annotations
 import csv
 import json
 
+from .errors import ConfigurationError
+
+
+def open_artifact(path, mode="w", newline=None):
+    """open(path, mode, newline=newline), raising a ConfigurationError for an OSError."""
+    try:
+        return open(path, mode, newline=newline)
+    except OSError as exc:
+        raise ConfigurationError(f"{path}: cannot write: {exc.strerror}") from None
+
 
 def write_json(path, payload) -> None:
     """payload as JSON, indented by 2, keys sorted, newline-terminated."""
-    with open(path, "w") as fh:
+    with open_artifact(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -23,14 +33,14 @@ def write_csv(path, header, rows, config_hash: str = "") -> None:
     their shortest round-trip ``repr``; pass ``tolist()`` rows, not numpy
     scalars.
     """
-    with open(path, "w", newline="") as fh:
+    with open_artifact(path, newline="") as fh:
         _csv_head(fh, header, config_hash).writerows(rows)
 
 
 def write_csv_lines(path, header, lines, config_hash: str = "") -> None:
     """As write_csv, for rows already formatted as lines ending in ``\\n``: for rows
     of Python floats, ``"%r,%r\\n" % row`` is what write_csv writes."""
-    with open(path, "w", newline="") as fh:
+    with open_artifact(path, newline="") as fh:
         _csv_head(fh, header, config_hash)
         fh.writelines(lines)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._artifacts import write_json
+from ._artifacts import open_artifact, write_json
 from .config import TEMPLATES, _read_json, with_defaults
 from .errors import ConfigurationError, InsufficientDataError
 
@@ -160,7 +160,7 @@ def load_templates(path) -> list:
 
 def append_audit(path, rows) -> None:
     """Append (timestamp, user, statistic, verdict) rows to the audit CSV."""
-    with open(path, "a", newline="") as fh:
+    with open_artifact(path, "a", newline="") as fh:
         w = csv.writer(fh)
         if fh.tell() == 0:  # a new or empty file
             w.writerow(["timestamp_s", "user_id", "statistic", "verdict"])

@@ -1,9 +1,9 @@
 """Command-line entry points for end-to-end experiments.
 
 Subcommands: cohort, pipeline, enroll, verify, roc, report. Every command
-takes --config (a JSON path or builtin:<name>), writes into --out, and is
-fully deterministic for a fixed config: identical reruns produce byte
-identical artifacts.
+but report, which takes only --out, takes --config (a JSON path or
+builtin:<name>), writes into --out, and is fully deterministic for a fixed
+config: identical reruns produce byte identical artifacts.
 
 Exit codes: 0 success, 2 configuration error, 3 insufficient data,
 4 numerical failure.
@@ -157,10 +157,12 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, (fn, help_text) in commands.items():
         p = sub.add_parser(name, help=help_text)
-        if name != "report":
-            p.add_argument("--config", required=True,
-                           help="experiment JSON path or builtin:<name>")
         p.add_argument("--out", default=".", help="output directory")
+        p.set_defaults(fn=fn)
+        if name == "report":  # reads summaries: no config, no cohort, no run
+            continue
+        p.add_argument("--config", required=True,
+                       help="experiment JSON path or builtin:<name>")
         p.add_argument("--seed-override", type=int, default=None,
                        help="rewrite all cohort seeds from this master seed")
         # runs are single-threaded; the option stays so callers passing 1 still parse
@@ -168,15 +170,18 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "verify":
             p.add_argument("--templates", default=None,
                            help="reuse templates.json from a previous enroll run")
-        p.set_defaults(fn=fn)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "out", None):
-        os.makedirs(args.out, exist_ok=True)
     try:
+        if args.command != "report":  # report writes only into a directory it found summaries in
+            try:
+                os.makedirs(args.out, exist_ok=True)
+            except OSError as exc:
+                raise ConfigurationError(f"--out {args.out}: cannot create the directory: "
+                                         f"{exc.strerror}") from None
         return args.fn(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

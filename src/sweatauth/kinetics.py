@@ -15,7 +15,8 @@ preserves.
 ``simulate_batch`` integrates a batch of rows of one network, or of a
 ``CascadeUnion`` of networks side by side as one block-diagonal system, and
 keeps each observed signal (a block's species or a step's rate) as its
-endpoints and, when asked for, the sums its least-squares slope needs.
+endpoints and, when asked for, the sums its least-squares slope needs;
+``simulate`` is a one-row batch that records every species at every grid point.
 """
 
 from __future__ import annotations

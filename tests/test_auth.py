@@ -4,7 +4,7 @@ import pytest
 from sweatauth.auth import (Template, VerifyPolicy, append_audit,
                             calibrate_drift_offset, enroll, load_templates,
                             save_templates, score_step, verify_series)
-from sweatauth.errors import InsufficientDataError
+from sweatauth.errors import ConfigurationError, InsufficientDataError
 from sweatauth.metrics import ScoredPopulation, roc_curve
 
 
@@ -198,6 +198,14 @@ def test_audit_log_appends(tmp_path):
     assert lines[0] == "timestamp_s,user_id,statistic,verdict"
     assert len(lines) == 3
     assert lines[2].split(",")[3] == "reject"
+
+
+def test_audit_log_that_cannot_be_opened_is_a_configuration_error(tmp_path):
+    path = tmp_path / "audit.csv"
+    path.mkdir()
+    with pytest.raises(ConfigurationError) as exc:
+        append_audit(path, [(120.0, "u0", 1.5, "accept")])
+    assert str(exc.value) == f"{path}: cannot write: Is a directory"
 
 
 @pytest.mark.parametrize("existing", [None, b""], ids=["new-file", "empty-file"])

@@ -13,8 +13,10 @@ integrates every species, observes on every step and clamps every stage. The
 kernel must give its live species, its signals and, with sums, its sums the
 same bits, sign bits included.
 
-``oracle_advance`` is the guarded scalar step in numpy, as it was before it
-moved to Python floats; ``rk4_trace`` must equal a loop of it bit for bit.
+``oracle_advance`` is the guarded step of one state in numpy, as the kernel
+took it before its halving rescue ran as a sub-batch: the batch oracles redo
+each (row, block) pair in trouble with it, and ``rk4_trace``, a one-row
+batch, must equal a loop of it (``oracle_trace``) bit for bit.
 """
 
 import itertools
@@ -70,9 +72,9 @@ def oracle_rk4_step_batch(C, h, st_dense, vmax, sub_idx, sub_km, sub_off):
 
 
 def oracle_advance(c, dt, st_dense, vmax, sub_idx, sub_km, sub_off):
-    """The guarded scalar step in numpy: advance the state c in place, return status.
+    """The guarded step of one state in numpy: advance c by dt in place, return status.
 
-    ``_kernels._advance`` takes the same step on Python floats.
+    The kernel's rescue takes the same steps, one column per state.
     """
     def deriv(x):
         v = vmax.copy()
@@ -206,8 +208,8 @@ def network_batch(C0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt, col
                 for i in np.flatnonzero(~np.isfinite(X).all(axis=1)
                                         | (X < -_kernels.NEG_TOL).any(axis=1)):
                     X[i] = C[i]
-                    status[i] = _kernels._advance(X[i], dt, st_dense, vmax,
-                                                  sub_idx, sub_km, sub_off)
+                    status[i] = oracle_advance(X[i], dt, st_dense, vmax,
+                                               sub_idx, sub_km, sub_off)
                 if status.any():
                     bad_step[status != _kernels.STATUS_OK] = k
                     break
@@ -220,10 +222,10 @@ def network_batch(C0, st_dense, vmax, sub_idx, sub_km, sub_off, n_steps, dt, col
     return C, y0, y, sum_y, sum_ty, status, bad_step
 
 
-def union_batch(C0, blocks, n_steps, dt, signals):
+def union_batch(C0, blocks, n_steps, dt, signals, rescued=None):
     """The union kernel with every species and the running sums, as it was before
     dead species were dropped. Returns what rk4_batch returns with sums, C_final
-    with every species."""
+    with every species; the list rescued, if given, gets each (row, block) redone."""
     st_dense, vmax, sub_idx, sub_km, sub_off = _kernels.block_diagonal(blocks)
     starts = np.cumsum([0] + [b[0].shape[1] for b in blocks])
     C = np.array(np.transpose(C0), dtype=np.float64, order="C")  # [n_species, B]
@@ -275,8 +277,10 @@ def union_batch(C0, blocks, n_steps, dt, signals):
                 trouble = np.logical_or.reduceat(bad, starts[:-1], axis=0).T
                 for i, b in zip(*np.nonzero(trouble)):
                     c = C[starts[b]:starts[b + 1], i].copy()
-                    status[i, b] = _kernels._advance(c, dt, *blocks[b])
+                    status[i, b] = oracle_advance(c, dt, *blocks[b])
                     X[starts[b]:starts[b + 1], i] = c
+                    if rescued is not None:
+                        rescued.append((int(i), int(b)))
                 if status.any():
                     bad_step[status != _kernels.STATUS_OK] = k
                     break
@@ -308,9 +312,9 @@ def same_bits(got, want):
 NAMES = ("C_final", "y0", "y_end", "sum_y", "sum_ty", "status", "bad_step")
 
 
-def assert_same_as_union_batch(C0, blocks, n_steps, dt, signals):
+def assert_same_as_union_batch(C0, blocks, n_steps, dt, signals, rescued=None):
     """rk4_batch, with and without sums, gives the bits of union_batch on its live species."""
-    want = union_batch(C0, blocks, n_steps, dt, signals)
+    want = union_batch(C0, blocks, n_steps, dt, signals, rescued)
     live = live_columns(blocks, signals)
     for sums in (True, False):
         got = _kernels.rk4_batch(C0, blocks, n_steps, dt, signals, sums)
@@ -440,13 +444,13 @@ def test_block_diagonal_of_one_block_is_the_block(params, kind):
                          ids=["stiff", "mixed"])
 def test_halving_rescue_matches_oracle_bit_for_bit(monkeypatch, network, C0):
     rescued = []
-    advance = _kernels._advance
+    rescue = _kernels._rescue
 
-    def counted(*args):
-        rescued.append(True)
-        return advance(*args)
+    def counted(c, *args):
+        rescued.append(c.shape[1])
+        return rescue(c, *args)
 
-    monkeypatch.setattr(_kernels, "_advance", counted)
+    monkeypatch.setattr(_kernels, "_rescue", counted)
     *_, status, _ = assert_same_as_oracle(C0, network, 40, 0.05)
     assert rescued and not status.any()
 
@@ -461,8 +465,8 @@ def test_positive_overflow_alone_is_caught():
 
 
 def test_numpy_batch_rescues_rows_needing_halving():
-    # stiff rows fall back to the guarded scalar advance inside the batch
-    # kernel and must reproduce the scalar trace kernel exactly
+    # stiff rows are redone with step halving inside the batch kernel and
+    # must reproduce the one-row traces exactly
     traces = [_kernels.rk4_trace(c0, *STIFF, 40, 0.05) for c0 in STIFF_C0]
     assert all(st == _kernels.STATUS_OK for _, st, _ in traces)
     C, y0, y_end, sum_y, _, status, _ = _kernels.rk4_batch(
@@ -630,17 +634,41 @@ def test_halving_rescue_runs_per_block(monkeypatch, params, network, C0):
     blocks = [healthy[0].compiled(), network, healthy[1].compiled()]
     C0s = [random_inputs(healthy[0], len(C0), 1), C0, random_inputs(healthy[1], len(C0), 2)]
     redone = []
-    advance = _kernels._advance
+    rescue = _kernels._rescue
 
-    def recorded(c, dt, st_dense, *arrays):
-        redone.append(st_dense)
-        return advance(c, dt, st_dense, *arrays)
+    def recorded(c, dt, block):
+        redone.append(block[0])
+        return rescue(c, dt, block)
 
-    monkeypatch.setattr(_kernels, "_advance", recorded)
+    monkeypatch.setattr(_kernels, "_rescue", recorded)
     signals = [every_signal(arrays[0].shape[1], len(arrays[1])) for arrays in blocks]
     *_, status, _ = assert_union_matches_blocks(blocks, C0s, 40, 0.05, signals)
     assert redone and all(np.array_equal(st, network[0]) for st in redone)
     assert not status.any()
+
+
+def test_rescue_heavy_identity_union_matches_union_batch(monkeypatch, params):
+    # at dt = 2 about half of the (row, block) steps of the identity union
+    # overshoot, so nearly every step redoes a sub-batch of many columns
+    nets = [build_cascade(kind, params) for kind in ("AltPoxHrp", "GldhA", "AspGlu")]
+    union = CascadeUnion(nets)
+    C0 = np.hstack([random_inputs(net, 36, seed) for seed, net in enumerate(nets)])
+    signals = [union.column(b, net.reporter_species[0]) for b, net in enumerate(nets)]
+    columns, rescue = [], _kernels._rescue
+
+    def counted(c, *args):
+        columns.append(c.shape[1])
+        return rescue(c, *args)
+
+    monkeypatch.setattr(_kernels, "_rescue", counted)
+    rescued = []
+    *_, status, _ = assert_same_as_union_batch(C0, [net.compiled() for net in nets], 60, 2.0,
+                                               signals, rescued)
+    assert not status.any()
+    assert len(rescued) > 0.4 * 60 * C0.shape[0] * len(nets)
+    assert {i for i, _ in rescued} == set(range(len(C0)))
+    # the kernel redoes the oracle's pairs, with and without sums, many to a sub-batch
+    assert sum(columns) == 2 * len(rescued) and max(columns) > len(C0) // 2
 
 
 def test_overflow_next_to_healthy_block_fails_like_its_own_batch(params):

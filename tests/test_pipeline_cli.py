@@ -1032,6 +1032,41 @@ def test_report_without_summaries(tmp_path):
     assert run_cli("report", "--out", str(tmp_path)) == 3
 
 
+@pytest.mark.parametrize("sub, reason", [
+    ("afile/x", "Not a directory"), ("afile", "File exists"),
+], ids=["below-a-file", "a-file"])
+def test_unusable_out_is_one_line_before_the_plan(tmp_path, capsys, monkeypatch, sub, reason):
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / sub
+    monkeypatch.setattr(cli, "load_experiment", no_integration)
+    assert run_cli("roc", "--config", "builtin:sex-separation", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: --out {out}: cannot create the directory: {reason}\n"
+
+
+def test_artifact_path_that_is_a_directory_is_one_line(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(small_config()))
+    (tmp_path / "out" / "summary.json").mkdir(parents=True)
+    assert run_cli("roc", "--config", str(path), "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {tmp_path / 'out' / 'summary.json'}: cannot write: " \
+                  "Is a directory\n"
+
+
+@pytest.mark.parametrize("option", [["--seed-override", "3"], ["--jobs", "1"]])
+def test_report_takes_only_out(tmp_path, capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("report", "--out", str(tmp_path), *option)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
+def test_report_that_finds_nothing_creates_nothing(tmp_path):
+    assert run_cli("report", "--out", str(tmp_path / "missing")) == 3
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_seed_override_changes_cohort(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(small_config()))
