@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -37,10 +38,12 @@ def test_newest_record_per_workload_and_trace(tmp_path):
         ("z", record("identity", 0, 4.0)),   # newer than a, though it sorts last by name
         ("d", record("sex-separation", 0, 5.0)),
     ])
-    assert bench_file.main(["--side", "after", "--label", "x_after", "--note", "n",
-                            "--results", str(tmp_path / "results"), "--date", "2026-01-02",
+    assert bench_file.main(["--change", "x", "--side", "after", "--note", "n",
+                            "--results", str(tmp_path / "results"),
                             "--out", str(tmp_path), "--order", "before, after"]) == 0
-    got = json.loads((tmp_path / "BENCH_2026-01-02_x_after.json").read_text())
+    [path] = tmp_path.glob("BENCH_*_x_after.json")
+    assert re.fullmatch(r"BENCH_\d{4}-\d\d-\d\d_x_after\.json", path.name)
+    got = json.loads(path.read_text())
     assert list(got) == ["side", "git_sha", "note", "commands", "machine", "records"]
     assert (got["side"], got["git_sha"], got["note"]) == ("after", "abc123", "n")
     assert got["commands"] == ["python3 perfbench/run.py --seed 3 --seconds 44 --trace 0",
@@ -56,14 +59,31 @@ def test_records_of_two_commits_need_a_sha(tmp_path):
     results = tmp_path / "results"
     write_records(results, [("a", record("identity", 0, 1.0)),
                             ("b", record("sex-separation", 0, 1.0, sha="def456"))])
-    argv = ["--side", "before", "--label", "y", "--note", "n", "--results", str(results),
+    argv = ["--change", "y", "--side", "before", "--note", "n", "--results", str(results),
             "--out", str(tmp_path)]
     with pytest.raises(SystemExit, match="the records disagree on git_sha"):
         bench_file.main(argv)
     assert bench_file.main(argv + ["--git-sha", "working tree"]) == 0
+    [path] = tmp_path.glob("BENCH_*_y_before.json")
+    got = json.loads(path.read_text())
+    assert got["git_sha"] == "working tree"
+    assert [r["provenance"]["git_sha"] for r in got["records"].values()] == ["working tree"] * 2
+
+
+def test_after_naming_the_before_sha_is_refused(tmp_path):
+    results = tmp_path / "results"
+    write_records(results, [("a", record("identity", 0, 1.0))])
+    argv = ["--change", "z", "--note", "n", "--results", str(results), "--out", str(tmp_path)]
+    assert bench_file.main(argv + ["--side", "before"]) == 0
+    with pytest.raises(SystemExit, match="the after records name the sha of .*abc123: pass --git-sha"):
+        bench_file.main(argv + ["--side", "after"])
+    assert not list(tmp_path.glob("BENCH_*_z_after.json"))
+    assert bench_file.main(argv + ["--side", "after", "--git-sha", "def456"]) == 0
+    [path] = tmp_path.glob("BENCH_*_z_after.json")
+    assert json.loads(path.read_text())["records"]["identity/trace0"]["provenance"]["git_sha"] == "def456"
 
 
 def test_no_records_is_an_error(tmp_path, capsys):
-    assert bench_file.main(["--side", "before", "--label", "y", "--note", "n",
+    assert bench_file.main(["--change", "y", "--side", "before", "--note", "n",
                             "--results", str(tmp_path), "--out", str(tmp_path)]) == 1
     assert "no perfbench records" in capsys.readouterr().err
