@@ -1,6 +1,7 @@
 """The two artifact formats: indented JSON, and CSV under a config-hash line.
 
-Every CSV line, the hash line included, ends in a bare ``\\n``.
+Every CSV the package writes (cohort, outputs, features and ROC) goes through
+write_csv, and every line, the hash line included, ends in a bare ``\\n``.
 """
 
 from __future__ import annotations
@@ -34,21 +35,8 @@ def write_csv(path, header, rows, config_hash: str = "") -> None:
     scalars.
     """
     with open_artifact(path, newline="") as fh:
-        _csv_head(fh, header, config_hash).writerows(rows)
-
-
-def write_csv_lines(path, header, lines, config_hash: str = "") -> None:
-    """As write_csv, for rows already formatted as lines ending in ``\\n``: for rows
-    of Python floats, ``"%r,%r\\n" % row`` is what write_csv writes."""
-    with open_artifact(path, newline="") as fh:
-        _csv_head(fh, header, config_hash)
-        fh.writelines(lines)
-
-
-def _csv_head(fh, header, config_hash: str):
-    """Write the hash line (when given) and the header; return the file's CSV writer."""
-    if config_hash:
-        fh.write(f"# config_hash={config_hash}\n")
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    return writer
+        if config_hash:
+            fh.write(f"# config_hash={config_hash}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -80,8 +80,13 @@ def enroll(series, k_reg: int, lam: float, user_id: str = "user",
         cov = np.zeros((s, s))
     else:
         cov = np.cov(X, rowvar=False, ddof=1).reshape(s, s)
-    return Template(user_id=user_id, mean=mean, covariance=cov + lam * np.eye(s),
-                    k_reg=k_reg, lam=lam, created_at=created_at)
+    try:
+        return Template(user_id=user_id, mean=mean, covariance=cov + lam * np.eye(s),
+                        k_reg=k_reg, lam=lam, created_at=created_at)
+    except np.linalg.LinAlgError:
+        raise InsufficientDataError(
+            f"{user_id}: {k_reg} registration vectors plus auth.lambda = {lam:g} give a "
+            f"covariance that is not positive definite; raise auth.lambda or auth.k_reg") from None
 
 
 def score_step(tpl: Template, y) -> float:

@@ -190,7 +190,12 @@ def with_defaults(rule: _Rule, value):
 def _cohort_limits(cohort: dict, where: str) -> None:
     rate = with_defaults(EXPERIMENT.of["cohort"], cohort)["noise"]["drift_rate"]
     schedule = cohort["schedule"]
-    exponent = rate * (schedule["steps"] - 1) * schedule["tau"]
+    span = float(schedule["tau"]) * (schedule["steps"] - 1)
+    if not np.isfinite(float(schedule["t0"]) + span):
+        raise ConfigurationError(
+            f"{where}.schedule: t0 = {schedule['t0']:g} plus tau = {schedule['tau']:g} times "
+            f"{schedule['steps'] - 1:,} steps overflows; the sample times must be finite")
+    exponent = rate * span
     if abs(exponent) > np.log(MAX_DRIFT):
         raise ConfigurationError(
             f"{where}.noise.drift_rate: {rate} scales the last sample by exp({exponent:g}), "

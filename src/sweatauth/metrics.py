@@ -8,15 +8,12 @@ the trapezoid area under the ROC equals the pairwise statistic exactly.
 Each class is sorted once; `searchsorted` counts the other class below and
 tied with every score (Sun & Xu 2014), O(n log n) with no pair matrix. Count
 sums are exact multiples of 0.5: results equal the pairwise ones bit for bit.
-A curve holds its thresholds and a sorted copy of each class, no matrix of
-points: the thresholds are the distinct scores, sorted and compacted in place
-in one buffer, and a point's rates are counted from the sorted classes when
-they are read. Counts, curve checks, the EER search, the area and CSV rows go
-a slice of SLICE scores or points at a time: beyond the arrays it returns,
-roc_curve holds only slices, and delong_variance one float per score and one
-per genuine score. The EER and the area read every point; the CSV holds only
-the corners and both ends, since a point inside a vertical or horizontal run
-is dominated by a corner of that run and lies on the same polyline.
+A finite ROC curve is the step polyline through its vertices (Fawcett 2006,
+section 3), so a curve holds only its corners and both ends, at most
+2 * min(n_genuine, n_impostor) + 2 points, which the EER, the area and the CSV
+read. Beyond one buffer of the distinct scores and a sorted copy of each class,
+which it drops on return, roc_curve holds only slices of SLICE sweep points;
+delong_variance holds one float per score and one per genuine score.
 """
 
 from __future__ import annotations
@@ -25,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._artifacts import write_csv_lines, write_json
+from ._artifacts import write_csv, write_json
 from .errors import InsufficientDataError
 
-# scores or curve points handled at a time (write_roc_csv's rows: about 0.5 MB)
+# scores, sweep points or CSV rows handled at a time (write_roc_csv's rows: about 0.5 MB)
 SLICE = 4096
 
 
@@ -50,59 +47,34 @@ class ScoredPopulation:
 
 @dataclass
 class RocCurve:
-    """Threshold sweep from strict to lax. At each threshold a class's rate is the
-    share of its scores not below it: FPR of the impostors, TPR of the genuine."""
+    """Corners and both ends of the threshold sweep, from strict to lax. At a threshold
+    a class's rate is the share of its scores not below it: FPR of the impostors, TPR
+    of the genuine."""
     thresholds: np.ndarray   # strictly descending, leading +inf
-    genuine: np.ndarray      # each class sorted ascending
-    impostor: np.ndarray
+    points: np.ndarray       # [K, 2] of (FPR, TPR), one per threshold
 
     def __post_init__(self):
-        # with both classes ascending and the thresholds descending, every rate lies
-        # in [0, 1] and the sweep is monotone; the checks cover every score and point
-        for name in ("genuine", "impostor"):
-            if any(np.any(seg[1:] < seg[:-1]) for seg in _slices(getattr(self, name), 1)):
-                raise ValueError(f"ROC {name} scores must be sorted ascending")
-        if any(np.any(seg[1:] >= seg[:-1]) for seg in _slices(self.thresholds, 1)):
+        if np.any(self.thresholds[1:] >= self.thresholds[:-1]):
             raise ValueError("ROC thresholds must descend")
-        ends = self.thresholds[[0, -1]]  # each rate runs from 0 to 1
-        if not all(np.allclose(_accepted(s, ends), (0.0, 1.0))
-                   for s in (self.impostor, self.genuine)):
+        if np.any(self.points[1:] < self.points[:-1]):
+            raise ValueError("ROC rates must not fall along the sweep")
+        if not (np.all(self.points[0] == 0.0) and np.all(self.points[-1] == 1.0)):
             raise ValueError("ROC must run from (0,0) to (1,1)")
 
-    @property
-    def points(self) -> np.ndarray:
-        """[K, 2] of (FPR, TPR), one per threshold, built on each access."""
-        t = self.thresholds
-        return np.column_stack([_accepted(self.impostor, t), _accepted(self.genuine, t)])
-
-    def sweep(self, overlap: int = 0):
-        """(thresholds, FPR, TPR) a slice of SLICE points at a time, each slice also
-        holding the first `overlap` points of the next."""
-        for t in _slices(self.thresholds, overlap):
-            yield t, _accepted(self.impostor, t), _accepted(self.genuine, t)
-
     def trapezoid_area(self) -> float:
-        return float(sum(np.trapezoid(tpr, far) for _, far, tpr in self.sweep(1)))
+        return float(np.trapezoid(self.points[:, 1], self.points[:, 0]))
 
     def eer(self) -> float:
-        """Rate where FAR equals FRR, linearly interpolated along the sweep."""
-        # sweep starts at (FAR 0, FRR 1) and ends at (FAR 1, FRR 0): diff crosses 0
-        for _, far, tpr in self.sweep(1):
-            diff = 1.0 - tpr
-            diff -= far  # FRR - FAR
-            crossing = np.flatnonzero((diff[:-1] >= 0.0) & (diff[1:] <= 0.0))
-            if crossing.size:
-                k = crossing[0]
-                span = diff[k] - diff[k + 1]
-                alpha = diff[k] / span if span > 0 else 0.0
-                return float(far[k] + alpha * (far[k + 1] - far[k]))
-        raise ValueError("ROC sweep never crosses FAR = FRR")
-
-
-def _slices(a: np.ndarray, overlap: int = 0):
-    """a in slices of SLICE, each also holding the first `overlap` items of the next."""
-    for lo in range(0, max(len(a) - overlap, 1), SLICE):
-        yield a[lo:lo + SLICE + overlap]
+        """Rate where FAR equals FRR, on the first segment where FRR - FAR reaches 0:
+        1 - TPR on a horizontal one, where FRR holds still, else FAR interpolated."""
+        far, tpr = self.points.T
+        diff = 1.0 - tpr
+        diff -= far  # FRR - FAR: 1 at (0,0), -1 at (1,1), never rising
+        k = np.flatnonzero(diff[1:] <= 0.0)[0]  # first segment to reach 0; diff[k] > 0
+        if tpr[k] == tpr[k + 1]:
+            return float(1.0 - tpr[k])
+        alpha = diff[k] / (diff[k] - diff[k + 1])
+        return float(far[k] + alpha * (far[k + 1] - far[k]))
 
 
 def _accepted(ascending: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -122,8 +94,26 @@ def _below(ref_sorted: np.ndarray, probes: np.ndarray, out: np.ndarray) -> np.nd
 
 
 def roc_curve(pop: ScoredPopulation) -> RocCurve:
-    """Threshold sweep over all distinct scores, ties crossing together."""
+    """Corners and both ends of the threshold sweep over all distinct scores, ties crossing
+    together. A point is dropped when both its neighbours share its FPR (a vertical run)
+    or both share its TPR (a horizontal run): a corner of its run dominates it."""
     pop.require(1)
+    sweep, genuine, impostor = _thresholds(pop), np.sort(pop.genuine), np.sort(pop.impostor)
+    n, kept = sweep.size, []
+    no_neighbour = np.full((1, 2), np.nan)  # at either end of the sweep, so the end is kept
+    for lo in range(0, n, SLICE):
+        t = sweep[max(lo - 1, 0):lo + SLICE + 1]  # the slice and a neighbour on each side
+        rates = np.column_stack([_accepted(impostor, t), _accepted(genuine, t)])
+        rates = np.concatenate([no_neighbour[:lo == 0], rates, no_neighbour[:lo + SLICE >= n]])
+        mid = rates[1:-1]
+        keep = ((rates[:-2] != mid) | (rates[2:] != mid)).all(axis=1)
+        kept.append((sweep[lo:lo + SLICE][keep], mid[keep]))
+    thresholds, points = map(np.concatenate, zip(*kept))
+    return RocCurve(thresholds=thresholds, points=points)
+
+
+def _thresholds(pop: ScoredPopulation) -> np.ndarray:
+    """+inf, then the distinct scores descending: a view of one buffer of them all."""
     buf = np.concatenate([pop.genuine, pop.impostor, [np.inf]])
     scores = buf[:-1]
     scores.sort()  # np.unique's sort, so a tied -0.0 and 0.0 keep the same one
@@ -137,8 +127,7 @@ def roc_curve(pop: ScoredPopulation) -> RocCurve:
         scores[k:k + kept.size] = kept  # k <= lo: never ahead of what is still unread
         k += kept.size
     buf[k] = np.inf
-    return RocCurve(thresholds=buf[k::-1], genuine=np.sort(pop.genuine),
-                    impostor=np.sort(pop.impostor))
+    return buf[k::-1]
 
 
 def auc(pop: ScoredPopulation) -> float:
@@ -191,26 +180,11 @@ def _sample_var(x: np.ndarray):
 
 def write_roc_csv(path, curve: RocCurve, config_hash: str = "") -> None:
     """One row per corner of the curve and one per end, in sweep order, converted to
-    Python floats a slice at a time. A point is dropped when both its neighbours share
-    its FPR (a vertical run) or both share its TPR (a horizontal run): a kept corner of
-    its run dominates it, and the polyline through the kept rows is the same curve."""
-    def lines():
-        before = np.nan, np.nan  # (FPR, TPR) of the point before the slice: none at the start
-        todo = curve.thresholds.size
-        for ts, fs, ps in curve.sweep(1):
-            last = ts.size == todo  # else the slice's last point is the next slice's first
-            todo -= ts.size - 1
-            n = ts.size - (not last)
-            keep = np.ones(n, dtype=bool)
-            for lead, rate in zip(before, (fs, ps)):
-                r = np.concatenate([[lead], rate, [np.nan] if last else []])  # NaN: no neighbour
-                keep &= (r[:-2] != r[1:-1]) | (r[2:] != r[1:-1])
-            before = fs[n - 1], ps[n - 1]
-            for t, f, p in zip(ts[:n][keep].tolist(), fs[:n][keep].tolist(),
-                               ps[:n][keep].tolist()):
-                yield f"{t!r},{f!r},{p!r}\n"
-
-    write_csv_lines(path, ["threshold", "fpr", "tpr"], lines(), config_hash)
+    Python floats a slice at a time."""
+    t, p = curve.thresholds, curve.points
+    rows = (row for lo in range(0, t.size, SLICE)
+            for row in zip(t[lo:lo + SLICE].tolist(), *p[lo:lo + SLICE].T.tolist()))
+    write_csv(path, ["threshold", "fpr", "tpr"], rows, config_hash)
 
 
 def write_summary_json(path, payload: dict) -> None:

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sweatauth.errors import InsufficientDataError
-from sweatauth.metrics import (SLICE, DelongResult, RocCurve, ScoredPopulation, _sample_var, auc,
-                               delong_variance, roc_curve, write_roc_csv)
+from sweatauth.metrics import (SLICE, DelongResult, RocCurve, ScoredPopulation, _sample_var,
+                               _thresholds, auc, delong_variance, roc_curve, write_roc_csv)
 
 
 def brute_force_auc(genuine, impostor):
@@ -40,6 +40,16 @@ def pairwise_roc_curve(pop):
         points.append((fpr, tpr))
         thr_out.append(thr)
     return np.asarray(points, dtype=float), np.asarray(thr_out, dtype=float)
+
+
+def pairwise_corners(pop):
+    """pairwise_roc_curve's (points, thresholds) without each point whose neighbours
+    both share its FPR (a vertical run) or both share its TPR (a horizontal run)."""
+    points, thresholds = pairwise_roc_curve(pop)
+    keep = [k for k in range(len(points))
+            if k in (0, len(points) - 1)
+            or not any(points[k - 1, c] == points[k, c] == points[k + 1, c] for c in (0, 1))]
+    return points[keep], thresholds[keep]
 
 
 def pairwise_auc(pop):
@@ -80,12 +90,15 @@ def loop_curve_eer(points):
     return float(far[-1])
 
 
-def per_row_roc_csv(path, curve, config_hash=""):
+def per_row_roc_csv(path, pop, config_hash=""):
+    """The ROC CSV of pop with one row per point of the pairwise sweep: the anchor, then
+    one per distinct score."""
+    points, thresholds = pairwise_roc_curve(pop)
     with open(path, "w", newline="") as fh:
         if config_hash:
             fh.write(f"# config_hash={config_hash}\n")
         fh.write("threshold,fpr,tpr\n")
-        for thr, (fpr, tpr) in zip(curve.thresholds, curve.points):
+        for thr, (fpr, tpr) in zip(thresholds, points):
             fh.write(f"{float(thr)!r},{float(fpr)!r},{float(tpr)!r}\n")
 
 
@@ -106,25 +119,33 @@ def corner_rows(lines):
     return kept
 
 
-def assert_writes_corner_rows(tmp_path, curve, config_hash="beef"):
-    """write_roc_csv writes exactly the per-row writer's corner rows; returns its rows."""
-    write_roc_csv(tmp_path / "new.csv", curve, config_hash=config_hash)
-    per_row_roc_csv(tmp_path / "old.csv", curve, config_hash=config_hash)
+def assert_writes_corner_rows(tmp_path, pop, config_hash="beef"):
+    """write_roc_csv of roc_curve(pop) writes exactly the per-row writer's corner rows;
+    returns its rows."""
+    write_roc_csv(tmp_path / "new.csv", roc_curve(pop), config_hash=config_hash)
+    per_row_roc_csv(tmp_path / "old.csv", pop, config_hash=config_hash)
     want = corner_rows((tmp_path / "old.csv").read_bytes().decode().splitlines(keepends=True))
     got = (tmp_path / "new.csv").read_bytes().decode()
     assert got == "".join(want)
     return want[1 + bool(config_hash):]
 
 
-def assert_matches_oracles(genuine, impostor):
+def assert_eer_within_ulps(got, want, ulps):
+    assert abs(got - want) <= ulps * np.spacing(max(got, want)), (got, want)
+
+
+def assert_matches_oracles(genuine, impostor, eer_ulps=0):
+    """Every result of the sorted counts equals its pairwise oracle bit for bit, the EER
+    within eer_ulps: read on the corners, it can round differently (see
+    test_eer_on_an_unmerged_horizontal_step_is_one_minus_tpr)."""
     pop = ScoredPopulation(genuine, impostor)
-    curve, (points, thresholds) = roc_curve(pop), pairwise_roc_curve(pop)
+    curve, (points, thresholds) = roc_curve(pop), pairwise_corners(pop)
     assert np.array_equal(curve.points, points)
     assert np.array_equal(curve.thresholds, thresholds)
     assert curve.points.tobytes() == points.tobytes()
     assert curve.thresholds.tobytes() == thresholds.tobytes()
     assert auc(pop) == pairwise_auc(pop)
-    assert curve.eer() == loop_eer(pop)
+    assert_eer_within_ulps(curve.eer(), loop_eer(pop), eer_ulps)
     if min(pop.genuine.size, pop.impostor.size) >= 2:
         got, ref = delong_variance(pop), pairwise_delong_variance(pop)
         assert got.auc == ref.auc
@@ -159,13 +180,17 @@ def oracle_cases():
 
 @pytest.mark.parametrize("name", sorted(oracle_cases()))
 def test_sorted_counts_match_pairwise_oracles(name):
-    assert_matches_oracles(*oracle_cases()[name])
+    # on the horizontal step from (1/3, 1/6) to (5/6, 1/6) FAR meets FRR exactly at its
+    # end: the corners give that end's FAR, 0.8333333333333334, and the full sweep's
+    # interpolation 1/3 + (5/6 - 1/3) = 0.8333333333333333
+    assert_matches_oracles(*oracle_cases()[name], eer_ulps=int(name == "eer-on-a-point"))
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=25),
        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=25))
 def test_sorted_counts_match_pairwise_oracles_on_any_finite_scores(genuine, impostor):
-    assert_matches_oracles(genuine, impostor)
+    # 1 of 200,000 examples drawn so read an EER 1 ulp off the full sweep's
+    assert_matches_oracles(genuine, impostor, eer_ulps=2)
 
 
 @pytest.mark.parametrize("n", [1, SLICE - 1, SLICE, SLICE + 1, 3 * SLICE + 5])
@@ -180,15 +205,19 @@ def test_sorted_counts_match_pairwise_oracles_at_slice_boundaries(n, count, big)
     genuine, impostor = (scores, others) if big == "genuine" else (others, scores)
     assert_matches_oracles(genuine, impostor)
     if count == "points":
-        assert len(roc_curve(ScoredPopulation(genuine, impostor)).points) == max(n, 2)
+        assert len(pairwise_roc_curve(ScoredPopulation(genuine, impostor))[0]) == max(n, 2)
 
 
 def ladder(n_scores):
     """Curve of n_scores + 1 points on FAR = TPR: both classes hold the scores
-    1 .. n_scores, so the point at row k is (k / n_scores, k / n_scores)."""
+    1 .. n_scores, so the point at row k is (k / n_scores, k / n_scores), and each
+    point is a corner, since no axis-parallel run holds it."""
     scores = np.arange(1.0, n_scores + 1)
-    return RocCurve(thresholds=np.concatenate([[np.inf], scores[::-1]]),
-                    genuine=scores.copy(), impostor=scores.copy())
+    curve = roc_curve(ScoredPopulation(scores, scores))
+    rates = np.arange(n_scores + 1) / n_scores
+    assert curve.points.tobytes() == np.column_stack([rates, rates]).tobytes()
+    assert curve.thresholds.tobytes() == np.concatenate([[np.inf], scores[::-1]]).tobytes()
+    return curve
 
 
 @pytest.mark.parametrize("row", [SLICE - 1, SLICE, SLICE + 1, 2 * SLICE])
@@ -209,32 +238,32 @@ def test_roc_curve_checks_every_row_across_slices(row):
     thresholds = good.thresholds.copy()
     thresholds[row] = thresholds[row - 1]  # one threshold that does not descend
     with pytest.raises(ValueError, match="ROC thresholds must descend"):
-        RocCurve(thresholds=thresholds, genuine=good.genuine, impostor=good.impostor)
-    for name in ("genuine", "impostor"):
-        scores = good.genuine.copy()
-        scores[row - 1] = scores[row - 2] - 0.5  # one step back, against row - 2
-        with pytest.raises(ValueError, match=f"ROC {name} scores must be sorted ascending"):
-            RocCurve(**{"thresholds": good.thresholds, "genuine": good.genuine,
-                        "impostor": good.impostor, name: scores})
+        RocCurve(thresholds=thresholds, points=good.points)
+    for rate in (0, 1):  # FPR, then TPR
+        points = good.points.copy()
+        points[row - 1, rate] = points[row - 2, rate] - 0.5 / len(points)  # one step back
+        with pytest.raises(ValueError, match="ROC rates must not fall along the sweep"):
+            RocCurve(thresholds=good.thresholds, points=points)
 
 
 def test_identity_cohort_shape_fits_in_bounded_memory():
     # 1,000 genuine x 99,000 impostor scores (identity at n = 100): the pair
     # matrix alone would be 99e6 float64 values, about 0.8 GB. Beyond the
-    # arrays it returns (the thresholds, in one buffer of one float per score,
-    # and a sorted copy of each class), roc_curve holds only slices.
-    # delong_variance holds one float per score (the column counts, or a sorted
-    # class) and one per genuine score (the row counts), plus slices.
+    # threshold buffer of one float per score and +inf, and a sorted copy of
+    # each class, which it drops on return, roc_curve holds only slices and the
+    # corners. delong_variance holds one float per score (the column counts, or
+    # a sorted class) and one per genuine score (the row counts), plus slices.
     rng = np.random.default_rng(100)
     pop = ScoredPopulation(rng.normal(1, 1, 1_000), rng.normal(0, 1, 99_000))
     roc_curve(pop).eer(), delong_variance(pop)  # the first calls import lazily
     per_score, per_genuine, margin = 8 * 100_000, 8 * 1_000, 2**18
     curve = roc_curve(pop)
-    returned = (curve.thresholds.base.nbytes + curve.genuine.nbytes + curve.impostor.nbytes)
-    assert returned <= 2 * per_score + 8
+    corners = len(curve.thresholds)  # and nothing else: no view of the buffer
+    assert corners <= 2 * 1_000 + 2 and curve.thresholds.base is None is curve.points.base
+    assert curve.thresholds.nbytes + curve.points.nbytes == 3 * 8 * corners
     for name, call, bound in [
             ("delong_variance", lambda: delong_variance(pop), per_score + per_genuine + margin),
-            ("roc_curve", lambda: roc_curve(pop), returned + margin),
+            ("roc_curve", lambda: roc_curve(pop), 2 * per_score + 8 + margin),
             ("RocCurve.eer", curve.eer, margin)]:
         tracemalloc.start()
         try:
@@ -412,11 +441,13 @@ def test_roc_csv_values_parse_as_floats(tmp_path):
     write_roc_csv(path, curve)
     rows = [[float(x) for x in line.split(",")]
             for line in path.read_text().splitlines()[1:]]
+    points, thresholds = pairwise_roc_curve(pop)
     kept = [0, 1, 2, 3, 5]  # 0.3 lies inside the horizontal run from (1/3,1) to (1,1)
-    assert len(curve.points) == 6 and len(rows) == len(kept)
+    assert len(points) == 6 and len(rows) == len(curve.points) == len(kept)
     assert all(len(r) == 3 for r in rows)
-    np.testing.assert_array_equal([r[0] for r in rows], curve.thresholds[kept])
-    np.testing.assert_array_equal([r[1:] for r in rows], curve.points[kept])
+    np.testing.assert_array_equal([r[0] for r in rows], thresholds[kept])
+    np.testing.assert_array_equal([r[1:] for r in rows], points[kept])
+    np.testing.assert_array_equal(rows, np.column_stack([curve.thresholds, curve.points]))
 
 
 @pytest.mark.parametrize("config_hash", ["", "beef"])
@@ -424,26 +455,27 @@ def test_roc_csv_bytes_match_per_row_writer(tmp_path, config_hash):
     rng = np.random.default_rng(9)
     genuine = np.concatenate([rng.normal(1, 1, 400), [-0.0, 2.5, 2.5]])
     impostor = np.concatenate([rng.normal(0, 1, 900), rng.choice([-2.0, -1.0, 2.5], 50)])
-    curve = roc_curve(ScoredPopulation(genuine, impostor))
-    assert "-0.0" in map(repr, curve.thresholds.tolist())
-    rows = assert_writes_corner_rows(tmp_path, curve, config_hash)
-    assert 2 < len(rows) < len(curve.thresholds)
+    pop = ScoredPopulation(genuine, impostor)
+    thresholds = pairwise_roc_curve(pop)[1]
+    assert "-0.0" in map(repr, thresholds.tolist())
+    rows = assert_writes_corner_rows(tmp_path, pop, config_hash)
+    assert 2 < len(rows) < len(thresholds)
 
 
-def curve_of(n_points, seed=0):
-    """ROC curve with exactly n_points points: n_points - 1 distinct scores."""
+def pop_of(n_points, seed=0):
+    """Scores whose sweep has exactly n_points points: n_points - 1 distinct scores."""
     scores = np.random.default_rng(seed).permutation(np.arange(n_points - 1) / 7.0 - 1.0)
     if n_points == 2:
-        return roc_curve(ScoredPopulation(scores, scores))
+        return ScoredPopulation(scores, scores)
     half = (n_points - 1) // 2
-    return roc_curve(ScoredPopulation(scores[:half], scores[half:]))
+    return ScoredPopulation(scores[:half], scores[half:])
 
 
 @pytest.mark.parametrize("n_points", [2, SLICE, SLICE + 1, 3 * SLICE + 5])
 def test_roc_csv_slices_match_per_row_writer(tmp_path, n_points):
-    curve = curve_of(n_points)
-    assert len(curve.points) == n_points
-    assert_writes_corner_rows(tmp_path, curve)
+    pop = pop_of(n_points)
+    assert len(pairwise_roc_curve(pop)[0]) == n_points
+    assert_writes_corner_rows(tmp_path, pop)
 
 
 def test_roc_csv_write_memory_does_not_grow_with_the_curve(tmp_path):
@@ -464,16 +496,19 @@ def test_roc_csv_write_memory_does_not_grow_with_the_curve(tmp_path):
 
 
 def test_roc_curve_validation():
-    scores = np.array([0.0, 1.0])
-    with pytest.raises(ValueError, match="ROC genuine scores must be sorted ascending"):
-        RocCurve(thresholds=np.array([np.inf, 1.0, 0.0]), genuine=scores[::-1], impostor=scores)
+    thresholds = np.array([np.inf, 1.0, 0.0])
+    points = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
+    RocCurve(thresholds=thresholds, points=points)
     with pytest.raises(ValueError, match="ROC thresholds must descend"):
-        RocCurve(thresholds=np.array([np.inf, 0.0, 1.0]), genuine=scores, impostor=scores)
-    # a sweep that starts below the top score or ends above the bottom one
+        RocCurve(thresholds=thresholds[[0, 2, 1]], points=points)
+    with pytest.raises(ValueError, match="ROC rates must not fall along the sweep"):
+        RocCurve(thresholds=np.array([np.inf, 2.0, 1.0, 0.0]),
+                 points=np.array([[0.0, 0.0], [0.5, 0.5], [0.25, 1.0], [1.0, 1.0]]))
+    # a sweep that starts above (0,0) or ends below (1,1)
     with pytest.raises(ValueError, match=r"ROC must run from \(0,0\) to \(1,1\)"):
-        RocCurve(thresholds=np.array([1.0, 0.0]), genuine=scores, impostor=scores)
+        RocCurve(thresholds=thresholds[1:], points=points[1:])
     with pytest.raises(ValueError, match=r"ROC must run from \(0,0\) to \(1,1\)"):
-        RocCurve(thresholds=np.array([np.inf, 1.0]), genuine=scores, impostor=scores)
+        RocCurve(thresholds=thresholds[:2], points=points[:2])
 
 
 def buffer_cases():
@@ -493,27 +528,64 @@ def test_threshold_buffer_matches_np_unique_bit_for_bit(tmp_path, n, case):
     # n genuine and one impostor score: the buffer sorts and compacts n + 1
     scores = np.random.default_rng(n).permutation(buffer_cases()[case](n))
     pop = ScoredPopulation(scores[:n], scores[n:])
-    curve = roc_curve(pop)
     want = np.concatenate([[np.inf], np.unique(np.concatenate([pop.genuine, pop.impostor]))[::-1]])
-    assert curve.thresholds.tobytes() == want.tobytes()
+    assert _thresholds(pop).tobytes() == want.tobytes()
     if case == "signed-zeros" and n > 1:
         assert {repr(x) for x in scores.tolist()} >= {"-0.0", "0.0"}
-    assert_writes_corner_rows(tmp_path, curve)
+    assert_writes_corner_rows(tmp_path, pop)
 
 
-def curve_of_classes(classes):
-    """ROC curve whose point k >= 1 is reached by the k-th highest score, which is
+def pop_of_classes(classes):
+    """Scores whose sweep point k >= 1 is reached by the k-th highest score, which is
     genuine where classes[k - 1] is "g" (a step up) and impostor where it is "i"
     (a step right); "b" is one score in each class (a diagonal step)."""
     scores = np.arange(len(classes), 0, -1) / 4.0
     cls = np.array(list(classes))
-    return roc_curve(ScoredPopulation(scores[cls != "i"], scores[cls != "g"]))
+    return ScoredPopulation(scores[cls != "i"], scores[cls != "g"])
 
 
-def corners_written(tmp_path, curve):
-    """Indices of the curve points that write_roc_csv keeps, checked against corner_rows."""
-    rows = assert_writes_corner_rows(tmp_path, curve)
-    index = {t: k for k, t in enumerate(map(repr, curve.thresholds.tolist()))}
+def crossing_segment(curve):
+    """(start, end) corners of the first segment of the curve on which FRR - FAR reaches 0."""
+    diff = (1.0 - curve.points[:, 1]) - curve.points[:, 0]
+    k = next(k for k in range(len(diff) - 1) if diff[k + 1] <= 0.0)
+    return curve.points[k], curve.points[k + 1]
+
+
+@pytest.mark.parametrize("classes, rate, kind", [
+    # FAR meets FRR inside a horizontal run of eleven impostor steps, at 0.5: an
+    # interpolation between the run's ends gives 0.49999999999999994
+    ("igiiiiiiiiiiig", 0.5, "horizontal"),
+    ("iiigggggggiiiiig", 0.375, "vertical"),
+    ("ggbbbii", 0.3, "diagonal"),  # three scores tied across the classes
+])
+def test_eer_on_the_corners_equals_the_full_sweep(classes, rate, kind):
+    pop = pop_of_classes(classes)
+    curve = roc_curve(pop)
+    start, end = crossing_segment(curve)
+    assert kind == ("horizontal" if start[1] == end[1] else
+                    "vertical" if start[0] == end[0] else "diagonal")
+    assert len(curve.points) < len(pairwise_roc_curve(pop)[0])
+    assert curve.eer() == loop_eer(pop) == rate
+
+
+def test_eer_on_an_unmerged_horizontal_step_is_one_minus_tpr():
+    # The corners cannot tell a horizontal crossing segment that holds sweep points
+    # from one that does not, so the EER there is 1 - TPR, which the full sweep's
+    # interpolation can round differently, by at most 2 ulps: 34 of 200,000 random
+    # tie-heavy populations (up to 11 genuine and 24 impostor scores in 0-7), and
+    # 1 of 200,000 of the hypothesis test's examples. This is the smallest seen;
+    # FAR crosses FRR = 1/3 on the one step from (0, 2/3) to (3/5, 2/3).
+    pop = ScoredPopulation([5.0, 4.0, 0.0], [3.0, 3.0, 2.0, 3.0, 0.0])
+    assert loop_eer(pop) == 0.3333333333333334
+    assert roc_curve(pop).eer() == 1.0 - 2 / 3 == 0.33333333333333337
+    assert_eer_within_ulps(roc_curve(pop).eer(), loop_eer(pop), 2)
+
+
+def corners_written(tmp_path, pop):
+    """Indices of the sweep points that roc_curve keeps and write_roc_csv writes,
+    checked against corner_rows."""
+    rows = assert_writes_corner_rows(tmp_path, pop)
+    index = {t: k for k, t in enumerate(map(repr, pairwise_roc_curve(pop)[1].tolist()))}
     return [index[row.split(",")[0]] for row in rows]
 
 
@@ -524,7 +596,7 @@ def test_roc_csv_drops_a_run_across_a_slice_boundary(tmp_path, boundary, step):
     other = "i" if step == "g" else "g"
     classes = (other + step) * (boundary // 2)
     classes = classes[:boundary - 6] + other + step * 10 + classes[:SLICE]
-    kept = corners_written(tmp_path, curve_of_classes(classes))
+    kept = corners_written(tmp_path, pop_of_classes(classes))
     assert kept == [k for k in range(len(classes) + 1)
                     if not boundary - 5 < k < boundary + 5]
 
@@ -534,28 +606,26 @@ def test_roc_csv_keeps_a_turn_at_a_slice_boundary(tmp_path, turn):
     # straight up to the turn, then straight right: one corner; then a single step up
     # among steps right: two corners, at points turn - 1 and turn
     n = 2 * SLICE + 7
-    assert corners_written(tmp_path, curve_of_classes("g" * turn + "i" * (n - turn))) == [
+    assert corners_written(tmp_path, pop_of_classes("g" * turn + "i" * (n - turn))) == [
         0, turn, n]
     classes = "i" * (turn - 1) + "g" + "i" * (n - turn)
-    assert corners_written(tmp_path, curve_of_classes(classes)) == [0, turn - 1, turn, n]
+    assert corners_written(tmp_path, pop_of_classes(classes)) == [0, turn - 1, turn, n]
 
 
 def test_roc_csv_keeps_both_ends_of_a_diagonal_segment(tmp_path):
     # a score tied across the classes moves both rates at once; collinear diagonal
     # points are kept, since no axis-parallel run holds them
-    curve = curve_of_classes("gbbigbgib")
-    assert corners_written(tmp_path, curve) == [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]
-    curve = curve_of_classes("gggbiiibbggg")
-    assert corners_written(tmp_path, curve) == [0, 3, 4, 7, 8, 9, 12]
+    assert corners_written(tmp_path, pop_of_classes("gbbigbgib")) == list(range(10))
+    assert corners_written(tmp_path, pop_of_classes("gggbiiibbggg")) == [0, 3, 4, 7, 8, 9, 12]
 
 
 @pytest.mark.parametrize("genuine, impostor", [([0.5], [0.5]), ([2.0] * 5, [2.0] * 3)],
                          ids=["two-points", "all-tied"])
 def test_roc_csv_keeps_a_two_point_curve(tmp_path, genuine, impostor):
     # every score tied, one or several in each class: the curve is its two ends
-    curve = roc_curve(ScoredPopulation(genuine, impostor))
-    assert len(curve.thresholds) == 2
-    assert corners_written(tmp_path, curve) == [0, 1]
+    pop = ScoredPopulation(genuine, impostor)
+    assert len(pairwise_roc_curve(pop)[1]) == 2
+    assert corners_written(tmp_path, pop) == [0, 1]
 
 
 def test_roc_csv_writes_a_signed_zero_threshold_as_the_per_row_writer(tmp_path):
@@ -563,10 +633,10 @@ def test_roc_csv_writes_a_signed_zero_threshold_as_the_per_row_writer(tmp_path):
     for genuine, impostor, kept in [([-0.0, 1.0], [0.0, -1.0], [0, 1, 2, 3]),
                                     ([2.0, 1.0, -0.0], [0.0, -1.0], [0, 2, 3, 4]),
                                     ([2.0, 1.0, 0.5], [-0.0, 0.0, -1.0], [0, 3, 5])]:
-        curve = roc_curve(ScoredPopulation(genuine, impostor))
-        zero = [repr(t) for t in curve.thresholds.tolist() if t == 0.0]
+        pop = ScoredPopulation(genuine, impostor)
+        zero = [repr(t) for t in _thresholds(pop).tolist() if t == 0.0]
         assert zero in (["-0.0"], ["0.0"])
-        assert corners_written(tmp_path, curve) == kept
+        assert corners_written(tmp_path, pop) == kept
 
 
 def test_roc_leaves_numpy_ma_unimported(tmp_path):

@@ -474,7 +474,12 @@ def test_cmd_roc_writes_the_corners_of_the_per_row_curve(tmp_path, monkeypatch):
     config = json_file(tmp_path / "cfg.json", trimmed_identity_config())
     corners, every = tmp_path / "corners", tmp_path / "every"
     assert run_cli("roc", "--config", config, "--out", str(corners)) == 0
-    monkeypatch.setattr(metrics, "write_roc_csv", per_row_roc_csv)
+    # the second run writes each curve's CSV from its population's pairwise sweep
+    built, roc_curve = [], metrics.roc_curve  # (curve, pop) of each curve built
+    monkeypatch.setattr(metrics, "roc_curve",
+                        lambda pop: built.append((roc_curve(pop), pop)) or built[-1][0])
+    monkeypatch.setattr(metrics, "write_roc_csv", lambda path, curve, config_hash: per_row_roc_csv(
+        path, next(pop for c, pop in built if c is curve), config_hash))
     assert run_cli("roc", "--config", config, "--out", str(every)) == 0
     assert (corners / "summary.json").read_bytes() == (every / "summary.json").read_bytes()
     summary = json.loads((corners / "summary.json").read_text())
@@ -490,6 +495,20 @@ def test_cmd_roc_writes_the_corners_of_the_per_row_curve(tmp_path, monkeypatch):
         area = sum((f1 - f0) * (t0 + t1) / 2.0
                    for (f0, t0), (f1, t1) in zip(points, points[1:]))
         assert abs(area - summary[label]["auc"]) <= 1e-9
+
+
+@pytest.mark.parametrize("command", ["roc", "enroll"])
+def test_cmd_refuses_a_template_covariance_that_lambda_leaves_singular(tmp_path, capsys,
+                                                                       command):
+    # two registration vectors leave the covariance of rank one at most, and 1e-300
+    # on its diagonal is too little for a Cholesky factor
+    raw = trimmed_identity_config()
+    raw["auth"].update({"k_reg": 2, "lambda": 1e-300})
+    config = json_file(tmp_path / "cfg.json", raw)
+    assert run_cli(command, "--config", config, "--out", str(tmp_path / "out")) == 3
+    assert capsys.readouterr().err == (
+        "insufficient data: cohort-000: 2 registration vectors plus auth.lambda = 1e-300 give "
+        "a covariance that is not positive definite; raise auth.lambda or auth.k_reg\n")
 
 
 def test_cmd_roc_insufficient_users(tmp_path):
@@ -1129,6 +1148,13 @@ def no_integration(*args, **kwargs):
      "cohort.groups[0].demographics.sex: not a string: 5"),
     (lambda raw: raw["cohort"]["schedule"].update(t0=float("-inf")),
      "cohort.schedule.t0: must be finite, got -inf"),
+    # t0 + tau * k overflows to inf, and the drift factor exp(0 * inf) to NaN
+    (lambda raw: raw["cohort"]["schedule"].update(t0=1.7e308, tau=1e307),
+     "cohort.schedule: t0 = 1.7e+308 plus tau = 1e+307 times 4 steps overflows; "
+     "the sample times must be finite"),
+    (lambda raw: raw["cohort"]["schedule"].update(t0=0.0, tau=1e308),
+     "cohort.schedule: t0 = 0 plus tau = 1e+308 times 4 steps overflows; "
+     "the sample times must be finite"),
     # float(10**400) overflows
     (lambda raw: raw["cohort"]["schedule"].update(tau=10**400),
      f"cohort.schedule.tau: must be finite and > 0, got {10**400}"),
@@ -1181,7 +1207,8 @@ def no_integration(*args, **kwargs):
         "zero-tau", "misspelled-noise", "groups-not-a-list", "missing-digitize-groups",
         "misspelled-filters", "text-k-half", "unknown-aggregator", "group-beyond-channels",
         "weight-count-mismatch", "overflowing-drift", "vanishing-drift", "number-demographic",
-        "minus-infinite-t0", "integer-tau-beyond-floats", "huge-noise-cv", "huge-acid-cv",
+        "minus-infinite-t0", "overflowing-sample-times", "overflowing-schedule-span",
+        "integer-tau-beyond-floats", "huge-noise-cv", "huge-acid-cv",
         "demographic-outside-the-vocabulary", "missing-section", "weights-without-weighted-sum",
         "weights-not-one-per-group", "weight-count-mismatch-of-a-sum-group", "no-groups",
         "aggregator-count", "empty-group", "two-channel-cascade-endpoint", "filter-count",
